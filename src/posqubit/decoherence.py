@@ -24,7 +24,7 @@ import numpy as np
 
 from . import signals
 from .measurement import validate_density
-from .qcore import HBAR, matexp_unitary, require_hermitian
+from .qcore import HBAR, propagate, require_hermitian, rk4_step
 
 NODE_PAIRS = ("11", "22", "12", "21")
 
@@ -183,14 +183,16 @@ def evolve_density_with_decoherence(
     """Unitary von-Neumann evolution of a two-qubit density matrix under
     H0 + Hdec.
 
-    Constant matrices use the exact matrix exponential; callables are
-    integrated with RK4 on the von-Neumann equation.  With
-    ``paper_factorized`` the propagator is split into the off-diagonal
-    decoherence factor times the diagonal phase (first-order
-    factorization; exact when the two commute).
+    Constant matrices are propagated exactly: the generator is
+    diagonalized once per call (``qcore.propagate``), ``t`` may be a
+    scalar or a 1-D array of sample times, and the result has shape
+    ``np.shape(t) + (4, 4)``.  ``dt`` is not used for them.  Callables are
+    integrated with RK4 of step ``dt`` on the von-Neumann equation up to a
+    scalar ``t``.  With ``paper_factorized`` the propagator is split into
+    the off-diagonal decoherence factor times the diagonal phase
+    (first-order factorization; exact when the two commute).
     """
     rho = validate_density(rho0, dim=4)
-    span = t - t0
     if callable(h0) or callable(hdec):
         h0f = h0 if callable(h0) else (lambda tp: h0)
         hdecf = hdec if callable(hdec) else (lambda tp: hdec)
@@ -198,8 +200,6 @@ def evolve_density_with_decoherence(
         def rhs(tp, r):
             h = h0f(tp) + hdecf(tp)
             return (-1j / HBAR) * (h @ r - r @ h)
-
-        from .qcore import rk4_step
 
         tp = t0
         while tp < t - 1e-15:
@@ -210,13 +210,18 @@ def evolve_density_with_decoherence(
 
     h0 = require_hermitian(h0)
     hdec = require_hermitian(hdec)
+    spans = np.asarray(t, dtype=float) - t0
+    flat = spans.reshape(-1)
     if paper_factorized:
+        # the diagonal phase D acts first, as D rho D^dag = rho o (d d^dag)
         diag = np.real(np.diag(h0) + np.diag(hdec))
-        off = hdec - np.diag(np.diag(hdec))
-        u = matexp_unitary(off, span) @ np.diag(np.exp(-1j * diag * span / HBAR))
+        d = np.exp(-1j * np.multiply.outer(flat, diag) / HBAR)
+        rho = rho * d[:, :, None]
+        rho *= d[:, None, :].conj()
+        out = propagate(hdec - np.diag(np.diag(hdec)), rho, flat, density=True)
     else:
-        u = matexp_unitary(h0 + hdec, span)
-    return u @ rho @ u.conj().T
+        out = propagate(h0 + hdec, rho, flat, density=True)
+    return out.reshape(spans.shape + (4, 4))
 
 
 @dataclass

@@ -2,9 +2,10 @@
 
 Dense complex matrices of fixed small dimension (2x2, 4x4, ...) with a
 deterministic eigenvector phase convention, unitary propagation through
-exact exponentiation, and a classical RK4 step for time-dependent
-generators.  Energies are expressed in a user-chosen unit and hbar = 1
-internally, so times carry the inverse of that unit.
+exact exponentiation, exact sampled propagation under a constant
+Hamiltonian, and a classical RK4 step for time-dependent generators.
+Energies are expressed in a user-chosen unit and hbar = 1 internally, so
+times carry the inverse of that unit.
 """
 
 from dataclasses import dataclass
@@ -67,6 +68,32 @@ def matexp_unitary(h, dt, tol=HERMITICITY_TOL):
     return (vectors * phases) @ vectors.conj().T
 
 
+def propagate(h, y0, times, *, density=False):
+    """Exact evolution under a constant Hermitian ``h`` at every time in ``times``.
+
+    ``h`` is checked and diagonalized once, h = V diag(E) V^dag, and all
+    samples are formed in one broadcast: states as V e^{-iEt} V^dag y0,
+    shape (n_times, n); densities (``density=True``) as
+    V (rho_E o e^{-i(E_j - E_k)t}) V^dag with rho_E = V^dag rho0 V, shape
+    (n_times, n, n).  Times count from the moment ``y0`` holds.  ``y0``
+    may also carry a leading axis of length n_times, one initial value
+    per sample.
+    """
+    h = require_hermitian(h)
+    energies, vectors = np.linalg.eigh(h)
+    times = np.asarray(times, dtype=float)
+    phases = np.exp(-1j * np.multiply.outer(times, energies) / HBAR)
+    y0 = np.asarray(y0, dtype=complex)
+    vh = vectors.conj().T
+    if density:
+        # in place where possible: the (n_times, n, n) stack is the bulk of the memory
+        rho_e = phases[:, :, None] * phases[:, None, :].conj()
+        rho_e *= vh @ y0 @ vectors
+        rho_e = vectors @ rho_e
+        return rho_e @ vh
+    return (phases * (y0 @ vh.T)) @ vectors.T
+
+
 def rk4_step(f, t, y, dt):
     """One classical Runge-Kutta step of ``dy/dt = f(t, y)``."""
     k1 = f(t, y)
@@ -126,9 +153,3 @@ class StateVector:
         if self.basis != basis:
             raise BasisMismatchError(f"expected {basis!r} basis, got {self.basis!r}")
         return self
-
-
-def require_dim(state, dim):
-    if state.dim != dim:
-        raise ValueError(f"expected a {dim}-component state, got {state.dim}")
-    return state

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import eval_hermite, gammaln
 
 from .errors import GridTooCoarseError, QuadratureNotConvergedError
-from .qcore import HBAR, rk4_step
+from .qcore import HBAR, propagate
 
 HARMONIC = "harmonic"
 BOX = "box"
@@ -197,28 +197,21 @@ def composite_hamiltonian(basis_a, basis_b, w):
 
 
 def evolve_modes(q0, basis_a, basis_b, w, t0, t, dt, sample_stride=1):
-    """RK4 integration of the coupled mode equations.
+    """Exact evolution of the coupled mode equations.
 
-    Returns (times, q_series) with q_series of shape
-    (n_samples, levels_A, levels_B); norm and (for constant W) energy are
-    conserved to integrator accuracy.
+    The composite Hamiltonian is constant, so it is diagonalized once and
+    every sample is exact (``qcore.propagate``).  ``dt`` only sets the
+    sample grid: samples are taken at t0 + i dt for the steps
+    i = 0..round((t - t0) / dt) that are multiples of ``sample_stride``,
+    and at the last step.  Returns (times, q_series) with q_series of
+    shape (n_samples, levels_A, levels_B).
     """
     na, nb = basis_a.n_levels, basis_b.n_levels
-    q = np.asarray(q0, dtype=complex).reshape(na * nb).copy()
+    n_steps = max(int(round((t - t0) / dt)), 0)
+    spans = np.union1d(np.arange(0, n_steps + 1, sample_stride), n_steps) * dt
     h = composite_hamiltonian(basis_a, basis_b, w)
-
-    def rhs(tp, y):
-        return (-1j / HBAR) * (h @ y)
-
-    n_steps = int(round((t - t0) / dt))
-    times = [t0]
-    series = [q.reshape(na, nb).copy()]
-    for i in range(1, n_steps + 1):
-        q = rk4_step(rhs, t0 + (i - 1) * dt, q, dt)
-        if i % sample_stride == 0 or i == n_steps:
-            times.append(t0 + i * dt)
-            series.append(q.reshape(na, nb).copy())
-    return np.array(times), np.array(series)
+    series = propagate(h, np.asarray(q0, dtype=complex).reshape(na * nb), spans)
+    return t0 + spans, series.reshape(-1, na, nb)
 
 
 def mode_energy(q, basis_a, basis_b, w):

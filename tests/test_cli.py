@@ -198,8 +198,8 @@ def test_decoherence_scenario():
     assert abs(summary["symmetric_EAB_r1"] - expected) < 1e-12
 
 
-def test_spectral_scenario():
-    cfg = {
+def spectral_cfg():
+    return {
         "schema_version": 1,
         "kind": "spectral",
         "time": {"t_max": 0.5, "dt": 0.001, "sample_stride": 100},
@@ -209,7 +209,10 @@ def test_spectral_scenario():
             "initial_modes": [[0, 1, 1.0, 0.0]],
         },
     }
-    _, summary = cli.run_scenario(cfg)
+
+
+def test_spectral_scenario():
+    _, summary = cli.run_scenario(spectral_cfg())
     assert abs(summary["final_norm"] - 1.0) < 1e-10
     assert summary["energy_drift"] < 1e-10
 
@@ -257,6 +260,12 @@ def test_sweep_continues_past_failures():
     rows = cli.sweep(cfg, "parameters.ts_mag", [0.5, 0.0, 1.0])
     assert [r["status"] for r in rows] == ["ok", "failed", "ok"]
     assert "error" in rows[1]
+    # an even grid raises ValueError in the Simpson weights
+    spectral = spectral_cfg()
+    spectral["parameters"]["basis"]["n_grid"] = 401
+    rows = cli.sweep(spectral, "parameters.basis.n_grid", [401, 400, 401])
+    assert [r["status"] for r in rows] == ["ok", "failed", "ok"]
+    assert "odd point count" in rows[1]["error"]
     with pytest.raises(ConfigError):
         cli.sweep(cfg, "parameters.nope", [1.0])
 
@@ -282,6 +291,14 @@ def test_main_exit_codes(tmp_path, capsys):
 
     assert cli.main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+    # a mode index past n_levels, a negative one and a short entry are config errors
+    for entry in ([5, 0, 1.0, 0.0], [-1, 0, 1.0, 0.0], [0, 1, 1.0]):
+        spectral = spectral_cfg()
+        spectral["parameters"]["initial_modes"] = [entry]
+        cfg_path.write_text(json.dumps(spectral))
+        assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
+        assert "initial_modes" in capsys.readouterr().err
 
 
 def test_main_eigens_and_sweep(tmp_path, capsys):

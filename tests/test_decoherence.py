@@ -194,3 +194,36 @@ def test_angle_reconstruction_first_order():
         approx = dec.angle_decomposition(h0, hdec, 0.0, span).reconstruct(rho0)
         devs.append(np.max(np.abs(exact - approx)))
     assert devs[1] < devs[0] / 2.5
+
+
+def _per_sample_density(rho0, h0, hdec, span, paper_factorized):
+    """One sample of the per-sample propagator formula, as the oracle."""
+    if paper_factorized:
+        diag = np.real(np.diag(h0) + np.diag(hdec))
+        off = hdec - np.diag(np.diag(hdec))
+        u = matexp_unitary(off, span) @ np.diag(np.exp(-1j * diag * span))
+    else:
+        u = matexp_unitary(h0 + hdec, span)
+    return u @ rho0 @ u.conj().T
+
+
+@pytest.mark.parametrize("paper_factorized", [False, True])
+def test_evolve_density_sample_array_matches_per_sample(paper_factorized):
+    hdec = dec.decoherence_matrix(random_basis(), random_distances(), 0.6)
+    h0 = dec.build_h0_resonant(-1.0, 1.0, -0.7, 0.7, 0.0, 0.0, 0.0)
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    rho0 = ms.pure_density(amps / np.linalg.norm(amps))
+    t0 = 0.3
+    ts = t0 + np.linspace(0.0, 5.0, 41)
+    batched = dec.evolve_density_with_decoherence(
+        rho0, h0, hdec, t0, ts, paper_factorized=paper_factorized
+    )
+    assert batched.shape == (41, 4, 4)
+    for t, rho in zip(ts, batched):
+        oracle = _per_sample_density(rho0, h0, hdec, t - t0, paper_factorized)
+        assert np.max(np.abs(rho - oracle)) <= 1e-12
+    single = dec.evolve_density_with_decoherence(
+        rho0, h0, hdec, t0, ts[9], paper_factorized=paper_factorized
+    )
+    assert single.shape == (4, 4)
+    assert np.max(np.abs(single - batched[9])) <= 1e-12

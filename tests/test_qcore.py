@@ -11,6 +11,7 @@ from posqubit.qcore import (
     evolve_rk4,
     fix_phase,
     matexp_unitary,
+    propagate,
     require_hermitian,
     rk4_step,
 )
@@ -99,3 +100,35 @@ def test_statevector_basics():
         StateVector(np.array([1.0]), basis="momentum")
     with pytest.raises(ValueError):
         StateVector(np.zeros((2, 2)))
+
+
+def test_propagate_matches_expm_at_every_sample():
+    import scipy.linalg as sla
+
+    import posqubit.decoherence as dec
+    import posqubit.single_qubit as sq
+
+    # symmetric decoherence case: equal qubits and equal node distances
+    # leave the middle pair of levels degenerate
+    co = sq.eigencoeffs(sq.QubitParams(0.0, 0.0, 1.0, 0.0), 0.0)
+    hdec = dec.decoherence_matrix(
+        dec.QubitEnergyBasis(co, co), dec.NodeDistances(1.0, 1.0, 1.0, 1.0), 0.5
+    )
+    symmetric = dec.build_h0_resonant(co.e1, co.e2, co.e1, co.e2, 0.0, 0.0, 0.0) + hdec
+    assert np.min(np.diff(np.linalg.eigvalsh(symmetric))) < 1e-12
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    rotated = q @ symmetric @ q.conj().T
+    times = np.array([0.0, 0.013, 0.37, 1.0, 7.5])
+    for h in (random_hermitian(4), symmetric, 0.5 * (rotated + rotated.conj().T)):
+        psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi0 /= np.linalg.norm(psi0)
+        rho0 = np.outer(psi0, psi0.conj())
+        states = propagate(h, psi0, times)
+        densities = propagate(h, rho0, times, density=True)
+        assert states.shape == (5, 4) and densities.shape == (5, 4, 4)
+        for t, psi, rho in zip(times, states, densities):
+            u = sla.expm(-1j * h * t / HBAR)
+            assert np.max(np.abs(psi - u @ psi0)) <= 1e-12
+            assert np.max(np.abs(rho - u @ rho0 @ u.conj().T)) <= 1e-12
+    with pytest.raises(NonHermitianError):
+        propagate(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2), times)

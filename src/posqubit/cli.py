@@ -14,16 +14,21 @@ are either numbers or objects like
 {"kind": "sinusoid", "amplitude": 1, "omega": 2, "phase": 0, "offset": 0}
 or {"kind": "table", "times": [...], "values": [...]}.
 
+Each field goes through a reader (``_number``, ``_integer``, ``_signal``,
+``_amplitudes``, ``_geometry``, ``_time_block``) that checks type, bounds
+and shape and raises ConfigError naming the dotted path; sizes are capped
+(MAX_*) before anything is allocated.  The README lists every field.
+
 Outputs are deterministic: identical configs produce identical bytes
 (modulo the versioned header line).  Exit codes: 0 success, 2 config
-error, 3 numerical failure.
+error, 3 numerical failure, which includes a non-finite output value.
 """
 
 import argparse
-import copy
+import dataclasses
 import json
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,13 +39,20 @@ from . import single_qubit as sq
 from . import spectral as sp
 from . import two_qubit as tq
 from .errors import ConfigError, PosQubitError
-from .qcore import HBAR, StateVector, eig_hermitian, evolve_rk4
+from .qcore import StateVector, eig_hermitian, evolve_rk4
 
 CSV_HEADER = "# posqubit csv v1"
 SCHEMA_VERSION = 1
 
+MAX_STEPS = 100_000  # (t_max - t0) / dt, sample_stride, sweep points; 256 B per density sample
+MAX_LEVELS = 16  # spectral basis.n_levels; the mode space has MAX_LEVELS**2 entries
+MAX_GRID = 4001  # spectral basis.n_grid; the kernel mesh holds MAX_GRID**2 floats
 
-@dataclass
+_REQUIRED = object()
+_GEOMETRY_FIELDS = {f.name for f in dataclasses.fields(tq.DotGeometry)}
+
+
+@dataclasses.dataclass
 class TimeSeries:
     t: np.ndarray
     columns: dict  # name -> real array
@@ -55,59 +67,117 @@ def _fail(path, message):
     raise ConfigError(f"{path}: {message}")
 
 
-def _get(cfg, path, default=None, required=False):
+def _get(cfg, path, default=_REQUIRED):
     node = cfg
     for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
+        if not isinstance(node, dict):
+            _fail(path, "an enclosing field is not an object")
+        if part not in node:
+            if default is _REQUIRED:
                 _fail(path, "missing required field")
             return default
         node = node[part]
     return node
 
 
-def _signal_from(cfg_value, path):
-    if isinstance(cfg_value, (int, float)):
-        return signals.constant(float(cfg_value))
-    if isinstance(cfg_value, dict):
-        kind = cfg_value.get("kind")
-        if kind == "constant":
-            return signals.constant(float(cfg_value.get("value", 0.0)))
-        if kind == "sinusoid":
-            return signals.sinusoid(
-                float(cfg_value.get("amplitude", 0.0)),
-                float(cfg_value.get("omega", 0.0)),
-                float(cfg_value.get("phase", 0.0)),
-                float(cfg_value.get("offset", 0.0)),
-            )
-        if kind == "table":
-            try:
-                return signals.table(cfg_value["times"], cfg_value["values"])
-            except (KeyError, ValueError) as exc:
-                _fail(path, str(exc))
-        _fail(path, f"unknown signal kind {kind!r}")
-    _fail(path, f"expected number or signal object, got {type(cfg_value).__name__}")
+def _float(value, path, gt=None, ge=None):
+    """``value`` as a finite float, optionally bounded below."""
+    # abs(value) <= max is false for NaN, inf and ints too large for a float
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        _fail(path, f"expected a finite number, got {value!r:.40}")
+    x = float(value)
+    if gt is not None and not x > gt:
+        _fail(path, f"must exceed {gt}, got {x}")
+    if ge is not None and not x >= ge:
+        _fail(path, f"must be >= {ge}, got {x}")
+    return x
 
 
-def _complex_list(raw, path):
-    try:
-        return np.array([complex(re, im) for re, im in raw])
-    except (TypeError, ValueError):
-        _fail(path, "expected list of [re, im] pairs")
+def _int(value, path, low, high):
+    x = _float(value, path)
+    if not (x.is_integer() and low <= x <= high):
+        _fail(path, f"expected an integer in [{low}, {high}], got {value!r:.40}")
+    return int(x)
+
+
+def _number(cfg, path, default=_REQUIRED, gt=None, ge=None):
+    return _float(_get(cfg, path, default), path, gt, ge)
+
+
+def _integer(cfg, path, default, low, high):
+    return _int(_get(cfg, path, default), path, low, high)
+
+
+def _signal(cfg, path, default=_REQUIRED):
+    """A number or a constant / sinusoid / table object, as a signal."""
+    raw = _get(cfg, path, default)
+    if not isinstance(raw, dict):
+        return signals.constant(_float(raw, path))
+    kind = raw.get("kind")
+    if kind == "constant":
+        return signals.constant(_number(cfg, f"{path}.value", 0.0))
+    if kind == "sinusoid":
+        keys = ("amplitude", "omega", "phase", "offset")
+        return signals.sinusoid(*(_number(cfg, f"{path}.{key}", 0.0) for key in keys))
+    if kind == "table":
+        times, values = _get(cfg, f"{path}.times"), _get(cfg, f"{path}.values")
+        if not (isinstance(times, list) and isinstance(values, list)):
+            _fail(path, "times and values must be lists of numbers")
+        try:
+            return signals.table(*([_float(x, path) for x in xs] for xs in (times, values)))
+        except ValueError as exc:
+            _fail(path, str(exc))
+    _fail(f"{path}.kind", f"unknown signal kind {kind!r:.40}")
+
+
+def _pair(raw, path):
+    if not (isinstance(raw, list) and len(raw) == 2):
+        _fail(path, f"expected an [re, im] pair, got {raw!r:.40}")
+    return complex(_float(raw[0], path), _float(raw[1], path))
+
+
+def _normalized(amps, path):
+    norm = np.linalg.norm(amps)
+    if not 0.0 < norm < np.inf:
+        _fail(path, "amplitudes must have a finite, nonzero norm")
+    return amps / norm
+
+
+def _amplitudes(cfg, path, n, required=False):
+    """``n`` [re, im] pairs, normalized; the first basis state by default."""
+    raw = _get(cfg, path, _REQUIRED if required else [[1.0, 0.0]] + [[0.0, 0.0]] * (n - 1))
+    if not (isinstance(raw, list) and len(raw) == n):
+        _fail(path, f"expected a list of {n} [re, im] pairs")
+    return _normalized(np.array([_pair(x, path) for x in raw]), path)
 
 
 def _time_block(cfg):
-    t0 = float(_get(cfg, "time.t0", 0.0))
-    t_max = _get(cfg, "time.t_max", required=True)
-    dt = _get(cfg, "time.dt", required=True)
-    stride = int(_get(cfg, "time.sample_stride", 1))
-    if not isinstance(dt, (int, float)) or dt <= 0:
-        _fail("time.dt", "must be a positive number")
-    if not isinstance(t_max, (int, float)) or t_max <= t0:
-        _fail("time.t_max", "must exceed time.t0")
-    if stride < 1:
-        _fail("time.sample_stride", "must be >= 1")
-    return t0, float(t_max), float(dt), stride
+    """(t0, t_max, dt, sample_stride, sample times t0 + i dt sample_stride)."""
+    t0 = _number(cfg, "time.t0", 0.0)
+    t_max = _number(cfg, "time.t_max", gt=t0)
+    dt = _number(cfg, "time.dt", gt=0.0)
+    stride = _integer(cfg, "time.sample_stride", 1, 1, MAX_STEPS)
+    if not (t_max - t0) / dt <= MAX_STEPS:
+        _fail("time", f"(t_max - t0) / dt exceeds MAX_STEPS = {MAX_STEPS}")
+    n = int(round((t_max - t0) / (dt * stride)))
+    return t0, t_max, dt, stride, t0 + dt * stride * np.arange(n + 1)
+
+
+def _geometry(cfg, required=False):
+    """``parameters.geometry`` as a DotGeometry; None when it is optional and absent."""
+    path = "parameters.geometry"
+    raw = _get(cfg, path, _REQUIRED if required else None)
+    if raw is None and not required:
+        return None
+    if not isinstance(raw, dict) or not raw.keys() <= _GEOMETRY_FIELDS:
+        _fail(path, f"expected an object with fields from {sorted(_GEOMETRY_FIELDS)}")
+    kind = raw.get("kind", tq.COLLINEAR)
+    if kind not in (tq.PARALLEL, tq.COLLINEAR, tq.PERPENDICULAR):
+        _fail(f"{path}.kind", f"unknown geometry kind {kind!r:.40}")
+    sizes = {k: _number(cfg, f"{path}.{k}", gt=0.0) for k in raw if k not in ("kind", "coulomb_k")}
+    k = _number(cfg, f"{path}.coulomb_k", 1.0, ge=0.0)
+    return tq.DotGeometry(kind, coulomb_k=k, **sizes)
 
 
 def extract_frequency(t, series):
@@ -129,24 +199,15 @@ def extract_frequency(t, series):
     return float(2.0 * np.pi / period)
 
 
-def _qubit_params(cfg):
-    return sq.QubitParams(
-        ep1=_signal_from(_get(cfg, "parameters.ep1", 0.0), "parameters.ep1"),
-        ep2=_signal_from(_get(cfg, "parameters.ep2", 0.0), "parameters.ep2"),
-        ts_mag=_signal_from(_get(cfg, "parameters.ts_mag", required=True), "parameters.ts_mag"),
-        alpha=_signal_from(_get(cfg, "parameters.alpha", 0.0), "parameters.alpha"),
-    )
+def _qubit_params(cfg, path="parameters", read=_signal):
+    defaults = {"ep1": 0.0, "ep2": 0.0, "ts_mag": _REQUIRED, "alpha": 0.0}
+    return sq.QubitParams(**{k: read(cfg, f"{path}.{k}", d) for k, d in defaults.items()})
 
 
 def _run_single_qubit(cfg):
     params = _qubit_params(cfg)
-    t0, t_max, dt, stride = _time_block(cfg)
-    amps = _complex_list(
-        _get(cfg, "parameters.initial", [[1.0, 0.0], [0.0, 0.0]]), "parameters.initial"
-    )
-    if amps.size != 2:
-        _fail("parameters.initial", "expected two amplitudes")
-    psi = amps / np.linalg.norm(amps)
+    t0, t_max, dt, stride, _ = _time_block(cfg)
+    psi = _amplitudes(cfg, "parameters.initial", 2)
 
     n_steps = int(round((t_max - t0) / dt))
     ts, px1, px2, pe1, pe2, ph1, ph2 = [], [], [], [], [], [], []
@@ -187,17 +248,10 @@ def _run_single_qubit(cfg):
 
 
 def _run_rabi(cfg):
-    e1 = _signal_from(_get(cfg, "parameters.e1", required=True), "parameters.e1")
-    e2 = _signal_from(_get(cfg, "parameters.e2", required=True), "parameters.e2")
-    e12 = _signal_from(_get(cfg, "parameters.e12", 0.0), "parameters.e12")
-    t0, t_max, dt, stride = _time_block(cfg)
-    amps = _complex_list(
-        _get(cfg, "parameters.initial", [[1.0, 0.0], [0.0, 0.0]]), "parameters.initial"
-    )
-    psi0 = amps / np.linalg.norm(amps)
-    sample_dt = dt * stride
-    n = int(round((t_max - t0) / sample_dt))
-    ts = t0 + sample_dt * np.arange(n + 1)
+    e1, e2 = _signal(cfg, "parameters.e1"), _signal(cfg, "parameters.e2")
+    e12 = _signal(cfg, "parameters.e12", 0.0)
+    t0, t_max, dt, stride, ts = _time_block(cfg)
+    psi0 = _amplitudes(cfg, "parameters.initial", 2)
     pe1, pe2, defect = [], [], []
     for t in ts:
         u = sq.rabi_evolution_matrix(e1, e2, e12, t0, t) if t > t0 else np.eye(2)
@@ -212,46 +266,37 @@ def _run_rabi(cfg):
     return series, summary
 
 
-def _swap_params(cfg):
-    geom_cfg = _get(cfg, "parameters.geometry")
-    if geom_cfg is not None:
-        try:
-            geom = tq.DotGeometry(**geom_cfg)
-        except (TypeError, ValueError) as exc:
-            _fail("parameters.geometry", str(exc))
+def _swap_params(cfg, geom):
+    """SwapParams with the couplings of ``geom``, or of ec11..ec21 when it is None."""
+    if geom is not None:
         couplings = tq.coulomb_couplings(geom)
     else:
-        couplings = tq.CoulombCouplings(
-            ec11=float(_get(cfg, "parameters.ec11", 0.0)),
-            ec22=float(_get(cfg, "parameters.ec22", 0.0)),
-            ec12=float(_get(cfg, "parameters.ec12", 0.0)),
-            ec21=float(_get(cfg, "parameters.ec21", 0.0)),
-        )
-    try:
-        return tq.SwapParams(
-            vs=float(_get(cfg, "parameters.vs", 0.0)),
-            t_u=float(_get(cfg, "parameters.t_u", required=True)),
-            t_l=float(_get(cfg, "parameters.t_l", required=True)),
-            couplings=couplings,
-        )
-    except ValueError as exc:
-        _fail("parameters", str(exc))
+        keys = ("ec11", "ec22", "ec12", "ec21")
+        couplings = tq.CoulombCouplings(*(_number(cfg, f"parameters.{k}", 0.0) for k in keys))
+    return tq.SwapParams(
+        vs=_number(cfg, "parameters.vs", 0.0),
+        t_u=_number(cfg, "parameters.t_u", ge=0.0),
+        t_l=_number(cfg, "parameters.t_l", ge=0.0),
+        couplings=couplings,
+    )
+
+
+def _symmetric_eigensystem(params):
+    """The closed-form swap eigensystem if the structure is symmetric, else None."""
+    cc = params.couplings
+    symmetric = abs(cc.ec11 - cc.ec22) < 1e-12 and abs(cc.ec12 - cc.ec21) < 1e-12
+    if symmetric and params.t_u == params.t_l > 0:
+        return tq.swap_eigensystem_symmetric(cc.ec11, cc.ec12, params.t_u, params.vs)
+    return None
 
 
 def _run_swap(cfg):
-    params = _swap_params(cfg)
-    t0, t_max, dt, stride = _time_block(cfg)
-    amps = _complex_list(
-        _get(cfg, "parameters.initial", [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
-        "parameters.initial",
-    )
-    psi0 = StateVector(amps / np.linalg.norm(amps))
+    params = _swap_params(cfg, _geometry(cfg))
+    t0, t_max, dt, stride, ts = _time_block(cfg)
+    psi0 = StateVector(_amplitudes(cfg, "parameters.initial", 4))
     h4 = tq.build_h4(params)
-    sample_dt = dt * stride
-    n = int(round((t_max - t0) / sample_dt))
-    ts = t0 + sample_dt * np.arange(n + 1)
-    pops = np.zeros((n + 1, 4))
-    ent = np.zeros(n + 1)
+    pops = np.zeros((ts.size, 4))
+    ent = np.zeros(ts.size)
     for i, t in enumerate(ts):
         psi = tq.evolve4(h4, psi0, t0, t) if t > t0 else psi0
         pops[i] = np.abs(psi.amps) ** 2
@@ -272,38 +317,23 @@ def _run_swap(cfg):
         "final_norm": float(np.sqrt(pops[-1].sum())),
         "max_entanglement_2tau": float(ent.max()),
     }
-    cc = params.couplings
-    if abs(cc.ec11 - cc.ec22) < 1e-12 and abs(cc.ec12 - cc.ec21) < 1e-12 and params.t_u == params.t_l > 0:
-        closed = tq.swap_eigensystem_symmetric(cc.ec11, cc.ec12, params.t_u, params.vs)
+    closed = _symmetric_eigensystem(params)
+    if closed is not None:
         summary["closed_form_eigenenergies"] = [float(x) for x in closed.sorted_energies]
         summary["gap_E1_E2"] = float(abs(closed.energies[0] - closed.energies[1]))
     return series, summary
 
 
 def _run_cnot(cfg):
-    params = _swap_params(cfg)
-    geom_cfg = _get(cfg, "parameters.geometry", required=True)
-    try:
-        geom = tq.DotGeometry(**geom_cfg)
-    except (TypeError, ValueError) as exc:
-        _fail("parameters.geometry", str(exc))
-    t0, t_max, dt, stride = _time_block(cfg)
-    control0 = _complex_list(
-        _get(cfg, "parameters.initial_control", required=True), "parameters.initial_control"
-    )
-    target0 = _complex_list(
-        _get(cfg, "parameters.initial_target", required=True), "parameters.initial_target"
-    )
+    geom = _geometry(cfg, required=True)
+    params = _swap_params(cfg, geom)
+    t0, t_max, dt, stride, _ = _time_block(cfg)
     run = tq.cnot_coupled_run(
         params,
-        control0 / np.linalg.norm(control0),
-        float(_get(cfg, "parameters.vs2", 0.0)),
-        float(_get(cfg, "parameters.t2", required=True)),
-        target0 / np.linalg.norm(target0),
-        geom,
-        t0,
-        t_max,
-        dt,
+        _amplitudes(cfg, "parameters.initial_control", 4, required=True),
+        _number(cfg, "parameters.vs2", 0.0), _number(cfg, "parameters.t2"),
+        _amplitudes(cfg, "parameters.initial_target", 2, required=True),
+        geom, t0, t_max, dt,
     )
     sel = slice(None, None, stride)
     series = TimeSeries(
@@ -325,45 +355,19 @@ def _run_cnot(cfg):
 
 
 def _run_decoherence(cfg, paper_factorized=False):
-    pa = sq.QubitParams(
-        float(_get(cfg, "parameters.qubitA.ep1", 0.0)),
-        float(_get(cfg, "parameters.qubitA.ep2", 0.0)),
-        float(_get(cfg, "parameters.qubitA.ts_mag", required=True)),
-        float(_get(cfg, "parameters.qubitA.alpha", 0.0)),
-    )
-    pb = sq.QubitParams(
-        float(_get(cfg, "parameters.qubitB.ep1", 0.0)),
-        float(_get(cfg, "parameters.qubitB.ep2", 0.0)),
-        float(_get(cfg, "parameters.qubitB.ts_mag", required=True)),
-        float(_get(cfg, "parameters.qubitB.alpha", 0.0)),
-    )
+    pa = _qubit_params(cfg, "parameters.qubitA", _number)
+    pb = _qubit_params(cfg, "parameters.qubitB", _number)
+    dist = dec.NodeDistances(*(_number(cfg, f"parameters.d{ij}", gt=0.0) for ij in dec.NODE_PAIRS))
+    k = _number(cfg, "parameters.coulomb_k", 1.0)
+    rho0 = ms.pure_density(_amplitudes(cfg, "parameters.initial", 4))
+    t0, t_max, dt, stride, ts = _time_block(cfg)
     coeffs_a = sq.eigencoeffs(pa, 0.0)
     coeffs_b = sq.eigencoeffs(pb, 0.0)
     basis = dec.QubitEnergyBasis(coeffs_a, coeffs_b)
-    try:
-        dist = dec.NodeDistances(
-            d11=float(_get(cfg, "parameters.d11", required=True)),
-            d22=float(_get(cfg, "parameters.d22", required=True)),
-            d12=float(_get(cfg, "parameters.d12", required=True)),
-            d21=float(_get(cfg, "parameters.d21", required=True)),
-        )
-    except ValueError as exc:
-        _fail("parameters", str(exc))
-    k = float(_get(cfg, "parameters.coulomb_k", 1.0))
     hdec = dec.decoherence_matrix(basis, dist, k)
     h0 = dec.build_h0_resonant(
         coeffs_a.e1, coeffs_a.e2, coeffs_b.e1, coeffs_b.e2, 0.0, 0.0, 0.0
     )
-    amps = _complex_list(
-        _get(cfg, "parameters.initial", [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
-        "parameters.initial",
-    )
-    amps = amps / np.linalg.norm(amps)
-    rho0 = ms.pure_density(amps)
-    t0, t_max, dt, stride = _time_block(cfg)
-    sample_dt = dt * stride
-    n = int(round((t_max - t0) / sample_dt))
-    ts = t0 + sample_dt * np.arange(n + 1)
     rho = dec.evolve_density_with_decoherence(
         rho0, h0, hdec, t0, ts, paper_factorized=paper_factorized
     )
@@ -396,40 +400,33 @@ def _run_decoherence(cfg, paper_factorized=False):
 
 
 def _run_spectral(cfg):
+    t0, t_max, dt, stride, _ = _time_block(cfg)
+    n_levels = _integer(cfg, "parameters.basis.n_levels", 2, 1, MAX_LEVELS)
+    n_grid = _integer(cfg, "parameters.basis.n_grid", 1601, 3, MAX_GRID)
+    if n_grid % 2 == 0:
+        _fail("parameters.basis.n_grid", "Simpson quadrature needs an odd point count")
     kind = _get(cfg, "parameters.basis.kind", "harmonic")
-    n_levels = int(_get(cfg, "parameters.basis.n_levels", 2))
-    n_grid = int(_get(cfg, "parameters.basis.n_grid", 1601))
-    if kind == "harmonic":
-        basis = sp.harmonic_basis(
-            n_levels,
-            omega=float(_get(cfg, "parameters.basis.omega", 1.0)),
-            n_grid=n_grid,
-        )
-    elif kind == "box":
-        basis = sp.box_basis(
-            n_levels,
-            width=float(_get(cfg, "parameters.basis.width", 1.0)),
-            n_grid=n_grid,
-        )
-    else:
-        _fail("parameters.basis.kind", f"unsupported basis kind {kind!r}")
+    if kind not in ("harmonic", "box"):
+        _fail("parameters.basis.kind", f"unsupported basis kind {kind!r:.40}")
+    size_key = "omega" if kind == "harmonic" else "width"
+    size = {size_key: _number(cfg, f"parameters.basis.{size_key}", 1.0, gt=0.0)}
     kernel = sp.CoulombKernel(
-        e2=float(_get(cfg, "parameters.kernel.e2", 1.0)),
-        d_reg=float(_get(cfg, "parameters.kernel.d_reg", 0.1)),
+        e2=_number(cfg, "parameters.kernel.e2", 1.0),
+        d_reg=_number(cfg, "parameters.kernel.d_reg", 0.1, gt=0.0),
     )
-    offset = float(_get(cfg, "parameters.well_offset", 0.0))
-    w = sp.interaction_matrix_elements(basis, basis, kernel, offset)
+    offset = _number(cfg, "parameters.well_offset", 0.0)
+    path = "parameters.initial_modes"
+    modes = _get(cfg, path, [[0, 0, 1.0, 0.0]])
+    if not (isinstance(modes, list) and all(isinstance(e, list) and len(e) == 4 for e in modes)):
+        _fail(path, "expected a list of [n, m, re, im] entries")
     q0 = np.zeros((n_levels, n_levels), dtype=complex)
-    for entry in _get(cfg, "parameters.initial_modes", [[0, 0, 1.0, 0.0]]):
-        if not (isinstance(entry, list) and len(entry) == 4):
-            _fail("parameters.initial_modes", "each entry must be [n, m, re, im]")
-        n_idx, m_idx, re, im = entry
-        for idx in (n_idx, m_idx):
-            if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < n_levels:
-                _fail("parameters.initial_modes", f"{idx!r} is not an index in [0, {n_levels})")
-        q0[n_idx, m_idx] = _complex_list([[re, im]], "parameters.initial_modes")[0]
-    q0 = q0 / np.linalg.norm(q0)
-    t0, t_max, dt, stride = _time_block(cfg)
+    for entry in modes:
+        n_idx, m_idx = (_int(idx, path, 0, n_levels - 1) for idx in entry[:2])
+        q0[n_idx, m_idx] = _pair(entry[2:], path)
+    q0 = _normalized(q0, path)
+    make_basis = sp.harmonic_basis if kind == "harmonic" else sp.box_basis
+    basis = make_basis(n_levels, n_grid=n_grid, **size)
+    w = sp.interaction_matrix_elements(basis, basis, kernel, offset)
     times, series_q = sp.evolve_modes(q0, basis, basis, w, t0, t_max, dt, stride)
     cols = {}
     for n_idx in range(n_levels):
@@ -460,21 +457,27 @@ _RUNNERS = {
 }
 
 
-def run_scenario(cfg, paper_factorized=False):
+def _scenario_kind(cfg):
+    """Check the config root (an object with the schema version) and return its kind."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
     version = cfg.get("schema_version")
-    if version != SCHEMA_VERSION:
-        _fail("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        _fail("schema_version", f"expected {SCHEMA_VERSION}, got {version!r:.40}")
     kind = cfg.get("kind")
-    if kind not in _RUNNERS:
-        _fail("kind", f"unknown scenario kind {kind!r}; choose from {sorted(_RUNNERS)}")
+    if not isinstance(kind, str) or kind not in _RUNNERS:
+        _fail("kind", f"unknown scenario kind {kind!r:.40}; choose from {sorted(_RUNNERS)}")
+    return kind
+
+
+def run_scenario(cfg, paper_factorized=False):
+    kind = _scenario_kind(cfg)
     if kind == "decoherence":
         series, summary = _RUNNERS[kind](cfg, paper_factorized=paper_factorized)
     else:
         series, summary = _RUNNERS[kind](cfg)
-    names, rows = series.as_rows()
-    if not np.all(np.isfinite(rows)):
+    _, rows = series.as_rows()
+    if not (np.all(np.isfinite(rows)) and all(np.all(np.isfinite(v)) for v in summary.values())):
         raise FloatingPointError("non-finite values in scenario output")
     return series, summary
 
@@ -506,48 +509,45 @@ def _load_config(path):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, nesting too deep
         raise ConfigError(f"malformed JSON: {exc}") from exc
 
 
 def _parse_values(spec):
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigError("range spec must be start:stop:num")
-        start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
-        return list(np.linspace(start, stop, num))
+    """Sweep values from "v1,v2,..." or from "start:stop:num" (num points, ends included)."""
+    ranged = ":" in spec
     try:
-        return [float(x) for x in spec.split(",") if x.strip()]
+        nums = [float(x) for x in spec.split(":" if ranged else ",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad values list: {exc}") from exc
+    if not all(math.isfinite(x) for x in nums):
+        raise ConfigError(f"sweep values must be finite, got {spec!r}")
+    if not ranged:
+        return nums
+    if len(nums) != 3 or not nums[2].is_integer() or not 1 <= nums[2] <= MAX_STEPS:
+        raise ConfigError(f"range spec must be start:stop:num, num in [1, {MAX_STEPS}]")
+    return list(np.linspace(nums[0], nums[1], int(nums[2])))
 
 
 def _set_path(cfg, path, value):
-    node = cfg
-    parts = path.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"{path}: path does not resolve in the scenario")
-        node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        raise ConfigError(f"{path}: path does not resolve in the scenario")
-    if not isinstance(node[parts[-1]], (int, float)):
-        raise ConfigError(f"{path}: sweep axis must point at a numeric scalar")
-    node[parts[-1]] = value
+    parent, _, leaf = path.rpartition(".")
+    node = _get(cfg, parent, None) if parent else cfg
+    if not (isinstance(node, dict) and isinstance(node.get(leaf), (int, float))):
+        raise ConfigError(f"{path}: sweep axis must name a numeric field of the scenario")
+    node[leaf] = value
 
 
 def sweep(cfg, axis, values, paper_factorized=False):
     rows = []
     for value in values:
-        local = copy.deepcopy(cfg)
+        local = json.loads(json.dumps(cfg))  # copy.deepcopy overflows the stack sooner
         _set_path(local, axis, value)
         row = {"value": value}
         try:
             _, summary = run_scenario(local, paper_factorized=paper_factorized)
             row["status"] = "ok"
             row.update(summary)
-        except (PosQubitError, FloatingPointError, ValueError) as exc:
+        except (PosQubitError, ArithmeticError, ValueError) as exc:
             row["status"] = "failed"
             row["error"] = str(exc)
         rows.append(row)
@@ -584,35 +584,28 @@ def _cmd_sweep(args):
 
 def _cmd_eigens(args):
     cfg = _load_config(args.config)
-    kind = cfg.get("kind")
-    out = {}
+    kind = _scenario_kind(cfg)
     if kind == "single-qubit":
         params = _qubit_params(cfg)
-        co = sq.eigencoeffs(params, float(_get(cfg, "time.t0", 0.0)))
-        numeric, _ = eig_hermitian(sq.build_h2(params, float(_get(cfg, "time.t0", 0.0))))
+        t0 = _number(cfg, "time.t0", 0.0)
+        co = sq.eigencoeffs(params, t0)
+        numeric, _ = eig_hermitian(sq.build_h2(params, t0))
         out = {
             "closed_form": [co.e1, co.e2],
             "numeric": [float(x) for x in numeric],
             "max_deviation": float(max(abs(numeric[0] - co.e1), abs(numeric[1] - co.e2))),
         }
     elif kind == "swap":
-        params = _swap_params(cfg)
+        params = _swap_params(cfg, _geometry(cfg))
         numeric, _ = eig_hermitian(tq.build_h4(params))
         out = {"numeric": [float(x) for x in numeric]}
-        cc = params.couplings
-        if (
-            abs(cc.ec11 - cc.ec22) < 1e-12
-            and abs(cc.ec12 - cc.ec21) < 1e-12
-            and params.t_u == params.t_l > 0
-        ):
-            closed = tq.swap_eigensystem_symmetric(cc.ec11, cc.ec12, params.t_u, params.vs)
+        closed = _symmetric_eigensystem(params)
+        if closed is not None:
             out["closed_form"] = [float(x) for x in closed.sorted_energies]
-            out["max_deviation"] = float(
-                np.max(np.abs(closed.sorted_energies - numeric))
-            )
+            out["max_deviation"] = float(np.max(np.abs(closed.sorted_energies - numeric)))
     else:
         _fail("kind", f"eigens supports single-qubit and swap, got {kind!r}")
-    _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", None)
+    _emit(json.dumps(out, indent=2, sort_keys=True, allow_nan=False) + "\n", None)
     return 0
 
 
@@ -647,7 +640,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (PosQubitError, FloatingPointError, ValueError) as exc:
+    except (PosQubitError, ArithmeticError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import signals
 from .measurement import validate_density
-from .qcore import HBAR, propagate, require_hermitian, rk4_step
+from .qcore import HBAR, propagate, require_hermitian, rk4_solve
 
 NODE_PAIRS = ("11", "22", "12", "21")
 
@@ -201,12 +201,7 @@ def evolve_density_with_decoherence(
             h = h0f(tp) + hdecf(tp)
             return (-1j / HBAR) * (h @ r - r @ h)
 
-        tp = t0
-        while tp < t - 1e-15:
-            step = min(dt, t - tp)
-            rho = rk4_step(rhs, tp, rho, step)
-            tp += step
-        return rho
+        return rk4_solve(rhs, rho, t0, t, dt)
 
     h0 = require_hermitian(h0)
     hdec = require_hermitian(hdec)

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidDensityError, ZeroMarginalError, ZeroProbabilityError
-from .qcore import StateVector, require_hermitian
+from .qcore import StateVector, as_amplitudes, require_hermitian
 
 SUBSYSTEM_U = "U"
 SUBSYSTEM_L = "L"
@@ -31,10 +31,6 @@ _MASKS = {
 }
 
 
-def _amps(state):
-    return state.amps if isinstance(state, StateVector) else np.asarray(state, dtype=complex)
-
-
 @dataclass
 class MeasurementOutcome:
     probability: float
@@ -48,7 +44,7 @@ def project_position(state, subsystem, side):
     state; raises ZeroProbabilityError for (numerically) impossible
     outcomes.
     """
-    amps = _amps(state)
+    amps = as_amplitudes(state)
     idx = _MASKS[(subsystem, side)]
     masked = np.zeros(4, dtype=complex)
     masked[list(idx)] = amps[list(idx)]
@@ -62,7 +58,7 @@ def project_position(state, subsystem, side):
 
 def measurement_probabilities(state, subsystem):
     """(left, right) outcome probabilities for one subsystem; they sum to 1."""
-    amps = _amps(state)
+    amps = as_amplitudes(state)
     pr = np.abs(amps) ** 2
     left = float(sum(pr[i] for i in _MASKS[(subsystem, LEFT)]))
     right = float(sum(pr[i] for i in _MASKS[(subsystem, RIGHT)]))
@@ -79,7 +75,7 @@ def extract_one_body(state, subsystem):
     faithful reduced state (use partial_trace for that).
     Ordering of the result is (|0,1>, |1,0>) i.e. (right node, left node).
     """
-    amps = _amps(state)
+    amps = as_amplitudes(state)
     if subsystem == SUBSYSTEM_U:
         pair = np.array([amps[0] + amps[1], amps[2] + amps[3]]) / np.sqrt(2.0)
     else:
@@ -92,7 +88,7 @@ def extract_one_body(state, subsystem):
 
 def pure_density(state):
     """Rank-1 density matrix |psi><psi| of a normalized pure state."""
-    amps = _amps(state)
+    amps = as_amplitudes(state)
     return np.outer(amps, amps.conj())
 
 

@@ -3,7 +3,7 @@
 Dense complex matrices of fixed small dimension (2x2, 4x4, ...) with a
 deterministic eigenvector phase convention, unitary propagation through
 exact exponentiation, exact sampled propagation under a constant
-Hamiltonian, and a classical RK4 step for time-dependent generators.
+Hamiltonian, and the fixed-step RK4 loop for time-dependent generators.
 Energies are expressed in a user-chosen unit and hbar = 1 internally, so
 times carry the inverse of that unit.
 """
@@ -103,23 +103,28 @@ def rk4_step(f, t, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def rk4_solve(f, y0, t0, t1, dt):
+    """Integrate ``dy/dt = f(t, y)`` from ``t0`` to ``t1`` with RK4 steps of ``dt``,
+    the last one shortened to land on ``t1``; ``y0`` itself if no step fits."""
+    y, t = y0, t0
+    while t < t1 - 1e-15:
+        step = min(dt, t1 - t)
+        y = rk4_step(f, t, y, step)
+        t += step
+    return y
+
+
 def evolve_rk4(h_of_t, psi0, t0, t1, dt):
     """Integrate i hbar dpsi/dt = H(t) psi with RK4 at fixed step ``dt``.
 
     ``h_of_t`` maps time to a Hermitian matrix (not re-validated per step
     for speed).  The final partial step is shortened to land on ``t1``.
     """
-    psi = np.asarray(psi0, dtype=complex).copy()
 
     def rhs(t, y):
         return (-1j / HBAR) * (h_of_t(t) @ y)
 
-    t = t0
-    while t < t1 - 1e-15:
-        step = min(dt, t1 - t)
-        psi = rk4_step(rhs, t, psi, step)
-        t += step
-    return psi
+    return rk4_solve(rhs, np.array(psi0, dtype=complex), t0, t1, dt)
 
 
 @dataclass
@@ -153,3 +158,8 @@ class StateVector:
         if self.basis != basis:
             raise BasisMismatchError(f"expected {basis!r} basis, got {self.basis!r}")
         return self
+
+
+def as_amplitudes(state):
+    """The amplitudes of a StateVector, or an array-like as a complex array."""
+    return state.amps if isinstance(state, StateVector) else np.asarray(state, dtype=complex)

@@ -7,7 +7,10 @@ Definite integrals use adaptive Simpson quadrature.
 
 import numpy as np
 
-from .errors import SignalDomainError
+from .errors import QuadratureNotConvergedError, SignalDomainError
+
+_EPS = np.finfo(float).eps
+MAX_SPLITS = 200_000  # panel splits per integral, about a second of work
 
 
 def constant(value):
@@ -65,19 +68,28 @@ def _simpson(f, a, fa, b, fb):
     return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
+def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth, budget):
     lm, flm, left = _simpson(f, a, fa, m, fm)
     rm, frm, right = _simpson(f, m, fm, b, fb)
     delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
+    if depth <= 0 or not abs(delta) > 15.0 * tol:  # a NaN estimate stops the splitting too
         return left + right + delta / 15.0
-    return _adaptive(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1) + _adaptive(
-        f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise QuadratureNotConvergedError(f"adaptive Simpson exceeded {MAX_SPLITS} panel splits")
+    return _adaptive(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1, budget) + _adaptive(
+        f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1, budget
     )
 
 
 def integrate(signal, t0, t1, tol=1e-10):
-    """Definite integral of a signal over [t0, t1], adaptive Simpson."""
+    """Definite integral of a signal over [t0, t1], adaptive Simpson.
+
+    ``tol`` is absolute, raised to the rounding floor of a large integrand,
+    64 eps (t1 - t0) max|f(seed samples)|.  A NaN error estimate ends a
+    panel's splitting; more than MAX_SPLITS splits, as for an integrand
+    the panels cannot resolve, raise QuadratureNotConvergedError.
+    """
     signal = as_signal(signal)
     if t1 == t0:
         return 0.0 * signal(t0)
@@ -88,10 +100,12 @@ def integrate(signal, t0, t1, tol=1e-10):
     # seed with a few panels so periodic integrands are not missed
     grid = np.linspace(t0, t1, 9)
     vals = [signal(t) for t in grid]
+    tol = max(tol, 64.0 * _EPS * (t1 - t0) * max(map(abs, vals)))
+    budget = [MAX_SPLITS]
     total = 0.0
     for k in range(len(grid) - 1):
         a, b = grid[k], grid[k + 1]
         fa, fb = vals[k], vals[k + 1]
         m, fm, whole = _simpson(signal, a, fa, b, fb)
-        total += _adaptive(signal, a, fa, b, fb, m, fm, whole, tol / 8.0, 40)
+        total += _adaptive(signal, a, fa, b, fb, m, fm, whole, tol / 8.0, 40, budget)
     return sign * total

@@ -24,7 +24,7 @@ from .errors import (
     NonHermitianDriveError,
     SingularExtractionError,
 )
-from .qcore import ENERGY, HBAR, StateVector, rk4_step
+from .qcore import ENERGY, HBAR, StateVector, rk4_solve
 
 
 @dataclass
@@ -278,12 +278,7 @@ def u1u2_evolve(ep, ts_mag, f1, u1_0, u2_0, t0, t, dt):
             [(base + ts_mag) * y[0], (base - ts_mag) * y[1]]
         )
 
-    y = np.array([u1_0, u2_0], dtype=complex)
-    tp = t0
-    while tp < t - 1e-15:
-        step = min(dt, t - tp)
-        y = rk4_step(rhs, tp, y, step)
-        tp += step
+    y = rk4_solve(rhs, np.array([u1_0, u2_0], dtype=complex), t0, t, dt)
     return y[0], y[1]
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OccupancyNotNormalizedError
-from .qcore import HBAR, StateVector, eig_hermitian, evolve_rk4, matexp_unitary
+from .qcore import HBAR, StateVector, as_amplitudes, eig_hermitian, evolve_rk4, matexp_unitary
 
 PARALLEL = "parallel"
 COLLINEAR = "collinear"
@@ -173,7 +173,7 @@ def is_factorizable(state):
     Returns (flag, 2 tau); 2 tau plays the role of a concurrence-style
     entanglement measure (1 for the maximally entangled vectors).
     """
-    amps = state.amps if isinstance(state, StateVector) else np.asarray(state, dtype=complex)
+    amps = as_amplitudes(state)
     tau = abs(amps[0] * amps[3] - amps[1] * amps[2])
     return tau <= 1e-10, 2.0 * tau
 
@@ -182,7 +182,7 @@ def evolve4(h, state, t0, t, dt=1e-3):
     """Evolve a 4-component state under a constant matrix or a callable
     t -> matrix.  Constant path is exact (matrix exponential); callable
     path integrates the Schroedinger equation with RK4."""
-    amps = state.amps if isinstance(state, StateVector) else np.asarray(state, dtype=complex)
+    amps = as_amplitudes(state)
     if callable(h):
         out = evolve_rk4(h, amps, t0, t, dt)
     else:
@@ -196,7 +196,7 @@ def swap_occupancies(state):
     p1 is the probability that the U electron sits on its node 1
     (indices 2, 3); p1' the same for the L electron (indices 1, 3).
     """
-    amps = state.amps if isinstance(state, StateVector) else np.asarray(state, dtype=complex)
+    amps = as_amplitudes(state)
     pr = np.abs(amps) ** 2
     return (
         float(pr[2] + pr[3]),
@@ -264,12 +264,8 @@ def cnot_coupled_run(swap_params, control0, vs2, t2, target0, geom, t0, t, dt):
     unitary applied by matrix exponential of the frozen Hamiltonian).
     """
     h4 = build_h4(swap_params)
-    control = np.asarray(
-        control0.amps if isinstance(control0, StateVector) else control0, dtype=complex
-    ).copy()
-    target = np.asarray(
-        target0.amps if isinstance(target0, StateVector) else target0, dtype=complex
-    ).copy()
+    control = as_amplitudes(control0).copy()
+    target = as_amplitudes(target0).copy()
 
     n_steps = int(round((t - t0) / dt))
     times = t0 + dt * np.arange(n_steps + 1)

@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import posqubit.cli as cli
 from posqubit.errors import ConfigError
@@ -86,21 +89,24 @@ def test_extract_frequency_known_signal():
     assert cli.extract_frequency(t[:3], np.array([1.0, 1.0, 1.0])) == 0.0
 
 
-def test_rabi_scenario():
-    cfg = {
+def rabi_cfg():
+    return {
         "schema_version": 1,
         "kind": "rabi",
         "time": {"t_max": 3.0, "dt": 0.01, "sample_stride": 10},
         "parameters": {"e1": -0.5, "e2": 0.5, "e12": 0.2},
     }
-    series, summary = cli.run_scenario(cfg)
+
+
+def test_rabi_scenario():
+    series, summary = cli.run_scenario(rabi_cfg())
     assert summary["max_unitarity_defect"] < 1e-12
     total = series.columns["p_E1"] + series.columns["p_E2"]
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
-def test_swap_scenario_summary_closed_form():
-    cfg = {
+def swap_cfg():
+    return {
         "schema_version": 1,
         "kind": "swap",
         "time": {"t_max": 2.0, "dt": 0.01, "sample_stride": 10},
@@ -115,7 +121,10 @@ def test_swap_scenario_summary_closed_form():
             "initial": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
         },
     }
-    _, summary = cli.run_scenario(cfg)
+
+
+def test_swap_scenario_summary_closed_form():
+    _, summary = cli.run_scenario(swap_cfg())
     closed = np.array(summary["closed_form_eigenenergies"])
     numeric = np.array(summary["eigenenergies"])
     assert np.max(np.abs(closed - numeric)) < 1e-10
@@ -141,8 +150,8 @@ def test_swap_scenario_geometry_block():
         cli.run_scenario(cfg)
 
 
-def test_cnot_scenario():
-    cfg = {
+def cnot_cfg():
+    return {
         "schema_version": 1,
         "kind": "cnot",
         "time": {"t_max": 1.0, "dt": 0.01, "sample_stride": 10},
@@ -166,7 +175,10 @@ def test_cnot_scenario():
             "initial_target": [[1.0, 0.0], [0.0, 0.0]],
         },
     }
-    _, summary = cli.run_scenario(cfg)
+
+
+def test_cnot_scenario():
+    _, summary = cli.run_scenario(cnot_cfg())
     assert abs(summary["final_control_norm"] - 1.0) < 1e-10
     assert abs(summary["final_target_norm"] - 1.0) < 1e-10
 
@@ -300,6 +312,43 @@ def test_main_exit_codes(tmp_path, capsys):
         assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
         assert "initial_modes" in capsys.readouterr().err
 
+    # wrong types, non-finite or out-of-range values and bad shapes are config
+    # errors; an overflowing drive is a numerical failure, a large one is fine
+    sinusoid = {"kind": "sinusoid", "amplitude": 0.2, "omega": 1.0}
+    cases = [
+        (base_single_qubit(), "time.t_max", 1e309, 2),
+        (base_single_qubit(), "time.dt", float("nan"), 2),
+        (base_single_qubit(), "time.dt", True, 2),
+        (base_single_qubit(), "time.sample_stride", "x", 2),
+        (base_single_qubit(), "time.sample_stride", 1.5, 2),
+        (base_single_qubit(), "parameters.ep1", {"kind": "sinusoid", "amplitude": "x"}, 2),
+        (swap_cfg(), "parameters.t_u", [1], 2),
+        (swap_cfg(), "kind", ["swap"], 2),
+        (spectral_cfg(), "parameters.basis.n_levels", "a", 2),
+        (spectral_cfg(), "parameters.basis.n_grid", 400, 2),
+        (cnot_cfg(), "parameters.initial_target", [[1.0, 0.0]], 2),
+        (decoherence_cfg(), "parameters.initial", [[0.0, 0.0]] * 4, 2),
+        (rabi_cfg(), "parameters.e1", 1e308, 3),
+        (rabi_cfg(), "parameters.e12", dict(sinusoid, amplitude=1e8), 0),
+        (rabi_cfg(), "parameters.e12", dict(sinusoid, omega=1e16), 3),
+    ]
+    for cfg, path, value, code in cases:
+        cfg_path.write_text(json.dumps(replaced(cfg, path, value)))
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out_path)]) == code
+        assert path.split(".")[-1] in capsys.readouterr().err or code != 2
+    cfg_path.write_text("[1, 2]")
+    assert cli.main(["eigens", "--config", str(cfg_path)]) == 2
+    cfg_path.write_text(json.dumps(base_single_qubit()))
+    argv = ["sweep", "--config", str(cfg_path), "--axis", "parameters.ts_mag"]
+    argv += ["--out", str(out_path)]
+    for spec in ("0:1:x", "0:1:-1", "0:1", "1,nan"):
+        assert cli.main(argv + ["--values", spec]) == 2
+    # nesting that json.load accepts is copied for each point without overflowing the stack
+    nested = json.loads("[" * 500 + "]" * 500)
+    cfg_path.write_text(json.dumps(dict(base_single_qubit(), notes=nested)))
+    assert cli.main(argv + ["--values", "0.4"]) == 0
+    capsys.readouterr()
+
 
 def test_main_eigens_and_sweep(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -328,3 +377,101 @@ def test_main_eigens_and_sweep(tmp_path, capsys):
     rows = json.loads(out_path.read_text())["rows"]
     assert [r["status"] for r in rows] == ["ok", "ok"]
     assert abs(rows[0]["E2"] - 0.3) < 1e-12
+
+
+def replaced(cfg, path, value):
+    """A copy of ``cfg`` with the field at dotted ``path`` set to ``value``."""
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    *parents, leaf = path.split(".")
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    return cfg
+
+
+def complete_cfg(kind):
+    """A small valid scenario of ``kind`` that spells out every field its runner reads."""
+    cfg = {
+        "single-qubit": base_single_qubit,
+        "rabi": rabi_cfg,
+        "swap": swap_cfg,
+        "cnot": cnot_cfg,
+        "decoherence": decoherence_cfg,
+        "spectral": spectral_cfg,
+    }[kind]()
+    cfg["time"].setdefault("t0", 0.0)
+    cfg["time"].setdefault("sample_stride", 1)
+    params = cfg["parameters"]
+    qubit = {"ep1": 0.1, "ep2": -0.1, "ts_mag": 1.0, "alpha": 0.2}
+    extra = {
+        "rabi": {
+            "e12": {"kind": "sinusoid", "amplitude": 0.2, "omega": 1, "phase": 0.1, "offset": 0},
+            "initial": [[1.0, 0.0], [0.0, 0.5]],
+        },
+        "decoherence": {"qubitA": dict(qubit), "qubitB": dict(qubit, ts_mag=0.7)},
+        "spectral": {
+            "basis": {"kind": "harmonic", "n_levels": 2, "n_grid": 401, "omega": 1.0},
+            "well_offset": 3.0,
+        },
+    }
+    params.update(extra.get(kind, {}))
+    return cfg
+
+
+def _field_paths(node, prefix=""):
+    for key, value in node.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + key + ".")
+
+
+_KINDS = ("single-qubit", "rabi", "swap", "cnot", "decoherence", "spectral")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _number_at(cfg, path, default):
+    node = cfg
+    for part in path.split("."):
+        if not isinstance(node, dict) or part not in node:
+            return default
+        node = node[part]
+    ok = isinstance(node, (int, float)) and not isinstance(node, bool)
+    return float(node) if ok and abs(node) <= 1.7e308 else None
+
+
+@st.composite
+def _one_field_replaced(draw):
+    kind = draw(st.sampled_from(_KINDS))
+    cfg = complete_cfg(kind)
+    path = draw(st.sampled_from(sorted(_field_paths(cfg))))
+    return replaced(cfg, path, draw(_JSON))
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(cfg=_one_field_replaced(), command=st.sampled_from(["simulate", "eigens"]))
+def test_main_exit_code_is_total(tmp_path_factory, cfg, command):
+    """Any JSON value in any one field gives exit code 0, 2 or 3, never an exception."""
+    # keep each run short: a valid time block of 2000 to MAX_STEPS steps, or a
+    # spectral basis past the sizes below, would run for seconds; Rabi samples
+    # each integrate from t0, so their cost grows with the square of the steps
+    t0 = _number_at(cfg, "time.t0", 0.0)
+    t_max, dt = _number_at(cfg, "time.t_max", None), _number_at(cfg, "time.dt", None)
+    if None not in (t0, t_max, dt) and dt > 0 and t_max > t0:
+        assume(not 2000 < (t_max - t0) / dt <= cli.MAX_STEPS)
+    if cfg["kind"] == "spectral":
+        for key, small, cap in (("n_levels", 4, cli.MAX_LEVELS), ("n_grid", 801, cli.MAX_GRID)):
+            size = _number_at(cfg, f"parameters.basis.{key}", None)
+            assume(size is None or size <= small or size > cap)
+    work = tmp_path_factory.mktemp("total")
+    cfg_path = work / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(cfg_path)]
+    if command == "simulate":
+        argv += ["--out", str(work / "out.csv")]
+    assert cli.main(argv) in (0, 2, 3)

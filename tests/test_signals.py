@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from posqubit import signals
-from posqubit.errors import SignalDomainError
+from posqubit.errors import QuadratureNotConvergedError, SignalDomainError
 
 
 def test_constant_and_as_signal():
@@ -50,3 +50,14 @@ def test_integrate_reversed_interval_sign():
     a = signals.integrate(lambda t: t, 0.0, 1.0)
     b = signals.integrate(lambda t: t, 1.0, 0.0)
     assert abs(a + b) < 1e-12
+
+
+def test_integrate_work_is_bounded():
+    # a large integrand converges once the tolerance reaches its rounding floor
+    val = signals.integrate(signals.sinusoid(1e8, 1.0), 0.0, 10.0)
+    assert abs(val - 1e8 * (1.0 - np.cos(10.0))) < 1e-4
+    # a NaN error estimate ends the splitting
+    assert np.isnan(signals.integrate(lambda t: np.nan, 0.0, 1.0))
+    # an oscillation far below the time resolution raises instead of splitting 2**40 times
+    with pytest.raises(QuadratureNotConvergedError):
+        signals.integrate(signals.sinusoid(0.2, 1e16), 0.0, 1.0)

@@ -1,7 +1,9 @@
-"""Position-based charge qubit simulation in the tight-binding approximation."""
+"""Position-based charge qubit simulation in the tight-binding approximation.
+
+``cli`` is left out, so ``python -m posqubit.cli`` does not import it twice.
+"""
 
 from . import (  # noqa: F401
-    cli,
     decoherence,
     errors,
     measurement,

@@ -39,7 +39,7 @@ from . import single_qubit as sq
 from . import spectral as sp
 from . import two_qubit as tq
 from .errors import ConfigError, PosQubitError
-from .qcore import StateVector, eig_hermitian, evolve_rk4
+from .qcore import StateVector, eig_hermitian, evolve_steps, rk4_step_operators
 
 CSV_HEADER = "# posqubit csv v1"
 SCHEMA_VERSION = 1
@@ -161,6 +161,9 @@ def _time_block(cfg):
     if not (t_max - t0) / dt <= MAX_STEPS:
         _fail("time", f"(t_max - t0) / dt exceeds MAX_STEPS = {MAX_STEPS}")
     n = int(round((t_max - t0) / (dt * stride)))
+    last_step = t0 + dt * round((t_max - t0) / dt)
+    if not all(map(math.isfinite, (dt * stride, t0 + dt * stride * n, last_step))):
+        _fail("time", "dt * sample_stride and every step and sample time up to t_max must be finite")
     return t0, t_max, dt, stride, t0 + dt * stride * np.arange(n + 1)
 
 
@@ -207,34 +210,28 @@ def _qubit_params(cfg, path="parameters", read=_signal):
 def _run_single_qubit(cfg):
     params = _qubit_params(cfg)
     t0, t_max, dt, stride, _ = _time_block(cfg)
-    psi = _amplitudes(cfg, "parameters.initial", 2)
+    psi0 = _amplitudes(cfg, "parameters.initial", 2)
 
     n_steps = int(round((t_max - t0) / dt))
-    ts, px1, px2, pe1, pe2, ph1, ph2 = [], [], [], [], [], [], []
-    for i in range(n_steps + 1):
-        t = t0 + i * dt
-        if i > 0:
-            psi = evolve_rk4(lambda tp: sq.build_h2(params, tp), psi, t - dt, t, dt)
-        if i % stride == 0 or i == n_steps:
-            co = sq.eigencoeffs(params, t)
-            s = co.basis_matrix()
-            c_en = s.conj() @ psi
-            ts.append(t)
-            px1.append(abs(psi[0]) ** 2)
-            px2.append(abs(psi[1]) ** 2)
-            pe1.append(abs(c_en[0]) ** 2)
-            pe2.append(abs(c_en[1]) ** 2)
-            ph1.append(float(np.angle(psi[0])))
-            ph2.append(float(np.angle(psi[1])))
+    t = t0 + dt * np.arange(n_steps + 1)
+
+    def steps(lo, hi):
+        starts = t[lo:hi]
+        return rk4_step_operators(*(sq.build_h2(params, ts) for ts in (starts, starts + 0.5 * dt, starts + dt)), dt)
+
+    steps_done = np.arange(n_steps + 1)
+    sel = (steps_done % stride == 0) | (steps_done == n_steps)
+    psi = evolve_steps(steps, n_steps, psi0)[sel]
+    c_en = np.einsum("nij,nj->ni", sq.eigencoeffs(params, t[sel]).basis_matrix().conj(), psi)
     series = TimeSeries(
-        np.array(ts),
+        t[sel],
         {
-            "p_x1": np.array(px1),
-            "p_x2": np.array(px2),
-            "p_E1": np.array(pe1),
-            "p_E2": np.array(pe2),
-            "phase_x1": np.array(ph1),
-            "phase_x2": np.array(ph2),
+            "p_x1": np.abs(psi[:, 0]) ** 2,
+            "p_x2": np.abs(psi[:, 1]) ** 2,
+            "p_E1": np.abs(c_en[:, 0]) ** 2,
+            "p_E2": np.abs(c_en[:, 1]) ** 2,
+            "phase_x1": np.angle(psi[:, 0]),
+            "phase_x2": np.angle(psi[:, 1]),
         },
     )
     co = sq.eigencoeffs(params, t0)
@@ -242,7 +239,7 @@ def _run_single_qubit(cfg):
         "E1": co.e1,
         "E2": co.e2,
         "angular_frequency_p_x1": extract_frequency(series.t, series.columns["p_x1"]),
-        "final_norm": float(np.linalg.norm(psi)),
+        "final_norm": float(np.linalg.norm(psi[-1])),
     }
     return series, summary
 
@@ -252,16 +249,11 @@ def _run_rabi(cfg):
     e12 = _signal(cfg, "parameters.e12", 0.0)
     t0, t_max, dt, stride, ts = _time_block(cfg)
     psi0 = _amplitudes(cfg, "parameters.initial", 2)
-    pe1, pe2, defect = [], [], []
-    for t in ts:
-        u = sq.rabi_evolution_matrix(e1, e2, e12, t0, t) if t > t0 else np.eye(2)
-        psi = u @ psi0
-        pe1.append(abs(psi[0]) ** 2)
-        pe2.append(abs(psi[1]) ** 2)
-        defect.append(float(np.max(np.abs(u.conj().T @ u - np.eye(2)))))
-    series = TimeSeries(
-        ts, {"p_E1": np.array(pe1), "p_E2": np.array(pe2), "unitarity_defect": np.array(defect)}
-    )
+    u = np.concatenate([np.eye(2)[None], sq.rabi_evolution_matrix(e1, e2, e12, t0, ts[1:])])
+    psi = u @ psi0
+    defect = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2)), axis=(-2, -1))
+    pe1, pe2 = np.abs(psi[:, 0]) ** 2, np.abs(psi[:, 1]) ** 2
+    series = TimeSeries(ts, {"p_E1": pe1, "p_E2": pe2, "unitarity_defect": defect})
     summary = {"max_unitarity_defect": float(np.max(defect)), "final_norm": float(np.sqrt(pe1[-1] + pe2[-1]))}
     return series, summary
 
@@ -488,8 +480,8 @@ def format_csv(series, summary):
     for key in sorted(summary):
         lines.append(f"# {key} = {json.dumps(summary[key])}")
     lines.append(",".join(names))
-    for row in rows:
-        lines.append(",".join(f"{x:.17g}" for x in row))
+    row_format = ",".join(["%.17g"] * len(names))  # one format per row, same bytes as per value
+    lines.extend(row_format % tuple(row) for row in rows.tolist())
     return "\n".join(lines) + "\n"
 
 

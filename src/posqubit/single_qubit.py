@@ -24,7 +24,7 @@ from .errors import (
     NonHermitianDriveError,
     SingularExtractionError,
 )
-from .qcore import ENERGY, HBAR, StateVector, rk4_solve
+from .qcore import ENERGY, HBAR, StateVector, rk4_solve, stack2x2
 
 
 @dataclass
@@ -44,13 +44,10 @@ class QubitParams:
 
 
 def build_h2(params, t):
-    """Position-basis 2x2 Hamiltonian at time t.  Hermitian by construction."""
-    ts = params.ts_mag(t)
-    al = params.alpha(t)
-    off = ts * np.exp(1j * al)
-    return np.array(
-        [[params.ep1(t), off], [np.conj(off), params.ep2(t)]], dtype=complex
-    )
+    """Position-basis 2x2 Hamiltonian at time t, or (..., 2, 2) for an array
+    of times.  Hermitian by construction."""
+    off = params.ts_mag(t) * np.exp(1j * params.alpha(t))
+    return stack2x2(params.ep1(t), off, np.conj(off), params.ep2(t))
 
 
 @dataclass
@@ -69,8 +66,9 @@ class EigenCoeffs:
     d: float
 
     def basis_matrix(self):
-        """Rows are the eigenstates expressed in the position basis."""
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
+        """Rows are the eigenstates expressed in the position basis; (..., 2, 2)
+        when the fields are arrays."""
+        return stack2x2(self.a, self.b, self.c, self.d)
 
     def ground(self):
         return np.array([self.a, self.b], dtype=complex)
@@ -82,41 +80,47 @@ class EigenCoeffs:
 def eigencoeffs(params, t):
     """Closed-form eigenvalues and eigenvector coefficients at time t.
 
-    E_{1,2} = (Ep1+Ep2)/2 -/+ sqrt(((Ep2-Ep1)/2)^2 + |ts|^2).  Raises
-    DegenerateSpectrumError when the gap is numerically zero.
+    E_{1,2} = (Ep1+Ep2)/2 -/+ sqrt(((Ep2-Ep1)/2)^2 + |ts|^2).  An array of
+    times gives fields of that shape.  Raises DegenerateSpectrumError when
+    the gap is numerically zero at any of the times.
     """
-    ep1 = params.ep1(t)
-    ep2 = params.ep2(t)
-    ts = params.ts_mag(t)
-    al = params.alpha(t)
-
+    ep1, ep2, ts, al = (sig(t) for sig in (params.ep1, params.ep2, params.ts_mag, params.alpha))
     mean = 0.5 * (ep1 + ep2)
     delta = 0.5 * (ep2 - ep1)
     s = np.hypot(delta, ts)
     e1 = mean - s
     e2 = mean + s
-    if (e2 - e1) < 1e-14 * max(abs(e1), abs(e2), 1.0):
+    degenerate = (e2 - e1) < 1e-14 * np.maximum(np.maximum(abs(e1), abs(e2)), 1.0)
+    if degenerate.any():
+        k = np.flatnonzero(degenerate)[0]
         raise DegenerateSpectrumError(
-            f"spectrum degenerate at t={t}: E2-E1={e2 - e1:.3e}"
+            f"spectrum degenerate at t={np.broadcast_to(t, degenerate.shape).flat[k]}: "
+            f"E2-E1={np.ravel(e2 - e1)[k]:.3e}"
         )
-
-    if ts == 0.0:
-        # alpha-free branch: eigenvectors are the position basis
-        if ep1 <= ep2:
-            return EigenCoeffs(e1, e2, 1.0 + 0j, 0.0, 0.0 + 0j, 1.0)
-        return EigenCoeffs(e1, e2, 0.0 + 0j, 1.0, 1.0 + 0j, 0.0)
-
-    # stable forms of delta+s and s-delta avoiding cancellation
-    p = delta + s if delta >= 0.0 else ts * ts / (s - delta)
-    q = s - delta if delta <= 0.0 else ts * ts / (s + delta)
+    # stable forms of delta+s and s-delta avoiding cancellation: the larger
+    # is s + |delta| > 0, the smaller ts^2 over it
+    big = s + abs(delta)
+    small = ts * ts / big
+    p = np.where(delta >= 0.0, big, small)[()]  # [()]: a scalar, not a 0-d array, at one time
+    q = np.where(delta > 0.0, small, big)[()]
     phase = np.exp(1j * al)
-    n1 = np.hypot(p, ts)
-    n2 = np.hypot(q, ts)
+    # where ts == 0 one norm would be 0; adding 1 there avoids 0/0, and the
+    # position-basis branch below replaces those fields
+    zero = np.equal(ts, 0.0)
+    n1 = np.hypot(p, ts) + zero
+    n2 = np.hypot(q, ts) + zero
     a = p * phase / n1
     b = -ts / n1
     c = q * phase / n2
     d = ts / n2
-    return EigenCoeffs(e1, e2, a, b, c, d)
+    if zero.any():
+        lower = np.where(ep1 <= ep2, 1.0, 0.0)
+        a, d = np.where(zero, lower, a), np.where(zero, lower, d)
+        b, c = np.where(zero, 1.0 - lower, b), np.where(zero, 1.0 - lower, c)
+    fields = (e1, e2, a, b, c, d)
+    if np.ndim(e1) == 0:  # one time: plain numbers, which json.dumps accepts
+        fields = [x.item() for x in fields]
+    return EigenCoeffs(*fields)
 
 
 def evolve_adiabatic(params, state, t0, t):
@@ -161,20 +165,23 @@ def rabi_evolution_matrix(e1, e2, e12, t0, t):
     plain integrals of E1, E2 and the resonant channel E12.
 
     Exact for constant signals; for E12 = 0 it reduces to the diagonal
-    adiabatic operator exactly.
+    adiabatic operator exactly.  An array of increasing times gives one
+    matrix per time, shape (n, 2, 2): the integrals are taken once per
+    interval between consecutive times and summed, so the cost is linear
+    in the number of times.
     """
-    e1 = signals.as_signal(e1)
-    e2 = signals.as_signal(e2)
-    e12 = signals.as_signal(e12)
-    avg = signals.integrate(lambda tp: 0.5 * (e1(tp) + e2(tp)), t0, t)
-    half_gap = signals.integrate(lambda tp: 0.5 * (e1(tp) - e2(tp)), t0, t)
-    i12 = signals.integrate(e12, t0, t)
-    omega = np.sqrt(half_gap * half_gap + abs(i12) ** 2)
-    theta = omega / HBAR
-    sinc = np.sin(theta) / theta if theta > 1e-12 else 1.0 - theta * theta / 6.0
-    m = np.array([[half_gap, i12], [np.conj(i12), -half_gap]], dtype=complex)
-    u = np.cos(theta) * np.eye(2) - 1j * (sinc / HBAR) * m
-    return np.exp(-1j * avg / HBAR) * u
+    edges = np.concatenate([[t0], np.ravel(t)])
+    parts = [[signals.integrate(f, a, b) for f in (e1, e2, e12)] for a, b in zip(edges[:-1], edges[1:])]
+    i1, i2, i12 = np.cumsum(np.reshape(parts, (-1, 3)), axis=0).T
+    avg = 0.5 * (i1 + i2).real
+    half_gap = 0.5 * (i1 - i2).real
+    theta = np.sqrt(half_gap * half_gap + np.abs(i12) ** 2) / HBAR
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 in the branch not taken
+        sinc = np.where(theta > 1e-12, np.sin(theta) / theta, 1.0 - theta * theta / 6.0)
+    m = stack2x2(half_gap, i12, np.conj(i12), -half_gap)
+    u = np.cos(theta)[:, None, None] * np.eye(2) - (1j * sinc / HBAR)[:, None, None] * m
+    u = np.exp(-1j * avg / HBAR)[:, None, None] * u
+    return u if np.ndim(t) else u[0]
 
 
 @dataclass

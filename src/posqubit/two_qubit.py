@@ -18,7 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OccupancyNotNormalizedError
-from .qcore import HBAR, StateVector, as_amplitudes, eig_hermitian, evolve_rk4, matexp_unitary
+from .qcore import (
+    StateVector,
+    as_amplitudes,
+    eig_hermitian,
+    evolve_rk4,
+    evolve_steps,
+    matexp_unitary,
+    propagate,
+    stack2x2,
+    su2_step_operators,
+)
 
 PARALLEL = "parallel"
 COLLINEAR = "collinear"
@@ -191,19 +201,15 @@ def evolve4(h, state, t0, t, dt=1e-3):
 
 
 def swap_occupancies(state):
-    """Node occupancies (p1, p2, p1', p2') from BasisOrder4 marginals.
+    """Node occupancies (p1, p2, p1', p2') from BasisOrder4 marginals, shape
+    (..., 4) for a stack (..., 4) of amplitudes.
 
     p1 is the probability that the U electron sits on its node 1
     (indices 2, 3); p1' the same for the L electron (indices 1, 3).
     """
-    amps = as_amplitudes(state)
-    pr = np.abs(amps) ** 2
-    return (
-        float(pr[2] + pr[3]),
-        float(pr[0] + pr[1]),
-        float(pr[1] + pr[3]),
-        float(pr[0] + pr[2]),
-    )
+    pr = np.abs(as_amplitudes(state)) ** 2
+    p0, p1, p2, p3 = np.moveaxis(pr, -1, 0)
+    return np.stack([p2 + p3, p0 + p1, p1 + p3, p0 + p2], axis=-1)
 
 
 def cnot_meanfield_h2(geom, occupancies, vs2, t2):
@@ -211,19 +217,22 @@ def cnot_meanfield_h2(geom, occupancies, vs2, t2):
     by the occupancy-weighted Coulomb field of the four control nodes.
 
     ``occupancies`` is (p1, p2, p1', p2') for nodes 1, 2, 1', 2' of the
-    control; the target sits a distance d3 down the control axis with
-    transverse offset d32 = d3 - d2 for the primed pair.
+    control, or a stack (..., 4) of them, which gives (..., 2, 2); the
+    target sits a distance d3 down the control axis with transverse offset
+    d32 = d3 - d2 for the primed pair.
     """
-    p1, p2, p1p, p2p = occupancies
-    if min(p1, p2, p1p, p2p) < -1e-12:
+    occ = np.asarray(occupancies, dtype=float)
+    if occ.size and occ.min() < -1e-12:
         raise OccupancyNotNormalizedError("occupancies must be nonnegative")
+    p1, p2, p1p, p2p = np.moveaxis(occ, -1, 0)
     k = geom.coulomb_k
     if k != 0.0:
         # each control pair must hold one electron (sum 1) or be absent (sum 0)
         for total in (p1 + p2, p1p + p2p):
-            if abs(total - 1.0) > 1e-9 and abs(total) > 1e-9:
+            bad = (abs(total - 1.0) > 1e-9) & (abs(total) > 1e-9)
+            if bad.any():
                 raise OccupancyNotNormalizedError(
-                    f"occupancies must sum to 1 (or 0 if absent), got {total}"
+                    f"occupancies must sum to 1 (or 0 if absent), got {total[bad].flat[0]}"
                 )
     a, b, d1, d3 = geom.a, geom.b, geom.d1, geom.d3
     d32 = geom.d3 - geom.d2
@@ -242,7 +251,7 @@ def cnot_meanfield_h2(geom, occupancies, vs2, t2):
         + k * p1p / np.hypot(d32, d1 + 0.5 * b)
         + k * p2p / np.hypot(d32 + span, d1 + a + 1.5 * b)
     )
-    return np.array([[diag1, t2], [t2, diag2]], dtype=complex)
+    return stack2x2(diag1, t2, t2, diag2)
 
 
 @dataclass
@@ -260,31 +269,20 @@ def cnot_coupled_run(swap_params, control0, vs2, t2, target0, geom, t0, t, dt):
     Hamiltonian; at each step its node occupancies parameterize the
     target's mean-field Hamiltonian, which is applied for one step.
 
-    Both norms are conserved to integrator accuracy (each step is a
-    unitary applied by matrix exponential of the frozen Hamiltonian).
+    The control is propagated exactly at every step time in one call; the
+    target steps are closed-form SU(2) exponentials of the frozen mean-field
+    Hamiltonians, chained by ``evolve_steps``.  Both norms are conserved to
+    rounding.
     """
-    h4 = build_h4(swap_params)
-    control = as_amplitudes(control0).copy()
-    target = as_amplitudes(target0).copy()
-
-    n_steps = int(round((t - t0) / dt))
-    times = t0 + dt * np.arange(n_steps + 1)
-    c_hist = np.zeros((n_steps + 1, 4), dtype=complex)
-    q_hist = np.zeros((n_steps + 1, 2), dtype=complex)
-    occ_hist = np.zeros((n_steps + 1, 4))
-
-    u4 = matexp_unitary(h4, dt)
-    for i in range(n_steps + 1):
-        occ = swap_occupancies(control)
-        c_hist[i] = control
-        q_hist[i] = target
-        occ_hist[i] = occ
-        if i == n_steps:
-            break
-        h2 = cnot_meanfield_h2(geom, occ, vs2, t2)
-        target = matexp_unitary(h2, dt) @ target
-        control = u4 @ control
-    return CnotRun(t=times, control=c_hist, target=q_hist, occupancies=occ_hist)
+    elapsed = dt * np.arange(int(round((t - t0) / dt)) + 1)
+    control = propagate(build_h4(swap_params), as_amplitudes(control0), elapsed)
+    occ = swap_occupancies(control)
+    target = evolve_steps(
+        lambda lo, hi: su2_step_operators(cnot_meanfield_h2(geom, occ[lo:hi], vs2, t2), dt),
+        len(elapsed) - 1,
+        as_amplitudes(target0),
+    )
+    return CnotRun(t=t0 + elapsed, control=control, target=target, occupancies=occ)
 
 
 def oracle_check_symmetric(ec1s, ec2s, ts, vs):

@@ -1,13 +1,21 @@
 import copy
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import posqubit
 import posqubit.cli as cli
+import posqubit.single_qubit as sq
 from posqubit.errors import ConfigError
+from posqubit.qcore import evolve_rk4, evolve_steps
 
 
 def base_single_qubit(**overrides):
@@ -79,6 +87,65 @@ def test_single_qubit_oscillation_frequency():
     assert abs(summary["E1"] + 0.5) < 1e-12 and abs(summary["E2"] - 0.5) < 1e-12
     total = series.columns["p_x1"] + series.columns["p_x2"]
     assert np.max(np.abs(total - 1.0)) < 1e-8
+
+
+def driven_single_qubit():
+    cfg = base_single_qubit()
+    cfg["time"] = {"t0": 0.5, "t_max": 20.5, "dt": 0.01, "sample_stride": 3}
+    cfg["parameters"].update(
+        ep1={"kind": "sinusoid", "amplitude": 0.28, "omega": 1.1, "phase": 0.4, "offset": 0.02},
+        ep2=-0.03,
+        alpha={"kind": "sinusoid", "amplitude": 0.5, "omega": 0.3},
+        initial=[[0.6, 0.1], [0.3, -0.4]],
+    )
+    return cfg
+
+
+def test_single_qubit_columns_match_rk4_oracle(monkeypatch):
+    """The batched run, with its steps in one chunk and in chunks of 7,
+    against the per-step evolve_rk4 loop it replaced."""
+    cfg = driven_single_qubit()
+    runs = [cli.run_scenario(cfg)]
+    monkeypatch.setattr(cli, "evolve_steps", functools.partial(evolve_steps, chunk=7))
+    runs.append(cli.run_scenario(cfg))
+    params = cli._qubit_params(cfg)
+    psi = cli._amplitudes(cfg, "parameters.initial", 2)
+    t0, dt, n_steps, stride = 0.5, 0.01, 2000, 3
+    rows = []
+    for i in range(n_steps + 1):
+        t = t0 + i * dt
+        if i > 0:
+            psi = evolve_rk4(lambda tp: sq.build_h2(params, tp), psi, t - dt, t, dt)
+        if i % stride == 0 or i == n_steps:
+            c_en = sq.eigencoeffs(params, t).basis_matrix().conj() @ psi
+            rows.append([t, *np.abs(psi) ** 2, *np.abs(c_en) ** 2, *psi])
+    oracle = np.array(rows)
+    for series, summary in runs:
+        assert len(series.t) == len(oracle) == 668 and series.t[-1] == t0 + n_steps * dt
+        np.testing.assert_array_equal(series.t, oracle[:, 0].real)
+        for k, name in enumerate(("p_x1", "p_x2", "p_E1", "p_E2"), start=1):
+            assert np.max(np.abs(series.columns[name] - oracle[:, k].real)) < 1e-12
+        # phases as amplitudes, so a small amplitude's ill-conditioned angle does not count
+        for k, x in ((5, "x1"), (6, "x2")):
+            amp = np.sqrt(series.columns[f"p_{x}"]) * np.exp(1j * series.columns[f"phase_{x}"])
+            assert np.max(np.abs(amp - oracle[:, k])) < 1e-12
+        assert abs(summary["final_norm"] - np.linalg.norm(oracle[-1, 5:])) < 1e-12
+
+
+def test_rabi_columns_match_per_sample_oracle():
+    cfg = rabi_cfg()
+    cfg["time"] = {"t0": 0.3, "t_max": 10.3, "dt": 0.01, "sample_stride": 5}
+    cfg["parameters"]["e12"] = {"kind": "sinusoid", "amplitude": 0.18, "omega": 1.0, "phase": 0.3}
+    cfg["parameters"]["initial"] = [[0.8, 0.1], [0.2, -0.5]]
+    series, summary = cli.run_scenario(cfg)
+    e12 = cli._signal(cfg, "parameters.e12")
+    psi0 = cli._amplitudes(cfg, "parameters.initial", 2)
+    for t, p1, p2, defect in zip(series.t, *series.columns.values()):
+        u = sq.rabi_evolution_matrix(-0.5, 0.5, e12, 0.3, t) if t > 0.3 else np.eye(2)
+        psi = u @ psi0
+        assert max(abs(p1 - abs(psi[0]) ** 2), abs(p2 - abs(psi[1]) ** 2)) < 1e-12
+        assert defect < 1e-14
+    assert len(series.t) == 201 and summary["max_unitarity_defect"] < 1e-14
 
 
 def test_extract_frequency_known_signal():
@@ -246,6 +313,36 @@ def test_format_csv_deterministic_and_parseable():
     assert len(header_rows) >= 1
 
 
+def _format_csv_per_value(series, summary):
+    """The formatter format_csv replaced: one f-string per value."""
+    names, rows = series.as_rows()
+    lines = [cli.CSV_HEADER] + [f"# {k} = {json.dumps(summary[k])}" for k in sorted(summary)]
+    lines.append(",".join(names))
+    lines += [",".join(f"{x:.17g}" for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_format_csv_matches_per_value_formatter():
+    outputs = [cli.run_scenario(complete_cfg(kind)) for kind in _KINDS]
+    edge = np.array([-0.0, 5e-324, 1e300, 3.0, -2.0, 1e16, 0.1, -1.7976931348623157e308])
+    outputs.append((cli.TimeSeries(edge, {"x": edge[::-1], "y": np.round(edge)}), {"n": 1}))
+    for series, summary in outputs:
+        assert cli.format_csv(series, summary) == _format_csv_per_value(series, summary)
+    rows = cli.format_csv(*outputs[-1]).splitlines()[3:5]
+    assert rows == ["-0,-1.7976931348623157e+308,-0", "4.9406564584124654e-324,0.10000000000000001,0"]
+
+
+def test_module_entry_point_warns_nothing(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_single_qubit()))
+    src = str(Path(posqubit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "posqubit.cli", "eigens"]
+    done = subprocess.run(argv + ["--config", str(cfg_path)], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["max_deviation"] < 1e-10
+
+
 def test_format_json_round_trip():
     series, summary = cli.run_scenario(base_single_qubit())
     text = cli.format_json(series, summary)
@@ -331,6 +428,11 @@ def test_main_exit_codes(tmp_path, capsys):
         (rabi_cfg(), "parameters.e1", 1e308, 3),
         (rabi_cfg(), "parameters.e12", dict(sinusoid, amplitude=1e8), 0),
         (rabi_cfg(), "parameters.e12", dict(sinusoid, omega=1e16), 3),
+        (base_single_qubit(), "time.dt", 1e308, 2),
+        (base_single_qubit(), "time", {"t_max": 1.0, "dt": 1e308, "sample_stride": 2}, 2),
+        (base_single_qubit(), "time", {"t_max": 1.7e308, "dt": 1e308}, 2),
+        # |ts| crosses zero at t = 2 with Ep1 = Ep2: a degenerate sample inside the run
+        (base_single_qubit(), "parameters.ts_mag", {"kind": "table", "times": [0, 4, 5], "values": [1, -1, -1.5]}, 3),
     ]
     for cfg, path, value, code in cases:
         cfg_path.write_text(json.dumps(replaced(cfg, path, value)))
@@ -458,8 +560,7 @@ def _one_field_replaced(draw):
 def test_main_exit_code_is_total(tmp_path_factory, cfg, command):
     """Any JSON value in any one field gives exit code 0, 2 or 3, never an exception."""
     # keep each run short: a valid time block of 2000 to MAX_STEPS steps, or a
-    # spectral basis past the sizes below, would run for seconds; Rabi samples
-    # each integrate from t0, so their cost grows with the square of the steps
+    # spectral basis past the sizes below, would run for seconds
     t0 = _number_at(cfg, "time.t0", 0.0)
     t_max, dt = _number_at(cfg, "time.t_max", None), _number_at(cfg, "time.dt", None)
     if None not in (t0, t_max, dt) and dt > 0 and t_max > t0:

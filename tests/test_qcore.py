@@ -7,13 +7,17 @@ from posqubit.qcore import (
     HBAR,
     POSITION,
     StateVector,
+    _matmul,
     eig_hermitian,
     evolve_rk4,
+    evolve_steps,
     fix_phase,
     matexp_unitary,
     propagate,
     require_hermitian,
     rk4_step,
+    rk4_step_operators,
+    su2_step_operators,
 )
 
 rng = np.random.default_rng(101)
@@ -132,3 +136,63 @@ def test_propagate_matches_expm_at_every_sample():
             assert np.max(np.abs(rho - u @ rho0 @ u.conj().T)) <= 1e-12
     with pytest.raises(NonHermitianError):
         propagate(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2), times)
+
+
+def test_rk4_step_operators_match_rk4_step():
+    # M y equals one rk4_step of y for a time-dependent H, for 2x2 and 3x3
+    for n in (2, 3):
+        a, b = random_hermitian(n), random_hermitian(n)
+
+        def h_of_t(t):
+            return a + np.sin(1.3 * t) * b
+
+        starts, dt = np.linspace(0.0, 2.0, 9), 0.05
+        stages = [np.array([h_of_t(t) for t in starts + off]) for off in (0.0, 0.5 * dt, dt)]
+        steps = rk4_step_operators(*stages, dt)
+        for t, m in zip(starts, steps):
+            y = rng.normal(size=n) + 1j * rng.normal(size=n)
+            expected = rk4_step(lambda tp, yp: -1j / HBAR * (h_of_t(tp) @ yp), t, y, dt)
+            assert np.max(np.abs(m @ y - expected)) < 1e-14
+
+
+def test_su2_step_operators_match_expm():
+    from scipy.linalg import expm
+
+    hs = np.array([random_hermitian(2) for _ in range(20)] + [0.7 * np.eye(2), np.zeros((2, 2))])
+    for dt in (1e-3, 0.1, 2.0):
+        us = su2_step_operators(hs, dt)
+        for h, u in zip(hs, us):
+            assert np.max(np.abs(u - expm(-1j * h * dt / HBAR))) < 1e-13
+
+
+def test_evolve_steps_matches_sequential_products():
+    steps = np.array([matexp_unitary(random_hermitian(2), 0.3) for _ in range(37)])
+    y0 = np.array([0.6, 0.8j])
+    built = []
+
+    def make_steps(lo, hi):
+        built.append((lo, hi))
+        return steps[lo:hi]
+
+    states = evolve_steps(make_steps, 37, y0)
+    assert built == [(0, 37)]
+    y = y0
+    assert states.shape == (38, 2) and np.array_equal(states[0], y0)
+    for k, m in enumerate(steps):
+        y = m @ y
+        assert np.max(np.abs(states[k + 1] - y)) < 1e-14
+    # chunks of 5 steps, the last one short, chain to the same states
+    built.clear()
+    chunked = evolve_steps(make_steps, 37, y0, chunk=5)
+    assert built == [(lo, min(lo + 5, 37)) for lo in range(0, 37, 5)]
+    assert chunked.shape == (38, 2) and np.max(np.abs(chunked - states)) < 1e-14
+    assert np.array_equal(evolve_steps(make_steps, 0, y0), y0[None])
+
+
+def test_matmul_follows_the_matmul_shape_rule():
+    rng = np.random.default_rng(5)
+    for sa, sb in [((5, 2, 2), (2, 1)), ((5, 3, 2), (5, 2, 4)), ((2, 2), (7, 2, 3)), ((4, 1, 3, 3), (5, 3, 2))]:
+        a = rng.normal(size=sa) + 1j * rng.normal(size=sa)
+        b = rng.normal(size=sb) + 1j * rng.normal(size=sb)
+        out = _matmul(a, b)
+        assert out.shape == (a @ b).shape and np.max(np.abs(out - a @ b)) < 1e-14

@@ -61,3 +61,22 @@ def test_integrate_work_is_bounded():
     # an oscillation far below the time resolution raises instead of splitting 2**40 times
     with pytest.raises(QuadratureNotConvergedError):
         signals.integrate(signals.sinusoid(0.2, 1e16), 0.0, 1.0)
+
+
+def test_signals_accept_arrays():
+    t = np.linspace(0.0, 2.0, 7).reshape(7, 1)
+    const = signals.constant(2.5)
+    assert const(t).shape == t.shape and np.all(const(t) == 2.5)
+    assert isinstance(const(1.0), float)
+    sine = signals.sinusoid(2.0, 3.0, phase=0.5, offset=-1.0)
+    tab = signals.table([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
+    for sig in (const, sine, tab):
+        values = sig(t)
+        assert values.shape == t.shape
+        assert all(values.flat[k] == sig(x) for k, x in enumerate(t.flat))
+    assert isinstance(tab(0.5), float)
+    # one sample out of the tabulated domain is enough to raise
+    with pytest.raises(SignalDomainError, match="t=2.5"):
+        tab(np.array([0.5, 1.0, 2.5]))
+    with pytest.raises(SignalDomainError):
+        tab(np.array([[-0.1], [1.0]]))

@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -219,3 +222,60 @@ def test_greens_response_pure_phase():
 def test_greens_operator_residual_small():
     res = sq.greens_operator_residual(0.5, 0.8, signals.sinusoid(0.3, 2.0), 0.0, 2.0, 1e-3)
     assert res < 1e-6
+
+
+def test_eigencoeffs_and_build_h2_accept_arrays():
+    # an array of times gives, sample by sample, the scalar results, including
+    # samples where ts == 0 takes the position-basis branch
+    p = sq.QubitParams(
+        ep1=signals.sinusoid(0.8, 1.3, 0.2),
+        ep2=-0.1,
+        ts_mag=signals.table([0.0, 1.0, 4.0], [0.5, 0.0, 1.0]),
+        alpha=signals.sinusoid(0.3, 0.7),
+    )
+    ts = np.array([0.0, 0.5, 1.0, 2.5, 4.0])
+    co, h = sq.eigencoeffs(p, ts), sq.build_h2(p, ts)
+    assert h.shape == (5, 2, 2) and co.basis_matrix().shape == (5, 2, 2)
+    for k, t in enumerate(ts):
+        one = sq.eigencoeffs(p, t)
+        assert all(getattr(co, f)[k] == getattr(one, f) for f in ("e1", "e2", "a", "b", "c", "d"))
+        assert np.array_equal(co.basis_matrix()[k], one.basis_matrix())
+        assert np.array_equal(h[k], sq.build_h2(p, t))
+    assert (co.a[2], co.b[2]) == (0.0, 1.0)  # ts == 0 and Ep1 > Ep2 at t = 1
+    # a scalar time gives plain numbers, which json.dumps accepts, also where
+    # ts == 0 (t = 1); the ts == 0 samples raise no 0/0 warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (2.5, 1.0):
+            one = sq.eigencoeffs(p, t)
+            fields = [getattr(one, f) for f in ("e1", "e2", "a", "b", "c", "d")]
+            assert [type(x) for x in fields] == [float, float, complex, float, complex, float]
+            json.dumps([one.e1, one.e2])
+        sq.eigencoeffs(p, ts)
+    # one degenerate sample is enough to raise, and names its time
+    flat = sq.QubitParams(ep1=0.0, ep2=0.0, ts_mag=signals.table([0.0, 2.0], [1.0, -1.0]))
+    with pytest.raises(DegenerateSpectrumError, match="t=1.0"):
+        sq.eigencoeffs(flat, np.array([0.0, 0.5, 1.0, 1.5]))
+
+
+def test_rabi_evolution_matrix_accepts_array_times(monkeypatch):
+    e12 = signals.sinusoid(0.2, 1.0, 0.3)
+    times = 0.05 * np.arange(1, 81)
+    calls = []
+    integrate = signals.integrate
+    monkeypatch.setattr(signals, "integrate", lambda *a: calls.append(a) or integrate(*a))
+    us = sq.rabi_evolution_matrix(-0.5, 0.5, e12, 0.0, times)
+    # three integrals per interval between samples: linear in the sample count
+    assert len(calls) == 3 * len(times)
+    monkeypatch.undo()
+    assert us.shape == (80, 2, 2)
+    for t, u in zip(times, us):
+        one = sq.rabi_evolution_matrix(-0.5, 0.5, e12, 0.0, t)
+        assert one.shape == (2, 2) and np.max(np.abs(u - one)) < 1e-12
+    # constant signals, complex channel: the closed form is exact
+    from posqubit.qcore import matexp_unitary
+
+    us = sq.rabi_evolution_matrix(0.4, -1.1, 0.3 + 0.2j, 0.0, times)
+    h = np.array([[0.4, 0.3 + 0.2j], [0.3 - 0.2j, -1.1]])
+    assert max(np.max(np.abs(u - matexp_unitary(h, t))) for t, u in zip(times, us)) < 1e-12
+    assert sq.rabi_evolution_matrix(0.4, -1.1, 0.3, 0.0, times[:0]).shape == (0, 2, 2)

@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
 import posqubit.two_qubit as tq
 from posqubit.errors import OccupancyNotNormalizedError
-from posqubit.qcore import StateVector, eig_hermitian
+from posqubit.qcore import StateVector, eig_hermitian, evolve_steps
 
 rng = np.random.default_rng(303)
 
@@ -203,3 +205,73 @@ def test_cnot_control_state_conditions_target():
 
 def test_oracle_check_symmetric_close():
     assert tq.oracle_check_symmetric(1.2, 0.7, 0.5, 0.3) < 1e-10
+
+
+def test_cnot_meanfield_h2_accepts_a_stack():
+    g = tq.DotGeometry(kind=tq.COLLINEAR, a=0.5, b=0.7, d1=1.0, d2=0.8, d3=2.0, coulomb_k=0.9)
+    amps = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    occ = tq.swap_occupancies(amps)
+    assert occ.shape == (6, 4)
+    hs = tq.cnot_meanfield_h2(g, occ, 0.2, 0.15)
+    assert hs.shape == (6, 2, 2)
+    for row, h in zip(occ, hs):
+        assert np.array_equal(h, tq.cnot_meanfield_h2(g, tuple(row), 0.2, 0.15))
+    # one bad row in the stack is enough for either guard
+    for bad in ((0.4, 0.3, 0.5, 0.5), (-0.1, 1.1, 0.5, 0.5)):
+        with pytest.raises(OccupancyNotNormalizedError):
+            tq.cnot_meanfield_h2(g, np.vstack([occ, bad]), 0.2, 0.15)
+
+
+def _cnot_run_and_loop_oracle(t_end):
+    """A cnot run and the per-step loop it replaced: u4 = exp(-i h4 dt) applied
+    once per step to the control, a 2x2 matexp_unitary per step to the target."""
+    from posqubit.qcore import matexp_unitary
+
+    g = tq.DotGeometry(kind=tq.COLLINEAR, a=0.9, b=1.1, d=2.0, d1=1.0, d2=0.9, d3=2.2, coulomb_k=0.8)
+    p = tq.SwapParams(vs=0.05, t_u=0.3, t_l=0.25, couplings=tq.coulomb_couplings(g))
+    control0 = np.array([0.5, 0.5 + 0.2j, 0.3, 0.6j]) / np.linalg.norm([0.5, 0.5 + 0.2j, 0.3, 0.6j])
+    target0 = np.array([0.8, 0.6j])
+    dt, vs2, t2 = 0.01, 0.1, 0.4
+    run = tq.cnot_coupled_run(p, control0, vs2, t2, target0, g, 0.0, t_end, dt)
+    u4 = matexp_unitary(tq.build_h4(p), dt)
+    control, target, rows = control0, target0, []
+    for _ in run.t:
+        occ = tq.swap_occupancies(control)
+        rows.append((control, target, occ))
+        target = matexp_unitary(tq.cnot_meanfield_h2(g, occ, vs2, t2), dt) @ target
+        control = u4 @ control
+    loop = [np.array(col) for col in zip(*rows)]
+    return run, loop, (p, g, vs2, t2, dt)
+
+
+def test_cnot_control_matches_expm():
+    from scipy.linalg import expm
+
+    run, _, (p, *_) = _cnot_run_and_loop_oracle(20.0)
+    h4 = tq.build_h4(p)
+    exact = np.array([expm(-1j * h4 * t) @ run.control[0] for t in run.t])
+    assert np.max(np.abs(run.control - exact)) < 1e-12
+
+
+def test_cnot_target_matches_per_step_loop(monkeypatch):
+    from scipy.linalg import expm
+
+    run, (control, target, occ), (p, g, vs2, t2, dt) = _cnot_run_and_loop_oracle(20.0)
+    # the 1e-11 bound is the old loop's own error: over 2000 steps its powers
+    # of u4 drift from the exact control (6.6e-13 here) and the target, driven
+    # by those occupancies, ends 5.9e-12 from a per-step expm of the exact
+    # mean field, which the new path follows to 1e-14
+    exact_occ = tq.swap_occupancies([expm(-1j * tq.build_h4(p) * t) @ control[0] for t in run.t])
+    q, oracle = target[0], [target[0]]
+    for row in exact_occ[:-1]:
+        q = expm(-1j * dt * tq.cnot_meanfield_h2(g, row, vs2, t2)) @ q
+        oracle.append(q)
+    assert np.max(np.abs(run.target - np.array(oracle))) < 1e-12
+    assert np.max(np.abs(target - np.array(oracle))) < 1e-11
+    assert np.max(np.abs(run.target - target)) < 1e-11
+    assert np.max(np.abs(run.occupancies - occ)) < 1e-11
+    # the same run with its target steps built and chained in chunks of 7
+    monkeypatch.setattr(tq, "evolve_steps", functools.partial(evolve_steps, chunk=7))
+    chunked = tq.cnot_coupled_run(p, control[0], vs2, t2, target[0], g, 0.0, 20.0, dt)
+    assert np.max(np.abs(chunked.target - np.array(oracle))) < 1e-12

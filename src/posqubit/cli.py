@@ -46,7 +46,7 @@ SCHEMA_VERSION = 1
 
 MAX_STEPS = 100_000  # (t_max - t0) / dt, sample_stride, sweep points; 256 B per density sample
 MAX_LEVELS = 16  # spectral basis.n_levels; the mode space has MAX_LEVELS**2 entries
-MAX_GRID = 4001  # spectral basis.n_grid; the kernel mesh holds MAX_GRID**2 floats
+MAX_GRID = 4001  # spectral basis.n_grid; W assembly holds about n_levels**2 x n_grid floats
 
 _REQUIRED = object()
 _GEOMETRY_FIELDS = {f.name for f in dataclasses.fields(tq.DotGeometry)}
@@ -424,7 +424,7 @@ def _run_spectral(cfg):
     for n_idx in range(n_levels):
         for m_idx in range(n_levels):
             cols[f"p_mode_{n_idx}{m_idx}"] = np.abs(series_q[:, n_idx, m_idx]) ** 2
-    cols["entropy"] = np.array([sp.entanglement_entropy(q) for q in series_q])
+    cols["entropy"] = sp.entanglement_entropy(series_q)
     series = TimeSeries(times, cols)
     summary = {
         "final_norm": float(np.sqrt(np.sum(np.abs(series_q[-1]) ** 2))),

@@ -18,7 +18,7 @@ class DegenerateSpectrumError(PosQubitError):
 
 
 class BasisMismatchError(PosQubitError):
-    """A state was supplied in a basis the operation does not accept."""
+    """A state or basis was supplied in a form the operation does not accept."""
 
 
 class SignalDomainError(PosQubitError):

@@ -26,11 +26,15 @@ ENERGY = "energy"
 
 
 def require_hermitian(h, tol=HERMITICITY_TOL):
-    """Return ``h`` as a complex array, raising if it is not Hermitian.
+    """Return ``h`` as an array, raising if it is not Hermitian.
 
-    The check is ``max |h - h^dag| <= tol`` entrywise.
+    Real floating input stays real (float64), so a real symmetric matrix is
+    diagonalized in real arithmetic; every other input becomes complex.  The
+    choice rests on the dtype alone, never on the values.  The check is
+    ``max |h - h^dag| <= tol`` entrywise.
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
+    h = h.astype(float if h.dtype.kind == "f" else complex, copy=False)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise NonHermitianError(f"expected a square matrix, got shape {h.shape}")
     defect = np.max(np.abs(h - h.conj().T))
@@ -74,7 +78,8 @@ def matexp_unitary(h, dt, tol=HERMITICITY_TOL):
 def propagate(h, y0, times, *, density=False):
     """Exact evolution under a constant Hermitian ``h`` at every time in ``times``.
 
-    ``h`` is checked and diagonalized once, h = V diag(E) V^dag, and all
+    ``h`` is checked and diagonalized once, h = V diag(E) V^dag (a real
+    ``eigh`` when ``h`` is real floating, see ``require_hermitian``), and all
     samples are formed in one broadcast: states as V e^{-iEt} V^dag y0,
     shape (n_times, n); densities (``density=True``) as
     V (rho_E o e^{-i(E_j - E_k)t}) V^dag with rho_E = V^dag rho0 V, shape

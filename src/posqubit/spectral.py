@@ -8,8 +8,12 @@ The state is expanded over the product of the single-well eigenbases,
     i hbar dq_{n,m}/dt = (E_n + E_m) q_{n,m} + sum_{s,e} W[(n,m),(s,e)] q_{s,e}
 
 with W[(n,m),(s,e)] = <psi_n psi_m| V |psi_s psi_e> evaluated by
-tensorized Simpson quadrature.  The raw spectral coefficients
-g_{i,j} = <psi_i psi_j| V> are provided separately.
+Simpson quadrature on the two wells' grids.  The grids share one uniform
+spacing, so the kernel matrix V(x_g - x_h) is Toeplitz: it is applied to
+the weighted basis products as an FFT convolution of 2N - 1 kernel
+samples, never formed as an N x N mesh, and one matrix product finishes
+the contraction.  The raw spectral coefficients g_{i,j} = <psi_i psi_j| V>
+use the same convolution.
 """
 
 from dataclasses import dataclass
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_hermite, gammaln
 
-from .errors import GridTooCoarseError, QuadratureNotConvergedError
+from .errors import BasisMismatchError, GridTooCoarseError, QuadratureNotConvergedError
 from .qcore import HBAR, propagate
 
 HARMONIC = "harmonic"
@@ -136,21 +140,39 @@ def numeric_basis(potential, n_levels, x_min, x_max, mass=1.0, n_grid=401):
     )
 
 
-def _kernel_mesh(basis_a, basis_b, kernel, well_offset, stride=1):
-    xa = basis_a.grid[::stride]
-    xb = basis_b.grid[::stride] + well_offset
-    return kernel(xa[:, None] - xb[None, :])
+def _kernel_contract(rows_a, grid_a, rows_b, grid_b, kernel, well_offset):
+    """rows_a @ V @ rows_b.T for V[g, h] = kernel(grid_a[g] - grid_b[h] - well_offset).
+
+    Both grids share one spacing, so V depends only on the lag g - h
+    (Toeplitz) and is never formed: the kernel is sampled at the
+    na + nb - 1 lags and the rows of ``rows_b`` are convolved with it by a
+    real FFT of length >= na + nb - 1.  The circular wrap reaches only the
+    first nb - 1 outputs, which are dropped.  Raises BasisMismatchError when
+    the spacings differ by more than 1e-12 relative.
+    """
+    # imported here: scipy.fft adds about 40 ms to the package import, which
+    # every run that never assembles W would otherwise pay
+    from scipy.fft import irfft, next_fast_len, rfft
+
+    na, nb = grid_a.size, grid_b.size
+    dx, dx_b = ((x[-1] - x[0]) / (x.size - 1) for x in (grid_a, grid_b))
+    if abs(dx - dx_b) > 1e-12 * abs(dx):
+        raise BasisMismatchError(
+            f"grid spacings {dx:.17g} and {dx_b:.17g} differ; the Toeplitz kernel needs one spacing"
+        )
+    lags = (grid_a[0] - grid_b[0] - well_offset) + dx * np.arange(1 - nb, na)
+    n_fft = next_fast_len(na + nb - 1, real=True)
+    spectrum = rfft(rows_b, n_fft)
+    spectrum *= rfft(kernel(lags), n_fft)
+    return rows_a @ irfft(spectrum, n_fft)[:, nb - 1 : nb - 1 + na].T
 
 
 def _gij_on_stride(basis_a, basis_b, kernel, well_offset, stride):
     xa = basis_a.grid[::stride]
     xb = basis_b.grid[::stride]
-    wa = _simpson_weights(xa.size, xa[1] - xa[0])
-    wb = _simpson_weights(xb.size, xb[1] - xb[0])
-    v = _kernel_mesh(basis_a, basis_b, kernel, well_offset, stride)
-    fa = basis_a.functions[:, ::stride] * wa
-    fb = basis_b.functions[:, ::stride] * wb
-    return fa @ v @ fb.T
+    fa = basis_a.functions[:, ::stride] * _simpson_weights(xa.size, xa[1] - xa[0])
+    fb = basis_b.functions[:, ::stride] * _simpson_weights(xb.size, xb[1] - xb[0])
+    return _kernel_contract(fa, xa, fb, xb, kernel, well_offset)
 
 
 def compute_gij(basis_a, basis_b, kernel, well_offset=0.0):
@@ -159,7 +181,8 @@ def compute_gij(basis_a, basis_b, kernel, well_offset=0.0):
     ``well_offset`` shifts the second well's coordinates by the center
     distance between the traps.  The quadrature is refinement-checked:
     the full grid must agree with its half-resolution subsampling to
-    1e-6 relative.
+    1e-6 relative.  The two grids must share one spacing (see
+    ``interaction_matrix_elements``).
     """
     if (basis_a.grid.size - 1) % 2 or (basis_b.grid.size - 1) % 2:
         raise ValueError("grids must have odd point counts for Simpson refinement")
@@ -173,27 +196,38 @@ def compute_gij(basis_a, basis_b, kernel, well_offset=0.0):
     return fine
 
 
+def _pair_products(basis):
+    """Simpson-weighted products psi_n psi_s for n <= s, and the (n, s) -> row index."""
+    n = basis.n_levels
+    first, second = np.triu_indices(n)
+    index = np.zeros((n, n), dtype=int)
+    index[first, second] = index[second, first] = np.arange(first.size)
+    weights = _simpson_weights(basis.grid.size, basis.dx)
+    return basis.functions[first] * basis.functions[second] * weights, index
+
+
 def interaction_matrix_elements(basis_a, basis_b, kernel, well_offset=0.0):
     """Galerkin coupling table W[(n,m),(s,e)] = <psi_n psi_m|V|psi_s psi_e>.
 
     Returned as a K x K matrix over the composite index n * Mb + m with
     K = (levels of A) x (levels of B); real symmetric for real bases.
+    Only the unique Simpson-weighted pair products psi_n psi_s (n <= s)
+    are convolved and contracted; the table is expanded by the n <-> s and
+    m <-> e symmetries, so W is exactly symmetric.  Both grids must share
+    one spacing (BasisMismatchError otherwise; sizes and origins may
+    differ): no dense N x N path is kept for unequal spacings.
     """
-    na, nb = basis_a.n_levels, basis_b.n_levels
-    wa = _simpson_weights(basis_a.grid.size, basis_a.dx)
-    wb = _simpson_weights(basis_b.grid.size, basis_b.dx)
-    v = _kernel_mesh(basis_a, basis_b, kernel, well_offset)
-    # pair products psi_n psi_s on each axis, weighted once
-    pa = np.einsum("ng,sg,g->nsg", basis_a.functions, basis_a.functions, wa)
-    pb = np.einsum("mh,eh,h->meh", basis_b.functions, basis_b.functions, wb)
-    w = np.einsum("nsg,gh,meh->nmse", pa, v, pb, optimize=True)
-    return w.reshape(na * nb, na * nb)
+    pa, index_a = _pair_products(basis_a)
+    pb, index_b = _pair_products(basis_b)
+    table = _kernel_contract(pa, basis_a.grid, pb, basis_b.grid, kernel, well_offset)
+    k = basis_a.n_levels * basis_b.n_levels
+    return table[index_a[:, None, :, None], index_b[None, :, None, :]].reshape(k, k)
 
 
 def composite_hamiltonian(basis_a, basis_b, w):
-    """diag(E_n + E_m) + W over the composite index."""
+    """diag(E_n + E_m) + W over the composite index; real float64 for a real W."""
     diag = (basis_a.energies[:, None] + basis_b.energies[None, :]).ravel()
-    return np.diag(diag.astype(complex)) + w
+    return np.diag(diag) + w
 
 
 def evolve_modes(q0, basis_a, basis_b, w, t0, t, dt, sample_stride=1):
@@ -229,9 +263,17 @@ def reconstruct_wavefunction(q, basis_a, basis_b):
 
 
 def entanglement_entropy(q):
-    """Von Neumann entropy (natural log) of the Schmidt weights of q."""
+    """Von Neumann entropy (natural log) of the Schmidt weights of q.
+
+    ``q`` is one (na, nb) matrix, giving a float, or a stack (..., na, nb),
+    giving an array of shape (...) from one batched SVD.  Weights at or
+    below 1e-300 are left out of each matrix's sum.
+    """
     sv = np.linalg.svd(np.asarray(q, dtype=complex), compute_uv=False)
     p = sv * sv
-    p = p[p > 1e-300]
-    p = p / np.sum(p)
-    return float(-np.sum(p * np.log(p)))
+    kept = p > 1e-300
+    p = np.where(kept, p, 0.0)
+    # a zero matrix keeps no weight and has entropy 0
+    p /= np.maximum(np.sum(p, axis=-1, keepdims=True), 1e-300)
+    entropy = -np.sum(p * np.log(np.where(kept, p, 1.0)), axis=-1)
+    return float(entropy) if entropy.ndim == 0 else entropy

@@ -21,7 +21,6 @@ from .errors import OccupancyNotNormalizedError
 from .qcore import (
     StateVector,
     as_amplitudes,
-    eig_hermitian,
     evolve_rk4,
     evolve_steps,
     matexp_unitary,
@@ -283,17 +282,3 @@ def cnot_coupled_run(swap_params, control0, vs2, t2, target0, geom, t0, t, dt):
         as_amplitudes(target0),
     )
     return CnotRun(t=t0 + elapsed, control=control, target=target, occupancies=occ)
-
-
-def oracle_check_symmetric(ec1s, ec2s, ts, vs):
-    """Numeric-diagonalization cross-check of the closed-form eigensystem.
-    Returns the maximum eigenvalue deviation."""
-    params = SwapParams(
-        vs=vs,
-        t_u=ts,
-        t_l=ts,
-        couplings=CoulombCouplings(ec11=ec1s, ec22=ec1s, ec12=ec2s, ec21=ec2s),
-    )
-    numeric, _ = eig_hermitian(build_h4(params))
-    closed = swap_eigensystem_symmetric(ec1s, ec2s, ts, vs).sorted_energies
-    return float(np.max(np.abs(numeric - closed)))

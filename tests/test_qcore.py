@@ -39,6 +39,18 @@ def test_require_hermitian_accepts_and_rejects():
         require_hermitian(np.ones((2, 3)))
 
 
+def test_require_hermitian_keeps_real_floating_input_real():
+    sym = random_hermitian(3).real
+    assert require_hermitian(sym).dtype == np.float64
+    assert require_hermitian(sym.astype(np.float32)).dtype == np.float64
+    # the dtype decides, not the values: a zero imaginary part stays complex
+    assert require_hermitian(sym.astype(complex)).dtype == np.complex128
+    assert require_hermitian(np.eye(2, dtype=int)).dtype == np.complex128
+    assert require_hermitian([[0, 1], [1, 0]]).dtype == np.complex128
+    with pytest.raises(NonHermitianError):
+        require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 def test_fix_phase_makes_pivot_real_positive():
     v = np.array([0.3 * np.exp(1j * 0.7), -0.9 * np.exp(1j * 2.1)])
     w = fix_phase(v)
@@ -123,7 +135,8 @@ def test_propagate_matches_expm_at_every_sample():
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     rotated = q @ symmetric @ q.conj().T
     times = np.array([0.0, 0.013, 0.37, 1.0, 7.5])
-    for h in (random_hermitian(4), symmetric, 0.5 * (rotated + rotated.conj().T)):
+    real_symmetric = random_hermitian(4).real
+    for h in (random_hermitian(4), symmetric, 0.5 * (rotated + rotated.conj().T), real_symmetric):
         psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi0 /= np.linalg.norm(psi0)
         rho0 = np.outer(psi0, psi0.conj())
@@ -134,6 +147,10 @@ def test_propagate_matches_expm_at_every_sample():
             u = sla.expm(-1j * h * t / HBAR)
             assert np.max(np.abs(psi - u @ psi0)) <= 1e-12
             assert np.max(np.abs(rho - u @ rho0 @ u.conj().T)) <= 1e-12
+    # a real matrix takes the real eigh; the complex copy of it, the complex one
+    psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+    real_states = propagate(real_symmetric, psi0, times)
+    assert np.max(np.abs(real_states - propagate(real_symmetric.astype(complex), psi0, times))) <= 1e-12
     with pytest.raises(NonHermitianError):
         propagate(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2), times)
 

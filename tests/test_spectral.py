@@ -1,11 +1,112 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import posqubit.spectral as sp
-from posqubit.errors import GridTooCoarseError, QuadratureNotConvergedError
+from posqubit.errors import BasisMismatchError, GridTooCoarseError, QuadratureNotConvergedError
 from posqubit.qcore import matexp_unitary
 
 rng = np.random.default_rng(606)
+
+
+# Dense oracle: the full N x N kernel mesh contracted directly.
+
+
+def _dense_mesh(basis_a, basis_b, kernel, well_offset, stride=1):
+    xa = basis_a.grid[::stride]
+    xb = basis_b.grid[::stride] + well_offset
+    return kernel(xa[:, None] - xb[None, :])
+
+
+def _dense_gij(basis_a, basis_b, kernel, well_offset, stride=1):
+    xa = basis_a.grid[::stride]
+    xb = basis_b.grid[::stride]
+    wa = sp._simpson_weights(xa.size, xa[1] - xa[0])
+    wb = sp._simpson_weights(xb.size, xb[1] - xb[0])
+    v = _dense_mesh(basis_a, basis_b, kernel, well_offset, stride)
+    return (basis_a.functions[:, ::stride] * wa) @ v @ (basis_b.functions[:, ::stride] * wb).T
+
+
+def _dense_w(basis_a, basis_b, kernel, well_offset):
+    na, nb = basis_a.n_levels, basis_b.n_levels
+    wa = sp._simpson_weights(basis_a.grid.size, basis_a.dx)
+    wb = sp._simpson_weights(basis_b.grid.size, basis_b.dx)
+    v = _dense_mesh(basis_a, basis_b, kernel, well_offset)
+    pa = np.einsum("ng,sg,g->nsg", basis_a.functions, basis_a.functions, wa)
+    pb = np.einsum("mh,eh,h->meh", basis_b.functions, basis_b.functions, wb)
+    w = np.einsum("nsg,gh,meh->nmse", pa, v, pb, optimize=True)
+    return w.reshape(na * nb, na * nb)
+
+
+def _rel_dev(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+_BASES = {
+    "harmonic": lambda n: sp.harmonic_basis(n, n_grid=801),
+    "box": lambda n: sp.box_basis(n, width=4.0, n_grid=801),
+    "numeric": lambda n: sp.numeric_basis(lambda x: 0.5 * x * x, n, -12.0, 12.0, n_grid=801),
+}
+
+
+@pytest.mark.parametrize("n_levels", [1, 3, 16])
+@pytest.mark.parametrize("offset", [0.0, 3.0])
+@pytest.mark.parametrize("kind", sorted(_BASES))
+def test_convolution_matches_dense_oracle(kind, offset, n_levels):
+    basis = _BASES[kind](n_levels)
+    kern = sp.CoulombKernel(e2=1.0, d_reg=0.2)
+    w = sp.interaction_matrix_elements(basis, basis, kern, offset)
+    assert _rel_dev(w, _dense_w(basis, basis, kern, offset)) <= 1e-12
+    assert np.array_equal(w, w.T)
+    fine, coarse = (_dense_gij(basis, basis, kern, offset, stride) for stride in (1, 2))
+    for stride, ref in ((1, fine), (2, coarse)):
+        assert _rel_dev(sp._gij_on_stride(basis, basis, kern, offset, stride), ref) <= 1e-12
+    # the refinement check decides as it does on the dense passes
+    if np.max(np.abs(fine - coarse)) / np.max(np.abs(fine)) > 1e-6:
+        with pytest.raises(QuadratureNotConvergedError):
+            sp.compute_gij(basis, basis, kern, offset)
+    else:
+        assert _rel_dev(sp.compute_gij(basis, basis, kern, offset), fine) <= 1e-12
+
+
+def test_unequal_grids_sharing_a_spacing_match_dense_oracle():
+    # spacing 0.025 on both; sizes 801 and 241, origins -10 and -2.3
+    wide = sp.harmonic_basis(3, half_width=10.0, n_grid=801)
+    narrow = sp.box_basis(2, width=6.0, center=0.7, n_grid=241)
+    kern = sp.CoulombKernel(e2=0.8, d_reg=0.2)
+    for a, b in ((wide, narrow), (narrow, wide)):
+        for offset in (0.0, 3.0):
+            w = sp.interaction_matrix_elements(a, b, kern, offset)
+            assert w.shape == (6, 6)
+            assert _rel_dev(w, _dense_w(a, b, kern, offset)) <= 1e-12
+            g = sp.compute_gij(a, b, kern, offset)
+            assert _rel_dev(g, _dense_gij(a, b, kern, offset)) <= 1e-12
+
+
+def test_mismatched_spacings_rejected():
+    a = sp.harmonic_basis(2, half_width=8.0, n_grid=801)
+    b = sp.harmonic_basis(2, half_width=8.0, n_grid=803)
+    kern = sp.CoulombKernel(e2=1.0, d_reg=0.2)
+    with pytest.raises(BasisMismatchError):
+        sp.interaction_matrix_elements(a, b, kern)
+    with pytest.raises(BasisMismatchError):
+        sp.compute_gij(a, b, kern, 1.0)
+
+
+def test_w_assembly_memory_is_linear_in_the_grid():
+    # the N x N kernel mesh alone would be 2401**2 * 8 bytes = 44 MiB
+    import scipy.fft  # noqa: F401  imported on first use; trace the assembly, not the import
+
+    basis = sp.harmonic_basis(16, n_grid=2401)
+    kern = sp.CoulombKernel(e2=1.0, d_reg=0.2)
+    tracemalloc.start()
+    try:
+        sp.interaction_matrix_elements(basis, basis, kern, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_harmonic_basis_orthonormal_and_energies():
@@ -94,7 +195,8 @@ def test_composite_hamiltonian_diagonal_part():
     basis = sp.harmonic_basis(2)
     w = np.zeros((4, 4))
     h = sp.composite_hamiltonian(basis, basis, w)
-    assert np.allclose(np.diag(h).real, [1.0, 2.0, 2.0, 3.0])
+    assert h.dtype == np.float64
+    assert np.allclose(np.diag(h), [1.0, 2.0, 2.0, 3.0])
 
 
 def test_evolve_modes_matches_matrix_exponential():
@@ -138,6 +240,26 @@ def test_entanglement_entropy_limits():
     assert sp.entanglement_entropy(q) < 1e-12
     q = np.diag([1.0, 1.0]).astype(complex) / np.sqrt(2)
     assert abs(sp.entanglement_entropy(q) - np.log(2.0)) < 1e-12
+
+
+def test_entanglement_entropy_stack_matches_per_matrix_loop():
+    stack = rng.normal(size=(5, 7, 4, 3)) + 1j * rng.normal(size=(5, 7, 4, 3))
+    stack[0, 0] = np.outer([1.0, 2.0, 0.0, 1j], [1.0, 0.0, -1.0])  # rank 1: zero weights
+    stack[0, 1] = 0.0
+    batched = sp.entanglement_entropy(stack)
+    assert batched.shape == (5, 7)
+    loop = np.array([[sp.entanglement_entropy(q) for q in row] for row in stack])
+    assert np.max(np.abs(batched - loop)) <= 1e-14
+    assert batched[0, 1] == 0.0
+    single = sp.entanglement_entropy(stack[1, 2])
+    assert type(single) is float
+    # the old per-matrix formula: drop zero weights, normalize, sum
+    for q in stack.reshape(-1, 4, 3):
+        p = np.linalg.svd(q, compute_uv=False) ** 2
+        p = p[p > 1e-300]
+        if p.size:
+            p = p / np.sum(p)
+            assert abs(sp.entanglement_entropy(q) + np.sum(p * np.log(p))) <= 1e-14
 
 
 def test_interaction_drives_entanglement():

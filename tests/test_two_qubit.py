@@ -204,7 +204,17 @@ def test_cnot_control_state_conditions_target():
 
 
 def test_oracle_check_symmetric_close():
-    assert tq.oracle_check_symmetric(1.2, 0.7, 0.5, 0.3) < 1e-10
+    # the closed-form symmetric eigensystem against numeric diagonalization
+    ec1s, ec2s, ts, vs = 1.2, 0.7, 0.5, 0.3
+    params = tq.SwapParams(
+        vs=vs,
+        t_u=ts,
+        t_l=ts,
+        couplings=tq.CoulombCouplings(ec11=ec1s, ec22=ec1s, ec12=ec2s, ec21=ec2s),
+    )
+    numeric, _ = eig_hermitian(tq.build_h4(params))
+    closed = tq.swap_eigensystem_symmetric(ec1s, ec2s, ts, vs).sorted_energies
+    assert np.max(np.abs(numeric - closed)) < 1e-10
 
 
 def test_cnot_meanfield_h2_accepts_a_stack():

@@ -186,13 +186,12 @@ def _geometry(cfg, required=False):
 def extract_frequency(t, series):
     """Angular frequency from linear-interpolated zero crossings of
     (series - mean); returns 0.0 when fewer than two crossings exist."""
+    t = np.asarray(t, dtype=float)
     y = np.asarray(series, dtype=float) - float(np.mean(series))
-    ups, downs = [], []
-    for i in range(len(y) - 1):
-        if y[i] * y[i + 1] < 0.0:
-            frac = y[i] / (y[i] - y[i + 1])
-            tc = t[i] + frac * (t[i + 1] - t[i])
-            (ups if y[i] < 0.0 else downs).append(tc)
+    i = np.flatnonzero(y[:-1] * y[1:] < 0.0)
+    tc = t[i] + y[i] / (y[i] - y[i + 1]) * (t[i + 1] - t[i])
+    up = y[i] < 0.0
+    ups, downs = tc[up], tc[~up]
     # same-direction crossings are exactly one period apart, so any offset
     # of the mean estimate cancels
     best = max(ups, downs, key=len)

@@ -2,11 +2,12 @@
 
 Dense complex matrices of fixed small dimension (2x2, 4x4, ...) with a
 deterministic eigenvector phase convention, unitary propagation through
-exact exponentiation, exact sampled propagation under a constant
-Hamiltonian, and the fixed-step RK4 loop for time-dependent generators.
-For time-dependent 2x2 and other small generators, whole grids of step
-operators (RK4 step matrices, closed-form SU(2) exponentials) are built
-in one broadcast and chained by ``evolve_steps``.
+exact exponentiation, and exact sampled propagation under a constant
+Hamiltonian.  For time-dependent 2x2 and other small generators, whole
+grids of step operators (RK4 step matrices, closed-form SU(2)
+exponentials) are built in one broadcast and chained by ``evolve_steps``.
+The fixed-step RK4 loop ``rk4_solve`` is left for generators given only
+as bare callables.
 Energies are expressed in a user-chosen unit and hbar = 1 internally, so
 times carry the inverse of that unit.
 """
@@ -54,7 +55,7 @@ def fix_phase(vec):
     return vec * (abs(pivot) / pivot)
 
 
-def eig_hermitian(h, tol=HERMITICITY_TOL):
+def eig_hermitian(h):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(energies, vectors)`` with energies ascending and vectors in
@@ -62,15 +63,15 @@ def eig_hermitian(h, tol=HERMITICITY_TOL):
     positive.  Raises NonHermitianError when the input fails the
     Hermiticity check.
     """
-    h = require_hermitian(h, tol)
+    h = require_hermitian(h)
     energies, vectors = np.linalg.eigh(h)
     vectors = np.column_stack([fix_phase(vectors[:, k]) for k in range(vectors.shape[1])])
     return energies, vectors
 
 
-def matexp_unitary(h, dt, tol=HERMITICITY_TOL):
+def matexp_unitary(h, dt):
     """exp(-i * h * dt / hbar) for Hermitian ``h`` via eigendecomposition."""
-    energies, vectors = eig_hermitian(h, tol)
+    energies, vectors = eig_hermitian(h)
     phases = np.exp(-1j * energies * dt / HBAR)
     return (vectors * phases) @ vectors.conj().T
 
@@ -153,19 +154,19 @@ def rk4_step_operators(h_start, h_mid, h_end, dt):
 STEP_CHUNK = 4096  # step matrices evolve_steps holds at once: about 4 MB of 2x2 RK4 work
 
 
-def evolve_steps(make_steps, n_steps, y0, chunk=STEP_CHUNK):
+def evolve_steps(make_steps, n_steps, y0):
     """States y_0 = y0, y_k = M_{k-1} y_{k-1} for k up to ``n_steps``; shape (n_steps + 1, d).
 
     ``make_steps(lo, hi)`` returns the step matrices M_lo .. M_{hi-1}, shape
     (hi - lo, d, d).  They are built and chained one chunk of at most
-    ``chunk`` steps at a time, so memory is bounded by the chunk and the
-    returned states.  Within a chunk the ordered products come from a
+    ``STEP_CHUNK`` steps at a time, so memory is bounded by the chunk and
+    the returned states.  Within a chunk the ordered products come from a
     Hillis-Steele scan, log2(chunk) rounds of batched matrix products, so no
     Python loop runs per step.
     """
     states = [np.asarray(y0, dtype=complex)[None]]
-    for lo in range(0, n_steps, chunk):
-        prods = np.array(make_steps(lo, min(lo + chunk, n_steps)), dtype=complex)
+    for lo in range(0, n_steps, STEP_CHUNK):
+        prods = np.array(make_steps(lo, min(lo + STEP_CHUNK, n_steps)), dtype=complex)
         k = 1
         while k < len(prods):
             prods[k:] = _matmul(prods[k:], prods[:-k])

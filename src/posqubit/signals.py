@@ -13,6 +13,7 @@ from .errors import QuadratureNotConvergedError, SignalDomainError
 
 _EPS = np.finfo(float).eps
 MAX_SPLITS = 200_000  # panel splits per integral, about a second of work
+INTEGRATE_TOL = 1e-10  # absolute error goal of ``integrate``
 
 
 def constant(value):
@@ -56,7 +57,7 @@ def table(times, values):
                 f"t={t[outside].flat[0]} outside tabulated domain [{times[0]}, {times[-1]}]"
             )
         out = np.interp(t, times, values)
-        return out if t.ndim else float(out)
+        return out if t.ndim else out.item()  # .item() keeps a complex table's imaginary part
 
     return sig
 
@@ -88,13 +89,14 @@ def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth, budget):
     )
 
 
-def integrate(signal, t0, t1, tol=1e-10):
+def integrate(signal, t0, t1):
     """Definite integral of a signal over [t0, t1], adaptive Simpson.
 
-    ``tol`` is absolute, raised to the rounding floor of a large integrand,
-    64 eps (t1 - t0) max|f(seed samples)|.  A NaN error estimate ends a
-    panel's splitting; more than MAX_SPLITS splits, as for an integrand
-    the panels cannot resolve, raise QuadratureNotConvergedError.
+    The error goal is INTEGRATE_TOL, absolute, raised to the rounding floor
+    of a large integrand, 64 eps (t1 - t0) max|f(seed samples)|.  A NaN
+    error estimate ends a panel's splitting; more than MAX_SPLITS splits,
+    as for an integrand the panels cannot resolve, raise
+    QuadratureNotConvergedError.
     """
     signal = as_signal(signal)
     if t1 == t0:
@@ -108,7 +110,7 @@ def integrate(signal, t0, t1, tol=1e-10):
     step = (float(t1) - float(t0)) / 8.0
     grid = [k * step + float(t0) for k in range(8)] + [float(t1)]
     vals = [signal(t) for t in grid]
-    tol = max(tol, 64.0 * _EPS * (t1 - t0) * max(map(abs, vals)))
+    tol = max(INTEGRATE_TOL, 64.0 * _EPS * (t1 - t0) * max(map(abs, vals)))
     budget = [MAX_SPLITS]
     total = 0.0
     for k in range(len(grid) - 1):

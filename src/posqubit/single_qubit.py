@@ -11,7 +11,9 @@ eigenstructure, adiabatic and driven evolution, the Rabi-style evolution
 matrix assembled from energy integrals, the effective position-basis
 Hamiltonian produced by a resonant E12 channel, the inversion that
 recovers E12 from the effective hopping terms, the microwave-driven
-renormalized Hamiltonian and the u1/u2 propagator formalism.
+renormalized Hamiltonian and the u1/u2 propagator formalism.  Every
+propagator here is a closed form: the Rabi matrix through
+``qcore.su2_step_operators`` and u1/u2 as exact phases; nothing steps.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ from .errors import (
     NonHermitianDriveError,
     SingularExtractionError,
 )
-from .qcore import ENERGY, HBAR, StateVector, rk4_solve, stack2x2
+from .qcore import ENERGY, HBAR, StateVector, eig_hermitian, stack2x2, su2_step_operators
 
 
 @dataclass
@@ -164,23 +166,18 @@ def rabi_evolution_matrix(e1, e2, e12, t0, t):
     """Energy-basis evolution matrix with the time-ordering replaced by
     plain integrals of E1, E2 and the resonant channel E12.
 
-    Exact for constant signals; for E12 = 0 it reduces to the diagonal
-    adiabatic operator exactly.  An array of increasing times gives one
-    matrix per time, shape (n, 2, 2): the integrals are taken once per
-    interval between consecutive times and summed, so the cost is linear
-    in the number of times.
+    It is exp(-i M / hbar), M = [[I1, I12], [conj(I12), I2]] with I the
+    integrals from t0, formed by ``su2_step_operators``.  Exact for
+    constant signals; for E12 = 0 it reduces to the diagonal adiabatic
+    operator exactly.  An array of increasing times gives one matrix per
+    time, shape (n, 2, 2): the integrals are taken once per interval
+    between consecutive times and summed, so the cost is linear in the
+    number of times.
     """
     edges = np.concatenate([[t0], np.ravel(t)])
     parts = [[signals.integrate(f, a, b) for f in (e1, e2, e12)] for a, b in zip(edges[:-1], edges[1:])]
     i1, i2, i12 = np.cumsum(np.reshape(parts, (-1, 3)), axis=0).T
-    avg = 0.5 * (i1 + i2).real
-    half_gap = 0.5 * (i1 - i2).real
-    theta = np.sqrt(half_gap * half_gap + np.abs(i12) ** 2) / HBAR
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 in the branch not taken
-        sinc = np.where(theta > 1e-12, np.sin(theta) / theta, 1.0 - theta * theta / 6.0)
-    m = stack2x2(half_gap, i12, np.conj(i12), -half_gap)
-    u = np.cos(theta)[:, None, None] * np.eye(2) - (1j * sinc / HBAR)[:, None, None] * m
-    u = np.exp(-1j * avg / HBAR)[:, None, None] * u
+    u = su2_step_operators(stack2x2(i1.real, i12, np.conj(i12), i2.real), 1.0)
     return u if np.ndim(t) else u[0]
 
 
@@ -259,8 +256,6 @@ class MicrowaveEigens:
 
 
 def microwave_eigenvalues(ep, ts_mag, f1v, f2v):
-    from .qcore import eig_hermitian
-
     h = microwave_h2(ep, ts_mag, f1v, f2v, 0.0)
     exact, _ = eig_hermitian(h)
     root = np.sqrt(complex(ts_mag * ts_mag - ts_mag * (f1v - f2v)))
@@ -269,38 +264,36 @@ def microwave_eigenvalues(ep, ts_mag, f1v, f2v):
     return MicrowaveEigens(exact, approx, disc)
 
 
-def u1u2_evolve(ep, ts_mag, f1, u1_0, u2_0, t0, t, dt):
-    """Propagator amplitudes u1, u2 integrated with RK4.
+def u1u2_evolve(ep, ts_mag, f1, u1_0, u2_0, t0, t):
+    """Propagator amplitudes u1, u2 at time t, in closed form.
 
     u1 follows the upper branch i hbar du1/dt = (Ep + f1(t) + |ts|) u1 and
     u2 the lower branch with |ts| -> -|ts| (the two first-order
-    factorizations of the second-order propagator equation).  For real f1
+    factorizations of the second-order propagator equation).  Each
+    equation is scalar, so its solution is the exact phase
+    u_k(t0) exp(-i[(Ep +/- |ts|)(t - t0) + integral of f1 from t0]/hbar),
+    with the integral from one ``signals.integrate`` call.  For real f1
     both are pure phases, so |u1|^2 + |u2|^2 is conserved.
     """
-    f1 = signals.as_signal(f1)
-
-    def rhs(tp, y):
-        base = ep + f1(tp)
-        return (-1j / HBAR) * np.array(
-            [(base + ts_mag) * y[0], (base - ts_mag) * y[1]]
-        )
-
-    y = rk4_solve(rhs, np.array([u1_0, u2_0], dtype=complex), t0, t, dt)
-    return y[0], y[1]
+    f1_int = signals.integrate(f1, t0, t)
+    u1 = u1_0 * np.exp(-1j * ((ep + ts_mag) * (t - t0) + f1_int) / HBAR)
+    u2 = u2_0 * np.exp(-1j * ((ep - ts_mag) * (t - t0) + f1_int) / HBAR)
+    return u1, u2
 
 
-def greens_response(ep, ts_mag, f1, t0, t, dt, u1_0=1.0, u2_0=1.0):
-    """Propagator response G(1,2,t) = u1(t) * conj(u2(t)).
+def greens_response(ep, ts_mag, f1, t0, t, *, u1_0=1.0, u2_0=1.0):
+    """Propagator response G(1,2,t) = u1(t) * conj(u2(t)), from the exact
+    phases of ``u1u2_evolve``.
 
     Defaults start from the excited eigenmode (c_e=1, c_g=0), i.e.
     u1(t0) = u2(t0) = 1, for which G is the pure phase
     e^{-2i|ts|(t-t0)/hbar}.
     """
-    u1, u2 = u1u2_evolve(ep, ts_mag, f1, u1_0, u2_0, t0, t, dt)
+    u1, u2 = u1u2_evolve(ep, ts_mag, f1, u1_0, u2_0, t0, t)
     return u1 * np.conj(u2)
 
 
-def greens_operator_residual(ep, ts_mag, f1, t0, t, dt, fd_step=1e-4):
+def greens_operator_residual(ep, ts_mag, f1, t0, t, fd_step=1e-4):
     """Finite-difference check of the propagator's governing relation.
 
     Applies O = i hbar d/dt - Ep - f1(t) to G by central differences and
@@ -308,9 +301,9 @@ def greens_operator_residual(ep, ts_mag, f1, t0, t, dt, fd_step=1e-4):
     follows from the two branch solutions; returns the absolute residual.
     """
     f1 = signals.as_signal(f1)
-    g_m = greens_response(ep, ts_mag, f1, t0, t - fd_step, dt)
-    g_0 = greens_response(ep, ts_mag, f1, t0, t, dt)
-    g_p = greens_response(ep, ts_mag, f1, t0, t + fd_step, dt)
+    g_m = greens_response(ep, ts_mag, f1, t0, t - fd_step)
+    g_0 = greens_response(ep, ts_mag, f1, t0, t)
+    g_p = greens_response(ep, ts_mag, f1, t0, t + fd_step)
     dg = (g_p - g_m) / (2.0 * fd_step)
     applied = 1j * HBAR * dg - (ep + f1(t)) * g_0
     expected = (2.0 * ts_mag - ep - f1(t)) * g_0

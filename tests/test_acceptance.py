@@ -234,9 +234,9 @@ def test_criterion_08_symmetric_case_diagonal():
 
 def test_criterion_09_propagator_amplitudes():
     f1 = signals.sinusoid(0.7, 3.0)
-    u1, u2 = sq.u1u2_evolve(0.5, 0.8, f1, 1.0, 1.0, 0.0, 20.0, 1e-3)
+    u1, u2 = sq.u1u2_evolve(0.5, 0.8, f1, 1.0, 1.0, 0.0, 20.0)
     conservation = abs(abs(u1) ** 2 + abs(u2) ** 2 - 2.0)
-    u1f, u2f = sq.u1u2_evolve(0.5, 0.8, 0.0, 1.0, 1.0, 0.0, 20.0, 1e-3)
+    u1f, u2f = sq.u1u2_evolve(0.5, 0.8, 0.0, 1.0, 1.0, 0.0, 20.0)
     analytic = max(
         abs(u1f - np.exp(-1j * (0.5 + 0.8) * 20.0)),
         abs(u2f - np.exp(-1j * (0.5 - 0.8) * 20.0)),

@@ -1,5 +1,4 @@
 import copy
-import functools
 import json
 import os
 import subprocess
@@ -13,9 +12,10 @@ from hypothesis import strategies as st
 
 import posqubit
 import posqubit.cli as cli
+import posqubit.qcore as qcore
 import posqubit.single_qubit as sq
 from posqubit.errors import ConfigError
-from posqubit.qcore import evolve_rk4, evolve_steps
+from posqubit.qcore import evolve_rk4
 
 
 def base_single_qubit(**overrides):
@@ -106,7 +106,7 @@ def test_single_qubit_columns_match_rk4_oracle(monkeypatch):
     against the per-step evolve_rk4 loop it replaced."""
     cfg = driven_single_qubit()
     runs = [cli.run_scenario(cfg)]
-    monkeypatch.setattr(cli, "evolve_steps", functools.partial(evolve_steps, chunk=7))
+    monkeypatch.setattr(qcore, "STEP_CHUNK", 7)
     runs.append(cli.run_scenario(cfg))
     params = cli._qubit_params(cfg)
     psi = cli._amplitudes(cfg, "parameters.initial", 2)

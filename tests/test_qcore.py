@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from posqubit import qcore
 from posqubit.errors import BasisMismatchError, NonHermitianError
 from posqubit.qcore import (
     ENERGY,
@@ -182,7 +183,7 @@ def test_su2_step_operators_match_expm():
             assert np.max(np.abs(u - expm(-1j * h * dt / HBAR))) < 1e-13
 
 
-def test_evolve_steps_matches_sequential_products():
+def test_evolve_steps_matches_sequential_products(monkeypatch):
     steps = np.array([matexp_unitary(random_hermitian(2), 0.3) for _ in range(37)])
     y0 = np.array([0.6, 0.8j])
     built = []
@@ -200,7 +201,8 @@ def test_evolve_steps_matches_sequential_products():
         assert np.max(np.abs(states[k + 1] - y)) < 1e-14
     # chunks of 5 steps, the last one short, chain to the same states
     built.clear()
-    chunked = evolve_steps(make_steps, 37, y0, chunk=5)
+    monkeypatch.setattr(qcore, "STEP_CHUNK", 5)
+    chunked = evolve_steps(make_steps, 37, y0)
     assert built == [(lo, min(lo + 5, 37)) for lo in range(0, 37, 5)]
     assert chunked.shape == (38, 2) and np.max(np.abs(chunked - states)) < 1e-14
     assert np.array_equal(evolve_steps(make_steps, 0, y0), y0[None])

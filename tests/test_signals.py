@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,15 @@ def test_table_interpolation_and_domain():
         sig(2.5)
     with pytest.raises(SignalDomainError):
         sig(-0.1)
+
+
+def test_complex_table_keeps_imaginary_part():
+    sig = signals.table([0.0, 1.0], [0.0, 1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning from dropping the imaginary part
+        assert sig(0.5) == 0.5j and isinstance(sig(0.5), complex)
+        assert np.array_equal(sig(np.array([0.5])), [0.5j])
+        assert abs(signals.integrate(sig, 0.0, 1.0) - 0.5j) < 1e-15
 
 
 def test_integrate_polynomial_exact():

@@ -135,6 +135,22 @@ def test_rabi_matrix_diagonal_limit():
     u = sq.rabi_evolution_matrix(1.0, -1.0, 0.0, 0.0, 2.0)
     expected = np.diag([np.exp(-2j), np.exp(2j)])
     assert np.max(np.abs(u - expected)) < 1e-12
+    # near-zero theta: equal energies and |E12| = 1e-14, where sin(theta)/theta is 0/0-prone
+    from posqubit.qcore import matexp_unitary
+
+    e12 = 1e-14 * (0.6 + 0.8j)
+    u = sq.rabi_evolution_matrix(0.7, 0.7, e12, 0.0, 2.0)
+    assert np.max(np.abs(u - matexp_unitary(np.array([[0.7, e12], [np.conj(e12), 0.7]]), 2.0))) < 1e-12
+    # the off-diagonal to relative precision: -i E12 t e^{-i E t} at first order
+    assert abs(u[0, 1] / (-2j * e12 * np.exp(-1.4j)) - 1.0) < 1e-12
+
+
+def test_rabi_matrix_complex_table_channel():
+    # a complex tabulated E12 keeps its imaginary part at every scalar
+    # time the integral samples: the matrix is exp(-i M) with M = 0.5 sigma_y
+    u = sq.rabi_evolution_matrix(0.0, 0.0, signals.table([0.0, 1.0], [0.0, 1j]), 0.0, 1.0)
+    c, s = np.cos(0.5), np.sin(0.5)
+    assert np.max(np.abs(u - np.array([[c, s], [-s, c]]))) < 1e-15
 
 
 def test_rabi_full_population_transfer_on_resonance():
@@ -203,24 +219,63 @@ def test_microwave_eigenvalues_exact_vs_approx():
 
 
 def test_u1u2_pure_phases_and_conservation():
-    u1, u2 = sq.u1u2_evolve(0.7, 0.4, 0.0, 1.0, 1.0, 0.0, 3.0, 1e-3)
+    u1, u2 = sq.u1u2_evolve(0.7, 0.4, 0.0, 1.0, 1.0, 0.0, 3.0)
     assert abs(u1 - np.exp(-1j * (0.7 + 0.4) * 3.0)) < 1e-10
     assert abs(u2 - np.exp(-1j * (0.7 - 0.4) * 3.0)) < 1e-10
     f1 = signals.sinusoid(0.5, 3.0)
-    u1, u2 = sq.u1u2_evolve(0.7, 0.4, f1, 1.0, 1.0, 0.0, 20.0, 1e-3)
+    u1, u2 = sq.u1u2_evolve(0.7, 0.4, f1, 1.0, 1.0, 0.0, 20.0)
     assert abs(abs(u1) ** 2 + abs(u2) ** 2 - 2.0) < 1e-9
 
 
+def _phase_oracle(ep, ts_mag, f1, t0, t, points=None):
+    """exp(-i[(Ep +/- |ts|)(t - t0) + integral of f1]/hbar) with the
+    integral of the plain function ``f1`` by scipy quad, real and
+    imaginary parts apart."""
+    from scipy.integrate import quad
+
+    parts = [
+        quad(lambda x, part=part: part(f1(x)), t0, t, points=points, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        for part in (np.real, np.imag)
+    ]
+    integral = parts[0] + 1j * parts[1]
+    return tuple(np.exp(-1j * ((ep + sign * ts_mag) * (t - t0) + integral) / HBAR) for sign in (1.0, -1.0))
+
+
+def test_u1u2_and_greens_match_quad_phase_oracle():
+    nodes = np.linspace(0.0, 6.0, 13)
+    local = np.random.default_rng(9)  # leaves the module's generator to the other tests
+    values = local.uniform(-0.5, 0.5, 13) + 1j * local.uniform(-0.3, 0.3, 13)
+    # each signal next to the same function written without posqubit.signals
+    cases = [
+        (signals.sinusoid(0.7, 3.0, 0.4, 0.1), lambda x: 0.1 + 0.7 * np.sin(3.0 * x + 0.4), None),
+        (signals.table(nodes, values), lambda x: np.interp(x, nodes, values), nodes),
+    ]
+    u1_0, u2_0 = 0.8, 0.3 - 0.2j
+    for f1, plain, kinks in cases:
+        for t0, t in ((0.0, 6.0), (0.5, 4.3)):
+            points = None if kinks is None else kinks[(kinks > t0) & (kinks < t)]
+            o1, o2 = _phase_oracle(0.6, 0.9, plain, t0, t, points)
+            u1, u2 = sq.u1u2_evolve(0.6, 0.9, f1, u1_0, u2_0, t0, t)
+            assert max(abs(u1 - u1_0 * o1), abs(u2 - u2_0 * o2)) < 1e-12
+            g = sq.greens_response(0.6, 0.9, f1, t0, t, u1_0=u1_0, u2_0=u2_0)
+            assert abs(g - u1_0 * o1 * np.conj(u2_0 * o2)) < 1e-12
+    # a stale positional step size is rejected, not read as an initial amplitude
+    with pytest.raises(TypeError):
+        sq.greens_response(0.6, 0.9, 0.0, 0.0, 1.0, 1e-3)
+    with pytest.raises(TypeError):
+        sq.u1u2_evolve(0.6, 0.9, 0.0, 1.0, 1.0, 0.0, 1.0, 1e-3)
+
+
 def test_greens_response_pure_phase():
-    g = sq.greens_response(1.3, 0.6, 0.0, 0.0, 2.5, 1e-3)
+    g = sq.greens_response(1.3, 0.6, 0.0, 0.0, 2.5)
     assert abs(g - np.exp(-2j * 0.6 * 2.5)) < 1e-10
     # a real drive cancels out of G entirely
-    g_driven = sq.greens_response(1.3, 0.6, signals.sinusoid(1.0, 2.0), 0.0, 2.5, 1e-3)
+    g_driven = sq.greens_response(1.3, 0.6, signals.sinusoid(1.0, 2.0), 0.0, 2.5)
     assert abs(g_driven - g) < 1e-9
 
 
 def test_greens_operator_residual_small():
-    res = sq.greens_operator_residual(0.5, 0.8, signals.sinusoid(0.3, 2.0), 0.0, 2.0, 1e-3)
+    res = sq.greens_operator_residual(0.5, 0.8, signals.sinusoid(0.3, 2.0), 0.0, 2.0)
     assert res < 1e-6
 
 

@@ -1,11 +1,10 @@
-import functools
-
 import numpy as np
 import pytest
 
+import posqubit.qcore as qcore
 import posqubit.two_qubit as tq
 from posqubit.errors import OccupancyNotNormalizedError
-from posqubit.qcore import StateVector, eig_hermitian, evolve_steps
+from posqubit.qcore import StateVector, eig_hermitian
 
 rng = np.random.default_rng(303)
 
@@ -282,6 +281,6 @@ def test_cnot_target_matches_per_step_loop(monkeypatch):
     assert np.max(np.abs(run.target - target)) < 1e-11
     assert np.max(np.abs(run.occupancies - occ)) < 1e-11
     # the same run with its target steps built and chained in chunks of 7
-    monkeypatch.setattr(tq, "evolve_steps", functools.partial(evolve_steps, chunk=7))
+    monkeypatch.setattr(qcore, "STEP_CHUNK", 7)
     chunked = tq.cnot_coupled_run(p, control[0], vs2, t2, target[0], g, 0.0, 20.0, dt)
     assert np.max(np.abs(chunked.target - np.array(oracle))) < 1e-12

@@ -80,7 +80,8 @@ def propagate(h, y0, times, *, density=False):
     """Exact evolution under a constant Hermitian ``h`` at every time in ``times``.
 
     ``h`` is checked and diagonalized once, h = V diag(E) V^dag (a real
-    ``eigh`` when ``h`` is real floating, see ``require_hermitian``), and all
+    ``eigh`` when ``h`` is real floating, see ``require_hermitian``; states
+    then take real products with V), and all
     samples are formed in one broadcast: states as V e^{-iEt} V^dag y0,
     shape (n_times, n); densities (``density=True``) as
     V (rho_E o e^{-i(E_j - E_k)t}) V^dag with rho_E = V^dag rho0 V, shape
@@ -100,7 +101,15 @@ def propagate(h, y0, times, *, density=False):
         rho_e *= vh @ y0 @ vectors
         rho_e = vectors @ rho_e
         return rho_e @ vh
-    return (phases * (y0 @ vh.T)) @ vectors.T
+    coeffs = phases * (y0 @ vh.T)
+    if vectors.dtype.kind == "f":
+        # two real products: ``coeffs @ vectors.T`` would cast the real
+        # vectors to complex and run a complex GEMM, about twice the cost
+        out = np.empty(coeffs.shape, dtype=complex)
+        out.real = coeffs.real @ vectors.T
+        out.imag = coeffs.imag @ vectors.T
+        return out
+    return coeffs @ vectors.T
 
 
 def stack2x2(m00, m01, m10, m11):

@@ -152,6 +152,11 @@ def test_propagate_matches_expm_at_every_sample():
     psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
     real_states = propagate(real_symmetric, psi0, times)
     assert np.max(np.abs(real_states - propagate(real_symmetric.astype(complex), psi0, times))) <= 1e-12
+    # and with one initial state per sample
+    local = np.random.default_rng(5)  # leaves the module's generator to the other tests
+    psi0s = local.normal(size=(5, 4)) + 1j * local.normal(size=(5, 4))
+    for t, psi, start in zip(times, propagate(real_symmetric, psi0s, times), psi0s):
+        assert np.max(np.abs(psi - sla.expm(-1j * real_symmetric * t / HBAR) @ start)) <= 1e-12
     with pytest.raises(NonHermitianError):
         propagate(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2), times)
 

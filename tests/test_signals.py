@@ -91,3 +91,118 @@ def test_signals_accept_arrays():
         tab(np.array([0.5, 1.0, 2.5]))
     with pytest.raises(SignalDomainError):
         tab(np.array([[-0.1], [1.0]]))
+
+
+# The adaptive Simpson rule ``integrate`` used before Gauss-Kronrod, kept
+# verbatim (module names qualified) as the oracle of the rule that replaced it.
+SIMPSON_MAX_SPLITS = 200_000
+
+
+def _simpson(f, a, fa, b, fb):
+    m = 0.5 * (a + b)
+    fm = f(m)
+    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+
+def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth, budget):
+    lm, flm, left = _simpson(f, a, fa, m, fm)
+    rm, frm, right = _simpson(f, m, fm, b, fb)
+    delta = left + right - whole
+    if depth <= 0 or not abs(delta) > 15.0 * tol:  # a NaN estimate stops the splitting too
+        return left + right + delta / 15.0
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise QuadratureNotConvergedError(f"adaptive Simpson exceeded {SIMPSON_MAX_SPLITS} panel splits")
+    return _adaptive(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1, budget) + _adaptive(
+        f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1, budget
+    )
+
+
+def simpson_integrate(signal, t0, t1):
+    signal = signals.as_signal(signal)
+    if t1 == t0:
+        return 0.0 * signal(t0)
+    sign = 1.0
+    if t1 < t0:
+        t0, t1 = t1, t0
+        sign = -1.0
+    # seed with a few panels so periodic integrands are not missed; Python
+    # floats give the same grid as np.linspace(t0, t1, 9) at less cost per step
+    step = (float(t1) - float(t0)) / 8.0
+    grid = [k * step + float(t0) for k in range(8)] + [float(t1)]
+    vals = [signal(t) for t in grid]
+    tol = max(signals.INTEGRATE_TOL, 64.0 * signals._EPS * (t1 - t0) * max(map(abs, vals)))
+    budget = [SIMPSON_MAX_SPLITS]
+    total = 0.0
+    for k in range(len(grid) - 1):
+        a, b = grid[k], grid[k + 1]
+        fa, fb = vals[k], vals[k + 1]
+        m, fm, whole = _simpson(signal, a, fa, b, fb)
+        total += _adaptive(signal, a, fa, b, fb, m, fm, whole, tol / 8.0, 40, budget)
+    return sign * total
+
+
+def _quad(f, t0, t1, points=None):
+    """scipy quad of ``f``, real and imaginary parts apart."""
+    from scipy.integrate import quad
+
+    parts = [
+        quad(lambda x, part=part: part(f(x)), t0, t1, points=points, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        for part in (np.real, np.imag)
+    ]
+    return parts[0] + 1j * parts[1]
+
+
+def _trapezoid_exact(nodes, values, t0, t1):
+    """Exact integral of the piecewise-linear interpolant over [t0, t1]."""
+    inner = nodes[(nodes > t0) & (nodes < t1)]
+    grid = np.concatenate([[t0], inner, [t1]])
+    vals = np.interp(grid, nodes, values)
+    return np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))
+
+
+def test_integrate_matches_closed_forms_quad_and_simpson_oracle():
+    nodes = np.linspace(0.0, 6.0, 13)
+    local = np.random.default_rng(11)  # leaves other tests' generators alone
+    real_values = local.uniform(-0.5, 0.5, 13)
+    complex_values = real_values + 1j * local.uniform(-0.3, 0.3, 13)
+    amp, omega, phase, offset = 0.18, 1.01, 0.3, 0.05
+    sine = signals.sinusoid(amp, omega, phase, offset)
+
+    def sine_exact(a, b):
+        return offset * (b - a) - amp / omega * (np.cos(omega * b + phase) - np.cos(omega * a + phase))
+
+    # (signal, t0, t1, exact, kinks for quad)
+    cases = [(signals.constant(-0.37), 0.2, 0.25, -0.37 * (0.25 - 0.2), None)]
+    for a in np.linspace(0.0, 10.0, 21):  # Rabi-sized intervals
+        cases.append((sine, a, a + 0.05, sine_exact(a, a + 0.05), None))
+    # many periods in one interval: a missed period would show
+    cases.append((lambda t: np.sin(50.0 * t) ** 2, 0.0, 10.0, 5.0 - np.sin(1000.0) / 200.0, None))
+    for values in (real_values, complex_values):
+        for a, b in ((0.0, 6.0), (0.5, 4.3), (1.1, 1.15)):
+            kinks = nodes[(nodes > a) & (nodes < b)]
+            cases.append((signals.table(nodes, values), a, b, _trapezoid_exact(nodes, values, a, b), kinks))
+    for sig, a, b, exact, kinks in cases:
+        by_quad, by_simpson = _quad(sig, a, b, kinks), simpson_integrate(sig, a, b)
+        for t0, t1, sign in ((a, b, 1.0), (b, a, -1.0)):  # and the reversed interval
+            val = signals.integrate(sig, t0, t1)
+            assert abs(val - sign * exact) <= 1e-12
+            assert abs(val - sign * by_quad) <= 1e-12
+            assert abs(val - sign * by_simpson) <= 1e-12
+            assert val == -signals.integrate(sig, t1, t0)
+    assert isinstance(signals.integrate(signals.table(nodes, complex_values), 0.5, 4.3), complex)
+
+
+def test_integrate_smooth_short_interval_takes_one_panel():
+    calls = []
+    sine = signals.sinusoid(0.18, 1.01, 0.3)
+
+    def counted(t):
+        calls.append(t)
+        return sine(t)
+
+    for a in (0.0, 3.7, 9.95):
+        calls.clear()
+        signals.integrate(counted, a, a + 0.05)
+        assert len(calls) <= 15
+        assert all(a <= t <= a + 0.05 and isinstance(t, float) for t in calls)

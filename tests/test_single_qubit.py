@@ -272,6 +272,15 @@ def test_greens_response_pure_phase():
     # a real drive cancels out of G entirely
     g_driven = sq.greens_response(1.3, 0.6, signals.sinusoid(1.0, 2.0), 0.0, 2.5)
     assert abs(g_driven - g) < 1e-9
+    # to rounding: the integral of f1 cancels out of G and is exact in u1
+    amp, omega, phase, offset = 0.7, 3.0, 0.4, 0.1
+    f1 = signals.sinusoid(amp, omega, phase, offset)
+    for t0, t in ((0.0, 6.0), (0.5, 4.3), (2.0, 2.05)):
+        g = sq.greens_response(1.3, 0.6, f1, t0, t)
+        assert abs(g - np.exp(-2j * 0.6 * (t - t0) / HBAR)) <= 1e-12
+        integral = offset * (t - t0) - amp / omega * (np.cos(omega * t + phase) - np.cos(omega * t0 + phase))
+        u1, _ = sq.u1u2_evolve(1.3, 0.6, f1, 1.0, 1.0, t0, t)
+        assert abs(u1 - np.exp(-1j * ((1.3 + 0.6) * (t - t0) + integral) / HBAR)) <= 1e-12
 
 
 def test_greens_operator_residual_small():

@@ -104,7 +104,7 @@ def propagate(h, y0, times, *, density=False):
     coeffs = phases * (y0 @ vh.T)
     if vectors.dtype.kind == "f":
         # two real products: ``coeffs @ vectors.T`` would cast the real
-        # vectors to complex and run a complex GEMM, about twice the cost
+        # vectors to complex and run a complex GEMM, about 1.5 times slower
         out = np.empty(coeffs.shape, dtype=complex)
         out.real = coeffs.real @ vectors.T
         out.imag = coeffs.imag @ vectors.T

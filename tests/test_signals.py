@@ -69,6 +69,10 @@ def test_integrate_work_is_bounded():
     assert abs(val - 1e8 * (1.0 - np.cos(10.0))) < 1e-4
     # a NaN error estimate ends the splitting
     assert np.isnan(signals.integrate(lambda t: np.nan, 0.0, 1.0))
+    # so do sums that overflow (inf - inf), and the result reads NaN, not inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(signals.integrate(signals.constant(1e308), 0.0, 0.1))
     # an oscillation far below the time resolution raises instead of splitting 2**40 times
     with pytest.raises(QuadratureNotConvergedError):
         signals.integrate(signals.sinusoid(0.2, 1e16), 0.0, 1.0)

@@ -8,7 +8,8 @@ Subcommands:
 
 Configuration is a JSON document with a ``schema_version`` field, a
 scenario ``kind`` (single-qubit, rabi, swap, cnot, decoherence,
-spectral), a ``time`` block (t0, t_max, dt, sample_stride) and a
+spectral), a ``time`` block (t0, t_max, dt, sample_stride), from which
+``_time_block`` derives the one sample grid of every kind, and a
 ``parameters`` block matching the scenario.  Signal-valued parameters
 are either numbers or objects like
 {"kind": "sinusoid", "amplitude": 1, "omega": 2, "phase": 0, "offset": 0}
@@ -153,18 +154,19 @@ def _amplitudes(cfg, path, n, required=False):
 
 
 def _time_block(cfg):
-    """(t0, t_max, dt, sample_stride, sample times t0 + i dt sample_stride)."""
+    """(t0, dt, n_steps, steps): n_steps = round((t_max - t0) / dt) steps of dt
+    from t0, sampled at the step indices ``steps`` (every sample_stride-th
+    from 0, and n_steps), so at the times t0 + dt * steps."""
     t0 = _number(cfg, "time.t0", 0.0)
     t_max = _number(cfg, "time.t_max", gt=t0)
     dt = _number(cfg, "time.dt", gt=0.0)
     stride = _integer(cfg, "time.sample_stride", 1, 1, MAX_STEPS)
     if not (t_max - t0) / dt <= MAX_STEPS:
         _fail("time", f"(t_max - t0) / dt exceeds MAX_STEPS = {MAX_STEPS}")
-    n = int(round((t_max - t0) / (dt * stride)))
-    last_step = t0 + dt * round((t_max - t0) / dt)
-    if not all(map(math.isfinite, (dt * stride, t0 + dt * stride * n, last_step))):
-        _fail("time", "dt * sample_stride and every step and sample time up to t_max must be finite")
-    return t0, t_max, dt, stride, t0 + dt * stride * np.arange(n + 1)
+    n_steps = int(round((t_max - t0) / dt))
+    if not all(map(math.isfinite, (dt * stride, t0 + dt * n_steps))):
+        _fail("time", "dt * sample_stride and every step time up to t_max must be finite")
+    return t0, dt, n_steps, np.append(np.arange(0, n_steps, stride), n_steps)
 
 
 def _geometry(cfg, required=False):
@@ -208,22 +210,18 @@ def _qubit_params(cfg, path="parameters", read=_signal):
 
 def _run_single_qubit(cfg):
     params = _qubit_params(cfg)
-    t0, t_max, dt, stride, _ = _time_block(cfg)
+    t0, dt, n_steps, steps = _time_block(cfg)
     psi0 = _amplitudes(cfg, "parameters.initial", 2)
-
-    n_steps = int(round((t_max - t0) / dt))
     t = t0 + dt * np.arange(n_steps + 1)
 
-    def steps(lo, hi):
+    def step_operators(lo, hi):
         starts = t[lo:hi]
         return rk4_step_operators(*(sq.build_h2(params, ts) for ts in (starts, starts + 0.5 * dt, starts + dt)), dt)
 
-    steps_done = np.arange(n_steps + 1)
-    sel = (steps_done % stride == 0) | (steps_done == n_steps)
-    psi = evolve_steps(steps, n_steps, psi0)[sel]
-    c_en = np.einsum("nij,nj->ni", sq.eigencoeffs(params, t[sel]).basis_matrix().conj(), psi)
+    psi = evolve_steps(step_operators, n_steps, psi0)[steps]
+    c_en = np.einsum("nij,nj->ni", sq.eigencoeffs(params, t[steps]).basis_matrix().conj(), psi)
     series = TimeSeries(
-        t[sel],
+        t[steps],
         {
             "p_x1": np.abs(psi[:, 0]) ** 2,
             "p_x2": np.abs(psi[:, 1]) ** 2,
@@ -246,7 +244,8 @@ def _run_single_qubit(cfg):
 def _run_rabi(cfg):
     e1, e2 = _signal(cfg, "parameters.e1"), _signal(cfg, "parameters.e2")
     e12 = _signal(cfg, "parameters.e12", 0.0)
-    t0, t_max, dt, stride, ts = _time_block(cfg)
+    t0, dt, _, steps = _time_block(cfg)
+    ts = t0 + dt * steps
     psi0 = _amplitudes(cfg, "parameters.initial", 2)
     u = np.concatenate([np.eye(2)[None], sq.rabi_evolution_matrix(e1, e2, e12, t0, ts[1:])])
     psi = u @ psi0
@@ -283,7 +282,8 @@ def _symmetric_eigensystem(params):
 
 def _run_swap(cfg):
     params = _swap_params(cfg, _geometry(cfg))
-    t0, t_max, dt, stride, ts = _time_block(cfg)
+    t0, dt, _, steps = _time_block(cfg)
+    ts = t0 + dt * steps
     psi0 = StateVector(_amplitudes(cfg, "parameters.initial", 4))
     h4 = tq.build_h4(params)
     pops = np.zeros((ts.size, 4))
@@ -318,24 +318,24 @@ def _run_swap(cfg):
 def _run_cnot(cfg):
     geom = _geometry(cfg, required=True)
     params = _swap_params(cfg, geom)
-    t0, t_max, dt, stride, _ = _time_block(cfg)
+    t0, dt, n_steps, steps = _time_block(cfg)
+    # no cnot Hamiltonian depends on t; counting from 0 keeps n_steps exact for any t0
     run = tq.cnot_coupled_run(
         params,
         _amplitudes(cfg, "parameters.initial_control", 4, required=True),
         _number(cfg, "parameters.vs2", 0.0), _number(cfg, "parameters.t2"),
         _amplitudes(cfg, "parameters.initial_target", 2, required=True),
-        geom, t0, t_max, dt,
+        geom, 0.0, dt * n_steps, dt,
     )
-    sel = slice(None, None, stride)
     series = TimeSeries(
-        run.t[sel],
+        t0 + dt * steps,
         {
-            "p_control_0": np.abs(run.control[sel, 0]) ** 2,
-            "p_control_3": np.abs(run.control[sel, 3]) ** 2,
-            "occ_p1": run.occupancies[sel, 0],
-            "occ_p2": run.occupancies[sel, 1],
-            "p_target_1": np.abs(run.target[sel, 0]) ** 2,
-            "p_target_2": np.abs(run.target[sel, 1]) ** 2,
+            "p_control_0": np.abs(run.control[steps, 0]) ** 2,
+            "p_control_3": np.abs(run.control[steps, 3]) ** 2,
+            "occ_p1": run.occupancies[steps, 0],
+            "occ_p2": run.occupancies[steps, 1],
+            "p_target_1": np.abs(run.target[steps, 0]) ** 2,
+            "p_target_2": np.abs(run.target[steps, 1]) ** 2,
         },
     )
     summary = {
@@ -351,7 +351,8 @@ def _run_decoherence(cfg, paper_factorized=False):
     dist = dec.NodeDistances(*(_number(cfg, f"parameters.d{ij}", gt=0.0) for ij in dec.NODE_PAIRS))
     k = _number(cfg, "parameters.coulomb_k", 1.0)
     rho0 = ms.pure_density(_amplitudes(cfg, "parameters.initial", 4))
-    t0, t_max, dt, stride, ts = _time_block(cfg)
+    t0, dt, _, steps = _time_block(cfg)
+    ts = t0 + dt * steps
     coeffs_a = sq.eigencoeffs(pa, 0.0)
     coeffs_b = sq.eigencoeffs(pb, 0.0)
     basis = dec.QubitEnergyBasis(coeffs_a, coeffs_b)
@@ -391,7 +392,7 @@ def _run_decoherence(cfg, paper_factorized=False):
 
 
 def _run_spectral(cfg):
-    t0, t_max, dt, stride, _ = _time_block(cfg)
+    t0, dt, _, steps = _time_block(cfg)
     n_levels = _integer(cfg, "parameters.basis.n_levels", 2, 1, MAX_LEVELS)
     n_grid = _integer(cfg, "parameters.basis.n_grid", 1601, 3, MAX_GRID)
     if n_grid % 2 == 0:
@@ -418,7 +419,8 @@ def _run_spectral(cfg):
     make_basis = sp.harmonic_basis if kind == "harmonic" else sp.box_basis
     basis = make_basis(n_levels, n_grid=n_grid, **size)
     w = sp.interaction_matrix_elements(basis, basis, kernel, offset)
-    times, series_q = sp.evolve_modes(q0, basis, basis, w, t0, t_max, dt, stride)
+    times = t0 + dt * steps
+    series_q = sp.evolve_modes(q0, basis, basis, w, t0, times)
     cols = {}
     for n_idx in range(n_levels):
         for m_idx in range(n_levels):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import signals
 from .measurement import validate_density
-from .qcore import HBAR, propagate, require_hermitian, rk4_solve
+from .qcore import HBAR, evolve_rk4, propagate, require_hermitian
 
 NODE_PAIRS = ("11", "22", "12", "21")
 
@@ -186,22 +186,23 @@ def evolve_density_with_decoherence(
     Constant matrices are propagated exactly: the generator is
     diagonalized once per call (``qcore.propagate``), ``t`` may be a
     scalar or a 1-D array of sample times, and the result has shape
-    ``np.shape(t) + (4, 4)``.  ``dt`` is not used for them.  Callables are
-    integrated with RK4 of step ``dt`` on the von-Neumann equation up to a
-    scalar ``t``.  With ``paper_factorized`` the propagator is split into
-    the off-diagonal decoherence factor times the diagonal phase
-    (first-order factorization; exact when the two commute).
+    ``np.shape(t) + (4, 4)``.  ``dt`` is not used for them.  Callables go
+    through ``qcore.evolve_rk4`` with step ``dt`` up to a scalar ``t``, on
+    rho.reshape(16) under H x I - I x H^T (x the Kronecker product).  With
+    ``paper_factorized`` the propagator is split into the off-diagonal
+    decoherence factor times the diagonal phase (first-order
+    factorization; exact when the two commute).
     """
     rho = validate_density(rho0, dim=4)
     if callable(h0) or callable(hdec):
         h0f = h0 if callable(h0) else (lambda tp: h0)
         hdecf = hdec if callable(hdec) else (lambda tp: hdec)
 
-        def rhs(tp, r):
+        def liouvillian(tp):
             h = h0f(tp) + hdecf(tp)
-            return (-1j / HBAR) * (h @ r - r @ h)
+            return np.kron(h, np.eye(4)) - np.kron(np.eye(4), h.T)
 
-        return rk4_solve(rhs, rho, t0, t, dt)
+        return evolve_rk4(liouvillian, rho.reshape(16), t0, t, dt).reshape(4, 4)
 
     h0 = require_hermitian(h0)
     hdec = require_hermitian(hdec)

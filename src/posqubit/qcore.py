@@ -6,7 +6,7 @@ exact exponentiation, and exact sampled propagation under a constant
 Hamiltonian.  For time-dependent 2x2 and other small generators, whole
 grids of step operators (RK4 step matrices, closed-form SU(2)
 exponentials) are built in one broadcast and chained by ``evolve_steps``.
-The fixed-step RK4 loop ``rk4_solve`` is left for generators given only
+The fixed-step RK4 loop ``evolve_rk4`` is left for generators given only
 as bare callables.
 Energies are expressed in a user-chosen unit and hbar = 1 internally, so
 times carry the inverse of that unit.
@@ -193,17 +193,6 @@ def rk4_step(f, t, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_solve(f, y0, t0, t1, dt):
-    """Integrate ``dy/dt = f(t, y)`` from ``t0`` to ``t1`` with RK4 steps of ``dt``,
-    the last one shortened to land on ``t1``; ``y0`` itself if no step fits."""
-    y, t = y0, t0
-    while t < t1 - 1e-15:
-        step = min(dt, t1 - t)
-        y = rk4_step(f, t, y, step)
-        t += step
-    return y
-
-
 def evolve_rk4(h_of_t, psi0, t0, t1, dt):
     """Integrate i hbar dpsi/dt = H(t) psi with RK4 at fixed step ``dt``.
 
@@ -214,7 +203,12 @@ def evolve_rk4(h_of_t, psi0, t0, t1, dt):
     def rhs(t, y):
         return (-1j / HBAR) * (h_of_t(t) @ y)
 
-    return rk4_solve(rhs, np.array(psi0, dtype=complex), t0, t1, dt)
+    y, t = np.array(psi0, dtype=complex), t0
+    while t < t1 - 1e-15:
+        step = min(dt, t1 - t)
+        y = rk4_step(rhs, t, y, step)
+        t += step
+    return y
 
 
 @dataclass

@@ -167,11 +167,11 @@ def _kernel_contract(rows_a, grid_a, rows_b, grid_b, kernel, well_offset):
     return rows_a @ irfft(spectrum, n_fft)[:, nb - 1 : nb - 1 + na].T
 
 
-def _gij_on_stride(basis_a, basis_b, kernel, well_offset, stride):
-    xa = basis_a.grid[::stride]
-    xb = basis_b.grid[::stride]
-    fa = basis_a.functions[:, ::stride] * _simpson_weights(xa.size, xa[1] - xa[0])
-    fb = basis_b.functions[:, ::stride] * _simpson_weights(xb.size, xb[1] - xb[0])
+def _gij_on_stride(basis_a, basis_b, kernel, well_offset, every):
+    xa = basis_a.grid[::every]
+    xb = basis_b.grid[::every]
+    fa = basis_a.functions[:, ::every] * _simpson_weights(xa.size, xa[1] - xa[0])
+    fb = basis_b.functions[:, ::every] * _simpson_weights(xb.size, xb[1] - xb[0])
     return _kernel_contract(fa, xa, fb, xb, kernel, well_offset)
 
 
@@ -230,22 +230,19 @@ def composite_hamiltonian(basis_a, basis_b, w):
     return np.diag(diag) + w
 
 
-def evolve_modes(q0, basis_a, basis_b, w, t0, t, dt, sample_stride=1):
-    """Exact evolution of the coupled mode equations.
+def evolve_modes(q0, basis_a, basis_b, w, t0, t):
+    """Exact evolution of the coupled mode equations from ``q0`` at ``t0``.
 
     The composite Hamiltonian is constant, so it is diagonalized once and
-    every sample is exact (``qcore.propagate``).  ``dt`` only sets the
-    sample grid: samples are taken at t0 + i dt for the steps
-    i = 0..round((t - t0) / dt) that are multiples of ``sample_stride``,
-    and at the last step.  Returns (times, q_series) with q_series of
-    shape (n_samples, levels_A, levels_B).
+    every sample is exact (``qcore.propagate``).  ``t`` is a scalar or a
+    1-D array of sample times; the mode amplitudes have shape
+    ``np.shape(t) + (levels_A, levels_B)``.
     """
     na, nb = basis_a.n_levels, basis_b.n_levels
-    n_steps = max(int(round((t - t0) / dt)), 0)
-    spans = np.union1d(np.arange(0, n_steps + 1, sample_stride), n_steps) * dt
+    spans = np.asarray(t, dtype=float) - t0
     h = composite_hamiltonian(basis_a, basis_b, w)
     series = propagate(h, np.asarray(q0, dtype=complex).reshape(na * nb), spans)
-    return t0 + spans, series.reshape(-1, na, nb)
+    return series.reshape(spans.shape + (na, nb))
 
 
 def mode_energy(q, basis_a, basis_b, w):

@@ -428,6 +428,10 @@ def test_main_exit_codes(tmp_path, capsys):
         (rabi_cfg(), "parameters.e1", 1e308, 3),
         (rabi_cfg(), "parameters.e12", dict(sinusoid, amplitude=1e8), 0),
         (rabi_cfg(), "parameters.e12", dict(sinusoid, omega=1e16), 3),
+        # a table over exactly [t0, t_max]: no sample lies past t_max, even when
+        # the stride does not divide the step count
+        (replaced(rabi_cfg(), "time", {"t_max": 1.0, "dt": 0.1, "sample_stride": 6}),
+         "parameters.e12", {"kind": "table", "times": [0.0, 1.0], "values": [0.2, 0.1]}, 0),
         (base_single_qubit(), "time.dt", 1e308, 2),
         (base_single_qubit(), "time", {"t_max": 1.0, "dt": 1e308, "sample_stride": 2}, 2),
         (base_single_qubit(), "time", {"t_max": 1.7e308, "dt": 1e308}, 2),
@@ -519,6 +523,18 @@ def complete_cfg(kind):
     }
     params.update(extra.get(kind, {}))
     return cfg
+
+
+@pytest.mark.parametrize("stride", [4, 6])
+@pytest.mark.parametrize("kind", sorted(cli._RUNNERS))
+def test_every_kind_samples_one_grid(kind, stride):
+    """Every kind samples every stride-th step and the last one, also when the
+    stride does not divide the step count, and no sample lies past t_max."""
+    cfg = complete_cfg(kind)
+    cfg["time"] = {"t0": 0.0, "t_max": 1.0, "dt": 0.1, "sample_stride": stride}
+    series, _ = cli.run_scenario(cfg)
+    np.testing.assert_array_equal(series.t, 0.1 * np.append(np.arange(0, 10, stride), 10))
+    assert series.t.max() <= 1.0
 
 
 def _field_paths(node, prefix=""):

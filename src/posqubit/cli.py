@@ -154,16 +154,20 @@ def _amplitudes(cfg, path, n, required=False):
 
 
 def _time_block(cfg):
-    """(t0, dt, n_steps, steps): n_steps = round((t_max - t0) / dt) steps of dt
+    """(t0, dt, n_steps, steps): n_steps = (t_max - t0) / dt steps of dt
     from t0, sampled at the step indices ``steps`` (every sample_stride-th
-    from 0, and n_steps), so at the times t0 + dt * steps."""
+    from 0, and n_steps), so at the times t0 + dt * steps.  ``dt`` must
+    divide the span to 1e-9 relative, so no sample lies past t_max."""
     t0 = _number(cfg, "time.t0", 0.0)
     t_max = _number(cfg, "time.t_max", gt=t0)
     dt = _number(cfg, "time.dt", gt=0.0)
     stride = _integer(cfg, "time.sample_stride", 1, 1, MAX_STEPS)
-    if not (t_max - t0) / dt <= MAX_STEPS:
+    ratio = (t_max - t0) / dt
+    if not ratio <= MAX_STEPS:
         _fail("time", f"(t_max - t0) / dt exceeds MAX_STEPS = {MAX_STEPS}")
-    n_steps = int(round((t_max - t0) / dt))
+    n_steps = int(round(ratio))
+    if abs(ratio - n_steps) > 1e-9 * ratio:
+        _fail("time.dt", f"must divide t_max - t0; (t_max - t0) / dt = {ratio:.17g} is not a whole number")
     if not all(map(math.isfinite, (dt * stride, t0 + dt * n_steps))):
         _fail("time", "dt * sample_stride and every step time up to t_max must be finite")
     return t0, dt, n_steps, np.append(np.arange(0, n_steps, stride), n_steps)

@@ -183,18 +183,26 @@ def evolve_density_with_decoherence(
     """Unitary von-Neumann evolution of a two-qubit density matrix under
     H0 + Hdec.
 
-    Constant matrices are propagated exactly: the generator is
-    diagonalized once per call (``qcore.propagate``), ``t`` may be a
-    scalar or a 1-D array of sample times, and the result has shape
-    ``np.shape(t) + (4, 4)``.  ``dt`` is not used for them.  Callables go
-    through ``qcore.evolve_rk4`` with step ``dt`` up to a scalar ``t``, on
-    rho.reshape(16) under H x I - I x H^T (x the Kronecker product).  With
-    ``paper_factorized`` the propagator is split into the off-diagonal
-    decoherence factor times the diagonal phase (first-order
-    factorization; exact when the two commute).
+    ``t`` is a scalar or a 1-D array of sample times, and the result has
+    shape ``np.shape(t) + (4, 4)``.  Constant matrices are propagated
+    exactly: the generator is diagonalized once per call
+    (``qcore.propagate``) and ``dt`` is not used.  Callables go through
+    ``qcore.evolve_rk4`` with step ``dt`` on rho.reshape(16) under
+    H x I - I x H^T (x the Kronecker product), from each sample to the
+    next; their sample times must not descend from ``t0``.  With
+    ``paper_factorized`` the propagator of constant matrices is split into
+    the off-diagonal decoherence factor times the diagonal phase
+    (first-order factorization; exact when the two commute); callables
+    raise ValueError with it.
     """
     rho = validate_density(rho0, dim=4)
     if callable(h0) or callable(hdec):
+        if paper_factorized:
+            raise ValueError("paper_factorized needs constant H0 and Hdec")
+        times = np.asarray(t, dtype=float)
+        flat = times.reshape(-1)
+        if np.any(np.diff(flat, prepend=t0) < 0):
+            raise ValueError("with a callable H0 or Hdec the sample times must not descend from t0")
         h0f = h0 if callable(h0) else (lambda tp: h0)
         hdecf = hdec if callable(hdec) else (lambda tp: hdec)
 
@@ -202,7 +210,12 @@ def evolve_density_with_decoherence(
             h = h0f(tp) + hdecf(tp)
             return np.kron(h, np.eye(4)) - np.kron(np.eye(4), h.T)
 
-        return evolve_rk4(liouvillian, rho.reshape(16), t0, t, dt).reshape(4, 4)
+        out = np.empty((flat.size, 16), dtype=complex)
+        y, start = rho.reshape(16), t0
+        for k, stop in enumerate(flat):
+            y = out[k] = evolve_rk4(liouvillian, y, start, stop, dt)
+            start = stop
+        return out.reshape(times.shape + (4, 4))
 
     h0 = require_hermitian(h0)
     hdec = require_hermitian(hdec)

@@ -19,7 +19,6 @@ use the same convolution.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_hermite, gammaln
 
 from .errors import BasisMismatchError, GridTooCoarseError, QuadratureNotConvergedError
 from .qcore import HBAR, propagate
@@ -90,11 +89,12 @@ def harmonic_basis(n_levels, omega=1.0, mass=1.0, center=0.0, half_width=None, n
     grid = np.linspace(center - half_width, center + half_width, n_grid)
     xi = (grid - center) / sigma
     funcs = np.zeros((n_levels, n_grid))
+    # normalized Hermite functions by their three-term recurrence:
+    # psi_{n+1} = sqrt(2/(n+1)) xi psi_n - sqrt(n/(n+1)) psi_{n-1}
+    prev, cur = 0.0, np.exp(-0.5 * xi * xi) / np.sqrt(np.sqrt(np.pi) * sigma)
     for n in range(n_levels):
-        lognorm = -0.5 * (n * np.log(2.0) + gammaln(n + 1.0)) - 0.25 * np.log(
-            np.pi * sigma * sigma
-        )
-        funcs[n] = np.exp(lognorm - 0.5 * xi * xi) * eval_hermite(n, xi)
+        funcs[n] = cur
+        prev, cur = cur, np.sqrt(2.0 / (n + 1)) * xi * cur - np.sqrt(n / (n + 1)) * prev
     energies = omega * (np.arange(n_levels) + 0.5)
     return _check_orthonormal(
         ConfinementBasis(HARMONIC, grid, funcs, energies)
@@ -140,6 +140,18 @@ def numeric_basis(potential, n_levels, x_min, x_max, mass=1.0, n_grid=401):
     )
 
 
+def _fft_length(n):
+    """Least 2^a 3^b 5^c >= n, a length the real FFT transforms quickly."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
 def _kernel_contract(rows_a, grid_a, rows_b, grid_b, kernel, well_offset):
     """rows_a @ V @ rows_b.T for V[g, h] = kernel(grid_a[g] - grid_b[h] - well_offset).
 
@@ -150,10 +162,6 @@ def _kernel_contract(rows_a, grid_a, rows_b, grid_b, kernel, well_offset):
     first nb - 1 outputs, which are dropped.  Raises BasisMismatchError when
     the spacings differ by more than 1e-12 relative.
     """
-    # imported here: scipy.fft adds about 40 ms to the package import, which
-    # every run that never assembles W would otherwise pay
-    from scipy.fft import irfft, next_fast_len, rfft
-
     na, nb = grid_a.size, grid_b.size
     dx, dx_b = ((x[-1] - x[0]) / (x.size - 1) for x in (grid_a, grid_b))
     if abs(dx - dx_b) > 1e-12 * abs(dx):
@@ -161,10 +169,10 @@ def _kernel_contract(rows_a, grid_a, rows_b, grid_b, kernel, well_offset):
             f"grid spacings {dx:.17g} and {dx_b:.17g} differ; the Toeplitz kernel needs one spacing"
         )
     lags = (grid_a[0] - grid_b[0] - well_offset) + dx * np.arange(1 - nb, na)
-    n_fft = next_fast_len(na + nb - 1, real=True)
-    spectrum = rfft(rows_b, n_fft)
-    spectrum *= rfft(kernel(lags), n_fft)
-    return rows_a @ irfft(spectrum, n_fft)[:, nb - 1 : nb - 1 + na].T
+    n_fft = _fft_length(na + nb - 1)
+    spectrum = np.fft.rfft(rows_b, n_fft)
+    spectrum *= np.fft.rfft(kernel(lags), n_fft)
+    return rows_a @ np.fft.irfft(spectrum, n_fft)[:, nb - 1 : nb - 1 + na].T
 
 
 def _gij_on_stride(basis_a, basis_b, kernel, well_offset, every):

@@ -57,6 +57,10 @@ def test_time_block_validation():
     del cfg["parameters"]["ts_mag"]
     with pytest.raises(ConfigError):
         cli.run_scenario(cfg)
+    cfg = base_single_qubit()
+    cfg["time"].update(t_max=1.06, dt=0.1)
+    with pytest.raises(ConfigError, match="time.dt"):
+        cli.run_scenario(cfg)
 
 
 def test_signal_config_forms():
@@ -343,6 +347,22 @@ def test_module_entry_point_warns_nothing(tmp_path):
     assert json.loads(done.stdout)["max_deviation"] < 1e-10
 
 
+def test_every_kind_runs_without_scipy():
+    script = (
+        "import json, sys\n"
+        "import posqubit.cli as cli\n"
+        "for cfg in json.loads(sys.argv[1]):\n"
+        "    cli.format_csv(*cli.run_scenario(cfg))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    cfgs = json.dumps([complete_cfg(kind) for kind in sorted(cli._RUNNERS)])
+    src = str(Path(posqubit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script, cfgs], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == []
+
+
 def test_format_json_round_trip():
     series, summary = cli.run_scenario(base_single_qubit())
     text = cli.format_json(series, summary)
@@ -432,6 +452,10 @@ def test_main_exit_codes(tmp_path, capsys):
         # the stride does not divide the step count
         (replaced(rabi_cfg(), "time", {"t_max": 1.0, "dt": 0.1, "sample_stride": 6}),
          "parameters.e12", {"kind": "table", "times": [0.0, 1.0], "values": [0.2, 0.1]}, 0),
+        # a dt that does not divide t_max - t0 would sample past t_max; 0.5 / 0.001 divides
+        (replaced(rabi_cfg(), "parameters.e12", {"kind": "table", "times": [0.0, 1.06], "values": [0.2, 0.1]}),
+         "time", {"t_max": 1.06, "dt": 0.1}, 2),
+        (base_single_qubit(), "time", {"t_max": 0.5, "dt": 0.001, "sample_stride": 50}, 0),
         (base_single_qubit(), "time.dt", 1e308, 2),
         (base_single_qubit(), "time", {"t_max": 1.0, "dt": 1e308, "sample_stride": 2}, 2),
         (base_single_qubit(), "time", {"t_max": 1.7e308, "dt": 1e308}, 2),

@@ -147,6 +147,16 @@ def test_evolve_density_callable_matches_constant():
         rho0, lambda t: h0, lambda t: hdec, 0.0, 1.5, dt=1e-3
     )
     assert np.max(np.abs(exact - stepped)) < 1e-9
+    # an array of sample times, stepped from each sample to the next
+    ts = np.linspace(0.2, 1.5, 6)
+    exact = dec.evolve_density_with_decoherence(rho0, h0, hdec, 0.2, ts)
+    stepped = dec.evolve_density_with_decoherence(rho0, lambda t: h0, hdec, 0.2, ts, dt=1e-3)
+    assert stepped.shape == exact.shape == (6, 4, 4)
+    assert np.max(np.abs(exact - stepped)) < 1e-9
+    with pytest.raises(ValueError, match="paper_factorized"):
+        dec.evolve_density_with_decoherence(rho0, lambda t: h0, hdec, 0.2, ts, paper_factorized=True)
+    with pytest.raises(ValueError, match="descend"):
+        dec.evolve_density_with_decoherence(rho0, lambda t: h0, hdec, 0.2, ts[::-1])
 
 
 def test_paper_factorized_short_time_agreement():

@@ -96,7 +96,7 @@ def test_mismatched_spacings_rejected():
 
 def test_w_assembly_memory_is_linear_in_the_grid():
     # the N x N kernel mesh alone would be 2401**2 * 8 bytes = 44 MiB
-    import scipy.fft  # noqa: F401  imported on first use; trace the assembly, not the import
+    import numpy.fft  # noqa: F401  trace the assembly, not the import
 
     basis = sp.harmonic_basis(16, n_grid=2401)
     kern = sp.CoulombKernel(e2=1.0, d_reg=0.2)
@@ -107,6 +107,30 @@ def test_w_assembly_memory_is_linear_in_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_harmonic_basis_matches_closed_form_hermite_functions():
+    from scipy.special import eval_hermite, gammaln
+
+    from posqubit.cli import MAX_GRID
+
+    for omega, mass, center in ((1.0, 1.0, 0.0), (2.3, 0.7, 0.4)):
+        basis = sp.harmonic_basis(16, omega=omega, mass=mass, center=center, n_grid=MAX_GRID)
+        sigma = 1.0 / np.sqrt(mass * omega)
+        xi = (basis.grid - center) / sigma
+        for n in range(16):
+            lognorm = -0.5 * (n * np.log(2.0) + gammaln(n + 1.0)) - 0.25 * np.log(np.pi * sigma * sigma)
+            closed = np.exp(lognorm - 0.5 * xi * xi) * eval_hermite(n, xi)
+            assert np.max(np.abs(basis.functions[n] - closed)) <= 1e-12
+
+
+def test_fft_length_is_the_least_5_smooth_length():
+    from scipy.fft import next_fast_len
+
+    from posqubit.cli import MAX_GRID
+
+    for n in range(3, 2 * MAX_GRID):
+        assert sp._fft_length(n) == next_fast_len(n, real=True)
 
 
 def test_harmonic_basis_orthonormal_and_energies():

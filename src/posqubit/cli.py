@@ -485,9 +485,10 @@ def format_csv(series, summary):
     for key in sorted(summary):
         lines.append(f"# {key} = {json.dumps(summary[key])}")
     lines.append(",".join(names))
-    row_format = ",".join(["%.17g"] * len(names))  # one format per row, same bytes as per value
-    lines.extend(row_format % tuple(row) for row in rows.tolist())
-    return "\n".join(lines) + "\n"
+    # one format for all rows, same bytes as per value: no per-row list or
+    # tuple is made, so a long series sets off no garbage collection
+    row_format = ",".join(["%.17g"] * len(names)) + "\n"
+    return "\n".join(lines) + "\n" + "".join([row_format] * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def format_json(series, summary):

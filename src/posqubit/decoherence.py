@@ -27,6 +27,8 @@ from .measurement import validate_density
 from .qcore import HBAR, evolve_rk4, propagate, require_hermitian
 
 NODE_PAIRS = ("11", "22", "12", "21")
+# node index (0 or 1) of qubit A and of qubit B in each pair of NODE_PAIRS
+_NODE_A, _NODE_B = np.array([[int(n) - 1 for n in pair] for pair in NODE_PAIRS]).T
 
 # channel masks over the 4x4 energy-composite index (2*(pA-1) + (pB-1))
 _R2 = np.zeros((4, 4), dtype=bool)
@@ -105,11 +107,19 @@ def coulomb_node_term_energy_basis(node_pair, basis, distance, k):
 
 
 def decoherence_matrix(basis, dist, k):
-    """Sum of all four node terms (all channels) in the energy basis."""
-    total = np.zeros((4, 4), dtype=complex)
-    for pair in NODE_PAIRS:
-        total += coulomb_node_term_energy_basis(pair, basis, dist.of(pair), k).total()
-    return total
+    """Sum of all four node terms (all channels) in the energy basis, as the
+    rank-4 product sum_p (k/d_p) v_p v_p^dag = (V^T w) V* with rows
+    v_p = kron(wA(i_p), wB(j_p)) in ``NODE_PAIRS`` order, averaged with its
+    adjoint to be exactly Hermitian.  The channel splits of
+    ``coulomb_node_term_energy_basis`` cover all 16 entries, so the sum of
+    their totals is its test oracle."""
+    wa, wb = (
+        np.array([_overlap_vector(c, "1"), _overlap_vector(c, "2")], dtype=complex)
+        for c in (basis.coeffs_a, basis.coeffs_b)
+    )
+    v = (wa[_NODE_A, :, None] * wb[_NODE_B, None, :]).reshape(4, 4)
+    h = (v.T * (k / np.array([dist.of(pair) for pair in NODE_PAIRS]))) @ v.conj()
+    return 0.5 * (h + h.conj().T)
 
 
 def renormalized_energies(e1a, e2a, e1b, e2b, basis, dist, k):

@@ -85,9 +85,11 @@ def propagate(h, y0, times, *, density=False):
     samples are formed in one broadcast: states as V e^{-iEt} V^dag y0,
     shape (n_times, n); densities (``density=True``) as
     V (rho_E o e^{-i(E_j - E_k)t}) V^dag with rho_E = V^dag rho0 V, shape
-    (n_times, n, n).  Times count from the moment ``y0`` holds.  ``y0``
-    may also carry a leading axis of length n_times, one initial value
-    per sample.
+    (n_times, n, n), all back-rotated at once as one product of the
+    flattened (n_times, n*n) stack with the constant n*n x n*n matrix
+    B[(j,k),(a,b)] = V[a,j] V*[b,k].  Times count from the moment ``y0``
+    holds.  ``y0`` may also carry a leading axis of length n_times, one
+    initial value per sample.
     """
     h = require_hermitian(h)
     energies, vectors = np.linalg.eigh(h)
@@ -99,8 +101,9 @@ def propagate(h, y0, times, *, density=False):
         # in place where possible: the (n_times, n, n) stack is the bulk of the memory
         rho_e = phases[:, :, None] * phases[:, None, :].conj()
         rho_e *= vh @ y0 @ vectors
-        rho_e = vectors @ rho_e
-        return rho_e @ vh
+        n2 = vectors.size
+        back = (vectors.T[:, None, :, None] * vh[None, :, None, :]).reshape(n2, n2)
+        return (rho_e.reshape(-1, n2) @ back).reshape(rho_e.shape)
     coeffs = phases * (y0 @ vh.T)
     if vectors.dtype.kind == "f":
         # two real products: ``coeffs @ vectors.T`` would cast the real

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import os
 import subprocess
@@ -328,12 +329,57 @@ def _format_csv_per_value(series, summary):
 
 def test_format_csv_matches_per_value_formatter():
     outputs = [cli.run_scenario(complete_cfg(kind)) for kind in _KINDS]
+    local = np.random.default_rng(31)
+    scaled = local.normal(size=(300, 4)) * 10.0 ** local.integers(-320, 308, size=(300, 4))
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1.5e-310, -2.2e-308, 1e308, -1e308, 2.0**53, -7.0, 1e22, 123456789.0]
+    scaled[: len(special), 0] = special
+    scaled[:, 3] = np.round(local.normal(size=300) * 1e6)  # integral floats
+    outputs.append((cli.TimeSeries(scaled[:, 0], {"a": scaled[:, 1], "b": scaled[:, 2], "c": scaled[:, 3]}), {}))
     edge = np.array([-0.0, 5e-324, 1e300, 3.0, -2.0, 1e16, 0.1, -1.7976931348623157e308])
     outputs.append((cli.TimeSeries(edge, {"x": edge[::-1], "y": np.round(edge)}), {"n": 1}))
     for series, summary in outputs:
         assert cli.format_csv(series, summary) == _format_csv_per_value(series, summary)
     rows = cli.format_csv(*outputs[-1]).splitlines()[3:5]
     assert rows == ["-0,-1.7976931348623157e+308,-0", "4.9406564584124654e-324,0.10000000000000001,0"]
+
+
+def test_format_csv_sets_off_no_garbage_collection():
+    """Per-row lists or tuples would be GC-tracked containers: 2001 of them
+    pass the default generation-0 threshold of 700 and start collections."""
+    local = np.random.default_rng(37)
+    series = cli.TimeSeries(local.normal(size=2001), {f"c{i}": local.normal(size=2001) for i in range(6)})
+    summary = {"min_purity": 1.0}
+    cli.format_csv(series, summary)
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()  # generation 0 starts from an empty count
+    gc.callbacks.append(record)
+    try:
+        text = cli.format_csv(series, summary)
+    finally:
+        gc.callbacks.remove(record)
+    assert text.count("\n") == 3 + 2001 and collections == []
+
+
+def test_decoherence_run_diagonalizes_once(monkeypatch):
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting_eigh(h, *args, **kwargs):
+        calls.append(np.shape(h))
+        return eigh(h, *args, **kwargs)
+
+    monkeypatch.setattr(qcore.np.linalg, "eigh", counting_eigh)
+    cfg = decoherence_cfg()
+    cfg["time"] = {"t_max": 20.0, "dt": 0.01, "sample_stride": 1}
+    for paper_factorized in (False, True):
+        calls.clear()
+        series, _ = cli.run_scenario(cfg, paper_factorized=paper_factorized)
+        assert len(series.t) == 2001 and calls == [(4, 4)]
 
 
 def test_module_entry_point_warns_nothing(tmp_path):

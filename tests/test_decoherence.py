@@ -9,24 +9,24 @@ from posqubit.qcore import eig_hermitian, matexp_unitary
 rng = np.random.default_rng(505)
 
 
-def random_basis():
+def random_basis(gen=rng):
     pa = sq.QubitParams(
-        ep1=rng.uniform(-3, 3),
-        ep2=rng.uniform(-3, 3),
-        ts_mag=rng.uniform(0.1, 3),
-        alpha=rng.uniform(0, 2 * np.pi),
+        ep1=gen.uniform(-3, 3),
+        ep2=gen.uniform(-3, 3),
+        ts_mag=gen.uniform(0.1, 3),
+        alpha=gen.uniform(0, 2 * np.pi),
     )
     pb = sq.QubitParams(
-        ep1=rng.uniform(-3, 3),
-        ep2=rng.uniform(-3, 3),
-        ts_mag=rng.uniform(0.1, 3),
-        alpha=rng.uniform(0, 2 * np.pi),
+        ep1=gen.uniform(-3, 3),
+        ep2=gen.uniform(-3, 3),
+        ts_mag=gen.uniform(0.1, 3),
+        alpha=gen.uniform(0, 2 * np.pi),
     )
     return dec.QubitEnergyBasis(sq.eigencoeffs(pa, 0.0), sq.eigencoeffs(pb, 0.0))
 
 
-def random_distances():
-    return dec.NodeDistances(*rng.uniform(0.5, 4.0, size=4))
+def random_distances(gen=rng):
+    return dec.NodeDistances(*gen.uniform(0.5, 4.0, size=4))
 
 
 def symmetric_basis():
@@ -76,6 +76,18 @@ def test_decoherence_matrix_hermitian_and_trace():
     # the trace equals the sum of the projector strengths (unitary rotation)
     expected = sum(1.0 / dist.of(p) for p in dec.NODE_PAIRS)
     assert abs(np.trace(m).real - expected) < 1e-12
+
+
+def test_decoherence_matrix_is_the_sum_of_the_channel_splits():
+    local = np.random.default_rng(77)  # leaves the module's generator to the other tests
+    for _ in range(200):
+        basis, dist = random_basis(local), random_distances(local)
+        assert np.iscomplexobj(basis.coeffs_a.a) and basis.coeffs_a.a.imag != 0.0
+        m = dec.decoherence_matrix(basis, dist, 0.9)
+        oracle = sum(dec.coulomb_node_term_energy_basis(p, basis, dist.of(p), 0.9).total() for p in dec.NODE_PAIRS)
+        assert m.shape == (4, 4) and m.dtype == complex
+        assert np.max(np.abs(m - oracle)) <= 1e-15
+        assert np.array_equal(m, m.conj().T)
 
 
 def test_renormalized_energies_shift():

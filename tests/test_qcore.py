@@ -119,20 +119,25 @@ def test_statevector_basics():
         StateVector(np.zeros((2, 2)))
 
 
-def test_propagate_matches_expm_at_every_sample():
-    import scipy.linalg as sla
-
+def _symmetric_decoherence_hamiltonian():
+    """H0 + Hdec of the symmetric decoherence case: equal qubits and equal
+    node distances leave the middle pair of levels degenerate."""
     import posqubit.decoherence as dec
     import posqubit.single_qubit as sq
 
-    # symmetric decoherence case: equal qubits and equal node distances
-    # leave the middle pair of levels degenerate
     co = sq.eigencoeffs(sq.QubitParams(0.0, 0.0, 1.0, 0.0), 0.0)
     hdec = dec.decoherence_matrix(
         dec.QubitEnergyBasis(co, co), dec.NodeDistances(1.0, 1.0, 1.0, 1.0), 0.5
     )
     symmetric = dec.build_h0_resonant(co.e1, co.e2, co.e1, co.e2, 0.0, 0.0, 0.0) + hdec
     assert np.min(np.diff(np.linalg.eigvalsh(symmetric))) < 1e-12
+    return symmetric
+
+
+def test_propagate_matches_expm_at_every_sample():
+    import scipy.linalg as sla
+
+    symmetric = _symmetric_decoherence_hamiltonian()
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     rotated = q @ symmetric @ q.conj().T
     times = np.array([0.0, 0.013, 0.37, 1.0, 7.5])
@@ -159,6 +164,83 @@ def test_propagate_matches_expm_at_every_sample():
         assert np.max(np.abs(psi - sla.expm(-1j * real_symmetric * t / HBAR) @ start)) <= 1e-12
     with pytest.raises(NonHermitianError):
         propagate(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2), times)
+
+
+def _density_by_broadcast(h, rho0, times):
+    """The back-rotation that propagate(density=True) replaced: V rho_E V^dag
+    as (n_times, n, n) broadcast matrix products, one per sample."""
+    energies, vectors = np.linalg.eigh(require_hermitian(h))
+    phases = np.exp(-1j * np.multiply.outer(times, energies) / HBAR)
+    vh = vectors.conj().T
+    rho_e = phases[:, :, None] * phases[:, None, :].conj() * (vh @ np.asarray(rho0, dtype=complex) @ vectors)
+    return vectors @ rho_e @ vh
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_density_back_rotation_matches_broadcast_and_expm(n):
+    import scipy.linalg as sla
+
+    local = np.random.default_rng(40 + n)  # leaves the module's generator to the other tests
+    m = local.normal(size=(n, n)) + 1j * local.normal(size=(n, n))
+    hs = [0.5 * (m + m.conj().T), 0.5 * (m.real + m.real.T)]
+    if n == 4:
+        hs.append(_symmetric_decoherence_hamiltonian())
+    times = np.array([0.0, 0.013, 0.37, 1.0, 7.5])
+    psi = local.normal(size=(len(times) + 1, n)) + 1j * local.normal(size=(len(times) + 1, n))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    single = np.outer(psi[0], psi[0].conj())
+    stack = psi[1:, :, None] * psi[1:, None, :].conj()  # one initial density per sample
+    for h in hs:
+        for rho0 in (single, stack):
+            out = propagate(h, rho0, times, density=True)
+            assert out.shape == (len(times), n, n)
+            assert np.max(np.abs(out - _density_by_broadcast(h, rho0, times))) <= 1e-12
+            for t, rho, start in zip(times, out, np.broadcast_to(rho0, out.shape)):
+                u = sla.expm(-1j * h * t / HBAR)
+                assert np.max(np.abs(rho - u @ start @ u.conj().T)) <= 1e-12
+
+
+@pytest.mark.parametrize("paper_factorized", [False, True])
+def test_evolve_density_with_decoherence_matches_broadcast(paper_factorized):
+    import posqubit.decoherence as dec
+
+    local = np.random.default_rng(47)
+    m = local.normal(size=(4, 4)) + 1j * local.normal(size=(4, 4))
+    hdec = 0.25 * (m + m.conj().T)
+    h0 = dec.build_h0_resonant(-1.0, 1.0, -0.7, 0.7, 0.0, 0.0, 0.0)
+    psi = local.normal(size=4) + 1j * local.normal(size=4)
+    psi /= np.linalg.norm(psi)
+    rho0 = np.outer(psi, psi.conj())
+    t0 = 0.3
+    spans = np.linspace(0.0, 5.0, 41)
+    out = dec.evolve_density_with_decoherence(rho0, h0, hdec, t0, t0 + spans, paper_factorized=paper_factorized)
+    if paper_factorized:
+        # the diagonal phase first, then the off-diagonal decoherence part
+        d = np.exp(-1j * np.multiply.outer(spans, np.real(np.diag(h0) + np.diag(hdec))) / HBAR)
+        phased = rho0 * d[:, :, None] * d[:, None, :].conj()
+        old = _density_by_broadcast(hdec - np.diag(np.diag(hdec)), phased, spans)
+    else:
+        old = _density_by_broadcast(h0 + hdec, rho0, spans)
+    assert np.max(np.abs(out - old)) <= 1e-12
+
+
+def test_density_propagation_peak_memory_is_bounded_by_its_output():
+    import tracemalloc
+
+    local = np.random.default_rng(53)
+    m = local.normal(size=(4, 4)) + 1j * local.normal(size=(4, 4))
+    h = 0.5 * (m + m.conj().T)
+    rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    times = np.linspace(0.0, 20.0, 2001)
+    propagate(h, rho0, times[:3], density=True)  # first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        out = propagate(h, rho0, times, density=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2001, 4, 4)
+    assert peak <= 2.5 * out.nbytes
 
 
 def test_rk4_step_operators_match_rk4_step():

@@ -290,12 +290,13 @@ def _run_swap(cfg):
     ts = t0 + dt * steps
     psi0 = StateVector(_amplitudes(cfg, "parameters.initial", 4))
     h4 = tq.build_h4(params)
-    pops = np.zeros((ts.size, 4))
-    ent = np.zeros(ts.size)
+    amps = np.empty((ts.size, 4), dtype=complex)
+    ent = np.empty(ts.size)
     for i, t in enumerate(ts):
         psi = tq.evolve4(h4, psi0, t0, t) if t > t0 else psi0
-        pops[i] = np.abs(psi.amps) ** 2
+        amps[i] = psi.amps
         ent[i] = tq.is_factorizable(psi)[1]
+    pops = np.abs(amps) ** 2
     series = TimeSeries(
         ts,
         {
@@ -386,7 +387,7 @@ def _run_decoherence(cfg, paper_factorized=False):
         "renormalized_energies": [
             float(x)
             for x in dec.renormalized_energies(
-                coeffs_a.e1, coeffs_a.e2, coeffs_b.e1, coeffs_b.e2, basis, dist, k
+                coeffs_a.e1, coeffs_a.e2, coeffs_b.e1, coeffs_b.e2, hdec
             )
         ],
         "symmetric_EAB_r1": sc.eab_r1,

@@ -122,10 +122,11 @@ def decoherence_matrix(basis, dist, k):
     return 0.5 * (h + h.conj().T)
 
 
-def renormalized_energies(e1a, e2a, e1b, e2b, basis, dist, k):
-    """Pairwise eigenenergy sums plus the r1 diagonal shifts."""
+def renormalized_energies(e1a, e2a, e1b, e2b, hdec):
+    """Pairwise eigenenergy sums plus the r1 diagonal shifts, read off the
+    diagonal of ``hdec`` (a ``decoherence_matrix``)."""
     pairwise = np.array([e1a + e1b, e1a + e2b, e2a + e1b, e2a + e2b])
-    shifts = np.real(np.diag(decoherence_matrix(basis, dist, k)))
+    shifts = np.real(np.diag(hdec))
     return pairwise + shifts
 
 

@@ -12,6 +12,7 @@ Energies are expressed in a user-chosen unit and hbar = 1 internally, so
 times carry the inverse of that unit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +33,18 @@ def require_hermitian(h, tol=HERMITICITY_TOL):
     Real floating input stays real (float64), so a real symmetric matrix is
     diagonalized in real arithmetic; every other input becomes complex.  The
     choice rests on the dtype alone, never on the values.  The check is
-    ``max |h - h^dag| <= tol`` entrywise.
+    ``max |h - h^dag| <= tol`` entrywise.  A matrix with an inf or NaN entry
+    is rejected too: its defect would read NaN, which no tolerance catches.
     """
     h = np.asarray(h)
-    h = h.astype(float if h.dtype.kind == "f" else complex, copy=False)
+    kind = float if h.dtype.kind == "f" else complex
+    if h.dtype != kind:
+        h = h.astype(kind)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise NonHermitianError(f"expected a square matrix, got shape {h.shape}")
-    defect = np.max(np.abs(h - h.conj().T))
+    if not np.isfinite(h).all():
+        raise NonHermitianError("matrix has non-finite (inf or nan) entries")
+    defect = np.abs(h - h.conj().T).max()
     if defect > tol:
         raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.3e}")
     return h
@@ -46,13 +52,23 @@ def require_hermitian(h, tol=HERMITICITY_TOL):
 
 def fix_phase(vec):
     """Rotate a vector's global phase so its largest-magnitude component
-    is real and positive.  Ties pick the lowest index."""
+    is real and positive.
+
+    The pivot is the lowest index whose magnitude is within 1e-15 of the
+    largest.  A vector with a NaN or infinite component is pivoted on
+    index 0.  The zero vector comes back as a copy.
+    """
     vec = np.asarray(vec, dtype=complex)
-    idx = int(np.argmax(np.abs(vec) > np.max(np.abs(vec)) - 1e-15))
+    mags = np.abs(vec).tolist()
+    top = max(mags) - 1e-15
+    # no magnitude compares above a NaN or an infinite top, so both take
+    # index 0; Python's max skips a NaN that is not first, hence the sum
+    idx = 0 if math.isnan(sum(mags)) else next((i for i, m in enumerate(mags) if m > top), 0)
     pivot = vec[idx]
-    if abs(pivot) == 0.0:
+    size = abs(pivot)
+    if size == 0.0:
         return vec.copy()
-    return vec * (abs(pivot) / pivot)
+    return vec * (size / pivot)
 
 
 def eig_hermitian(h):
@@ -65,14 +81,14 @@ def eig_hermitian(h):
     """
     h = require_hermitian(h)
     energies, vectors = np.linalg.eigh(h)
-    vectors = np.column_stack([fix_phase(vectors[:, k]) for k in range(vectors.shape[1])])
-    return energies, vectors
+    # C order: a BLAS product downstream may round differently on the transposed layout
+    return energies, np.array([fix_phase(column) for column in vectors.T]).T.copy()
 
 
 def matexp_unitary(h, dt):
     """exp(-i * h * dt / hbar) for Hermitian ``h`` via eigendecomposition."""
     energies, vectors = eig_hermitian(h)
-    phases = np.exp(-1j * energies * dt / HBAR)
+    phases = np.exp((-1j * dt / HBAR) * energies)
     return (vectors * phases) @ vectors.conj().T
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -374,12 +375,15 @@ def test_decoherence_run_diagonalizes_once(monkeypatch):
         return eigh(h, *args, **kwargs)
 
     monkeypatch.setattr(qcore.np.linalg, "eigh", counting_eigh)
+    # Hdec is built once too: the summary's energy shifts read the runner's matrix
+    decoherence_matrix = cli.dec.decoherence_matrix
+    monkeypatch.setattr(cli.dec, "decoherence_matrix", lambda *a: calls.append("hdec") or decoherence_matrix(*a))
     cfg = decoherence_cfg()
     cfg["time"] = {"t_max": 20.0, "dt": 0.01, "sample_stride": 1}
     for paper_factorized in (False, True):
         calls.clear()
         series, _ = cli.run_scenario(cfg, paper_factorized=paper_factorized)
-        assert len(series.t) == 2001 and calls == [(4, 4)]
+        assert len(series.t) == 2001 and calls == ["hdec", (4, 4)]
 
 
 def test_module_entry_point_warns_nothing(tmp_path):
@@ -532,6 +536,18 @@ def test_main_eigens_and_sweep(tmp_path, capsys):
     assert cli.main(["eigens", "--config", str(cfg_path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["max_deviation"] < 1e-10
+
+    # a swap Hamiltonian whose diagonal overflows to inf is a numerical
+    # failure named as such, with no NaN energies and no RuntimeWarning
+    huge = swap_cfg()
+    huge["parameters"].update(vs=1e308, ec11=1e308, ec22=1e308)
+    cfg_path.write_text(json.dumps(huge))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["eigens", "--config", str(cfg_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite" in captured.err
+    cfg_path.write_text(json.dumps(base_single_qubit()))
 
     out_path = tmp_path / "sweep.json"
     assert (

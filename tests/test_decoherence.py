@@ -94,12 +94,12 @@ def test_renormalized_energies_shift():
     basis = random_basis()
     dist = random_distances()
     co_a, co_b = basis.coeffs_a, basis.coeffs_b
-    out = dec.renormalized_energies(co_a.e1, co_a.e2, co_b.e1, co_b.e2, basis, dist, 2.0)
+    m = dec.decoherence_matrix(basis, dist, 2.0)
+    out = dec.renormalized_energies(co_a.e1, co_a.e2, co_b.e1, co_b.e2, m)
     pairwise = np.array(
         [co_a.e1 + co_b.e1, co_a.e1 + co_b.e2, co_a.e2 + co_b.e1, co_a.e2 + co_b.e2]
     )
     shifts = out - pairwise
-    m = dec.decoherence_matrix(basis, dist, 2.0)
     assert np.max(np.abs(shifts - np.real(np.diag(m)))) < 1e-12
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,131 @@ def test_eig_hermitian_matches_numpy_and_is_deterministic():
             assert np.allclose(h @ v[:, k], e[k] * v[:, k], atol=1e-10)
         e2, v2 = eig_hermitian(h)
         assert np.array_equal(v, v2)
+
+
+# The kernels' former per-call bodies, the oracle their rewrite must match bit for bit.
+def _require_hermitian_oracle(h, tol=qcore.HERMITICITY_TOL):
+    h = np.asarray(h)
+    h = h.astype(float if h.dtype.kind == "f" else complex, copy=False)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise NonHermitianError(f"expected a square matrix, got shape {h.shape}")
+    defect = np.max(np.abs(h - h.conj().T))
+    if defect > tol:
+        raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.3e}")
+    return h
+
+
+def _fix_phase_oracle(vec):
+    vec = np.asarray(vec, dtype=complex)
+    idx = int(np.argmax(np.abs(vec) > np.max(np.abs(vec)) - 1e-15))
+    pivot = vec[idx]
+    if abs(pivot) == 0.0:
+        return vec.copy()
+    return vec * (abs(pivot) / pivot)
+
+
+def _eig_hermitian_oracle(h):
+    h = _require_hermitian_oracle(h)
+    energies, vectors = np.linalg.eigh(h)
+    vectors = np.column_stack([_fix_phase_oracle(vectors[:, k]) for k in range(vectors.shape[1])])
+    return energies, vectors
+
+
+def assert_same_bytes(a, b):
+    """Equal dtype, shape, memory layout and bytes, NaN bit patterns included."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.flags.c_contiguous == b.flags.c_contiguous
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("real", [False, True])
+def test_eig_hermitian_matches_its_oracle_bit_for_bit(n, real):
+    gen = np.random.default_rng(1200 + n)
+    matrices = [np.eye(n), np.diag(np.repeat([0.5, -0.25], n // 2))]
+    if n == 4:
+        matrices.append(_symmetric_decoherence_hamiltonian())
+    for _ in range(200):
+        m = gen.normal(size=(n, n)) + (0.0 if real else 1j * gen.normal(size=(n, n)))
+        matrices.append(0.5 * (m + m.conj().T))
+    for h in matrices:
+        h = h.real if real else h
+        assert_same_bytes(require_hermitian(h), _require_hermitian_oracle(h))
+        (e, v), (e0, v0) = eig_hermitian(h), _eig_hermitian_oracle(h)
+        assert_same_bytes(e, e0)
+        assert_same_bytes(v, v0)
+        dt = gen.normal()
+        assert_same_bytes(matexp_unitary(h, dt), (v0 * np.exp(-1j * e0 * dt / HBAR)) @ v0.conj().T)
+
+
+def test_fix_phase_matches_its_oracle_bit_for_bit():
+    nan, inf = float("nan"), float("inf")
+    vectors = [
+        [0.5, -0.5, 0.5j, -0.5j],  # exact four-way tie
+        [0.6, 0.8j, -0.8],  # exact tie after the first entry
+        [0.7j - 5e-16j, 0.3, -0.7],  # within 1e-15 of the largest: index 0 wins
+        [0.7j - 3e-15j, 0.3, -0.7],  # just outside: index 2 wins
+        [16.0j, 16.0, 1.0],  # so large that max - 1e-15 == max: index 0
+        [0.0, 0.0, 0.0, 0.0],
+        [-2.0j],
+        [0.5j, nan, 1.0],  # a NaN not first: index 0, not the 1.0
+        [nan, 1.0j],
+        [1.0j, complex(0.3, nan)],
+        [0.2j, inf, 0.1],
+        [inf, 1.0],
+    ]
+    gen = np.random.default_rng(1215)
+    for n in range(1, 9):
+        vectors += list(gen.normal(size=(20, n)) + 1j * gen.normal(size=(20, n)))
+    for vec in vectors:
+        vec = np.array(vec, dtype=complex)
+        with np.errstate(invalid="ignore"):  # the NaN and inf vectors
+            assert_same_bytes(fix_phase(vec), _fix_phase_oracle(vec))
+    with np.errstate(invalid="ignore"):
+        assert fix_phase(np.array([0.5j, nan, 1.0]))[0] == 0.5
+
+
+def test_kernels_keep_the_dtype_contract():
+    sym = random_hermitian(3).real
+    inputs = [
+        sym,
+        sym.astype(np.float32),
+        random_hermitian(3).astype(np.complex64),
+        np.eye(3, dtype=int),
+        [[0, 1], [1, 0]],
+        [[0.5, 1.0], [1.0, -0.5]],
+        [[0.5, 1j], [-1j, -0.5]],
+    ]
+    for h in inputs:
+        assert_same_bytes(require_hermitian(h), _require_hermitian_oracle(h))
+        for got, want in zip(eig_hermitian(h), _eig_hermitian_oracle(h)):
+            assert_same_bytes(got, want)
+        vec = np.asarray(h)[0]
+        assert_same_bytes(fix_phase(vec), _fix_phase_oracle(vec))
+        assert_same_bytes(fix_phase(vec.tolist()), _fix_phase_oracle(vec.tolist()))
+    h = np.array([[0.5, 1j], [-1j, -0.5]])
+    assert require_hermitian(h) is h  # no copy when the dtype already fits
+
+
+def test_non_finite_matrix_is_rejected_without_a_warning():
+    nan, inf = float("nan"), float("inf")
+    bad = [
+        [[inf, 0.1], [0.1, 0.0]],
+        [[0.0, inf], [inf, 0.0]],
+        [[0.0, nan], [nan, 0.0]],
+        [[nan, 0.0], [0.0, 1.0]],
+        [[0.0, complex(1.0, inf)], [complex(1.0, -inf), 0.0]],
+    ]
+    for h in bad:
+        for dtype in (float, complex):
+            if dtype is float and np.iscomplexobj(np.array(h)):
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonHermitianError, match="non-finite"):
+                    require_hermitian(np.array(h, dtype=dtype))
+                with pytest.raises(NonHermitianError, match="non-finite"):
+                    eig_hermitian(np.array(h, dtype=dtype))
 
 
 def test_matexp_unitary_is_unitary_and_matches_series():

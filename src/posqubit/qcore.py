@@ -5,7 +5,9 @@ deterministic eigenvector phase convention, unitary propagation through
 exact exponentiation, and exact sampled propagation under a constant
 Hamiltonian.  For time-dependent 2x2 and other small generators, whole
 grids of step operators (RK4 step matrices, closed-form SU(2)
-exponentials) are built in one broadcast and chained by ``evolve_steps``.
+exponentials) are built in one broadcast and chained by ``evolve_steps``
+with a pairwise prefix, in work linear in the number of steps.  Stacks
+of small matrices are multiplied as their d*d contiguous entry arrays.
 The fixed-step RK4 loop ``evolve_rk4`` is left for generators given only
 as bare callables.
 Energies are expressed in a user-chosen unit and hbar = 1 internally, so
@@ -138,12 +140,23 @@ def stack2x2(m00, m01, m10, m11):
     return out
 
 
-def _matmul(a, b):
-    """a @ b over stacks of small matrices as broadcast products; np.matmul
-    goes matrix by matrix, which costs several times more for 2x2 blocks."""
-    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]), dtype=complex)
-    for i in range(a.shape[-2]):
-        out[..., i, :] = sum(a[..., i, k, None] * b[..., k, :] for k in range(a.shape[-1]))
+def _entries(m):
+    """A stack (..., d, d) as its d*d entry arrays, shape (d, d, ...), each one contiguous."""
+    return np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))
+
+
+def _entry_product(a, b):
+    """Entry arrays of the products a @ b: out[i, j] = sum_k a[i, k] * b[k, j].
+
+    ``a`` is (p, q, ...) and ``b`` is (q, r, ...), the matrix axes first and
+    the stack axes broadcasting behind them.  Each entry of the whole stack
+    takes q vector products; np.matmul goes matrix by matrix, which costs
+    several times more for 2x2 blocks.
+    """
+    out = np.empty((a.shape[0], b.shape[1]) + np.broadcast_shapes(a.shape[2:], b.shape[2:]), dtype=complex)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            out[i, j] = sum(a[i, k] * b[k, j] for k in range(b.shape[0]))
     return out
 
 
@@ -169,17 +182,50 @@ def rk4_step_operators(h_start, h_mid, h_end, dt):
 
     The equation is linear, so an RK4 step is a polynomial in H at its stage
     times t, t + dt/2 and t + dt.  The arguments are stacks (..., n, n) of H
-    at those times, and every step matrix is built in one broadcast.
+    at those times, and every step matrix is built in one broadcast over
+    entry arrays; the stack comes back as a (..., n, n) view of them.
     """
-    eye = np.eye(h_start.shape[-1])
-    k1, b2, b3 = ((-1j * dt / HBAR) * h for h in (h_start, h_mid, h_end))
-    k2 = _matmul(b2, eye + 0.5 * k1)
-    k3 = _matmul(b2, eye + 0.5 * k2)
-    k4 = _matmul(b3, eye + k3)
-    return eye + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    shape = np.broadcast_shapes(h_start.shape, h_mid.shape, h_end.shape)
+    eye = np.eye(shape[-1]).reshape(shape[-2:] + (1,) * (len(shape) - 2))
+    k1, b2, b3 = (
+        np.multiply(-1j * dt / HBAR, np.moveaxis(np.broadcast_to(h, shape), (-2, -1), (0, 1)), order="C")
+        for h in (h_start, h_mid, h_end)
+    )
+    k2 = _entry_product(b2, eye + 0.5 * k1)
+    k3 = _entry_product(b2, eye + 0.5 * k2)
+    k4 = _entry_product(b3, eye + k3)
+    # eye + (k1 + 2 k2 + 2 k3 + k4) / 6 in place, the same roundings without fresh arrays
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 /= 6.0
+    k2 += eye
+    return np.moveaxis(k2, (0, 1), (-2, -1))
 
 
 STEP_CHUNK = 4096  # step matrices evolve_steps holds at once: about 4 MB of 2x2 RK4 work
+
+
+def _chain(m, y):
+    """States y_{k+1} = M_k ... M_0 y for every k, as entry arrays (d, 1, n).
+
+    ``m`` holds the entry arrays (d, d, n) of M_0 .. M_{n-1} and ``y`` is a
+    column (d, 1, 1).  Adjacent steps are composed, M_{2i+1} M_{2i}, the
+    states after an even number of steps come from the n/2 pair products
+    by recursion, and each state in between is one step from the state
+    before it: n/2 matrix and n/2 matrix-vector products per level, at
+    most 2n products in about 2 log2(n) batched calls.
+    """
+    n = m.shape[-1]
+    if n == 1:
+        return _entry_product(m, y)
+    even = _chain(_entry_product(m[..., 1::2], m[..., : n - 1 : 2]), y)  # y_2, y_4, ...
+    out = np.empty((m.shape[0], 1, n), dtype=complex)
+    out[..., 1::2] = even
+    out[..., 0::2] = _entry_product(m[..., 0::2], np.concatenate([y, even[..., : (n - 1) // 2]], axis=-1))
+    return out
 
 
 def evolve_steps(make_steps, n_steps, y0):
@@ -188,18 +234,14 @@ def evolve_steps(make_steps, n_steps, y0):
     ``make_steps(lo, hi)`` returns the step matrices M_lo .. M_{hi-1}, shape
     (hi - lo, d, d).  They are built and chained one chunk of at most
     ``STEP_CHUNK`` steps at a time, so memory is bounded by the chunk and
-    the returned states.  Within a chunk the ordered products come from a
-    Hillis-Steele scan, log2(chunk) rounds of batched matrix products, so no
-    Python loop runs per step.
+    the returned states.  Within a chunk the states come from a pairwise
+    prefix over the steps' entry arrays (``_chain``), so the work grows
+    linearly in the steps and no Python loop runs per step.
     """
     states = [np.asarray(y0, dtype=complex)[None]]
     for lo in range(0, n_steps, STEP_CHUNK):
-        prods = np.array(make_steps(lo, min(lo + STEP_CHUNK, n_steps)), dtype=complex)
-        k = 1
-        while k < len(prods):
-            prods[k:] = _matmul(prods[k:], prods[:-k])
-            k *= 2
-        states.append(_matmul(prods, states[-1][-1][:, None])[..., 0])
+        steps = _entries(np.asarray(make_steps(lo, min(lo + STEP_CHUNK, n_steps)), dtype=complex))
+        states.append(_chain(steps, states[-1][-1][:, None, None])[:, 0].T)
     return np.concatenate(states)
 
 

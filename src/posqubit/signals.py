@@ -51,7 +51,9 @@ def table(times, values):
         raise ValueError("times and values must be 1-D arrays of equal length")
     if times.size < 2:
         raise ValueError("a tabulated signal needs at least two samples")
-    if np.any(np.diff(times) <= 0):
+    # neighbours compared directly: np.diff overflows on a span past the largest float;
+    # a NaN time fails the comparison too
+    if not np.all(times[1:] > times[:-1]):
         raise ValueError("sample times must be strictly increasing")
 
     def sig(t):

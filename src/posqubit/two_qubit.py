@@ -158,12 +158,13 @@ def swap_eigensystem_symmetric(ec1s, ec2s, ts, vs):
 
     v1 = np.array([-1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     v2 = np.array([0.0, -1.0, 1.0, 0.0]) / np.sqrt(2.0)
-    x3 = 4.0 * ts / ((ec2s - ec1s) + root)
-    x4 = 4.0 * ts / ((ec1s - ec2s) + root)
-    v3 = np.array([1.0, -x3, -x3, 1.0])
-    v3 = v3 / np.linalg.norm(v3)
-    v4 = np.array([1.0, x4, x4, 1.0])
-    v4 = v4 / np.linalg.norm(v4)
+    # v3 ~ (1, -x3, -x3, 1) and v4 ~ (1, x4, x4, 1) with x3 x4 = 1; r = min(x3, x4)
+    # divides by the sum without cancellation, and no entry is squared
+    r = 4.0 * ts / (abs(ec1s - ec2s) + root)
+    norm = np.sqrt(2.0) * np.hypot(1.0, r)
+    flat, steep = np.array([1.0, r, r, 1.0]) / norm, np.array([r, 1.0, 1.0, r]) / norm
+    v3, v4 = (steep, flat) if ec1s >= ec2s else (flat, steep)
+    v3 = v3 * np.array([1.0, -1.0, -1.0, 1.0])
 
     energies = np.array([e1, e2, e3, e4])
     vectors = np.array([v1, v2, v3, v4], dtype=complex)

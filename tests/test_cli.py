@@ -498,6 +498,8 @@ def test_main_exit_codes(tmp_path, capsys):
         (rabi_cfg(), "parameters.e1", 1e308, 3),
         (rabi_cfg(), "parameters.e12", dict(sinusoid, amplitude=1e8), 0),
         (rabi_cfg(), "parameters.e12", dict(sinusoid, omega=1e16), 3),
+        # sample times spanning more than the largest float are in order
+        (rabi_cfg(), "parameters.e12", {"kind": "table", "times": [-1.7e308, 1.7e308], "values": [0.2, 0.1]}, 0),
         # a table over exactly [t0, t_max]: no sample lies past t_max, even when
         # the stride does not divide the step count
         (replaced(rabi_cfg(), "time", {"t_max": 1.0, "dt": 0.1, "sample_stride": 6}),
@@ -547,6 +549,16 @@ def test_main_eigens_and_sweep(tmp_path, capsys):
         assert cli.main(["eigens", "--config", str(cfg_path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "non-finite" in captured.err
+    # large but finite symmetric couplings: the closed form stays finite
+    huge["parameters"].update(vs=1e307, ec11=1e307, ec22=1e307, ec12=0.2, ec21=0.2, t_u=0.3, t_l=0.3)
+    cfg_path.write_text(json.dumps(huge))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["eigens", "--config", str(cfg_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "huge.csv")]) == 0
+    capsys.readouterr()
+    assert np.all(np.isfinite(payload["closed_form"]))
     cfg_path.write_text(json.dumps(base_single_qubit()))
 
     out_path = tmp_path / "sweep.json"

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ from posqubit.qcore import (
     HBAR,
     POSITION,
     StateVector,
-    _matmul,
+    _entries,
+    _entry_product,
     eig_hermitian,
     evolve_rk4,
     evolve_steps,
@@ -397,6 +399,13 @@ def test_su2_step_operators_match_expm():
             assert np.max(np.abs(u - expm(-1j * h * dt / HBAR))) < 1e-13
 
 
+def random_unitaries(n_steps, d):
+    """A stack (n_steps, d, d) of random unitaries exp(-i h 0.3)."""
+    m = rng.normal(size=(n_steps, d, d)) + 1j * rng.normal(size=(n_steps, d, d))
+    energies, vectors = np.linalg.eigh(0.5 * (m + m.conj().transpose(0, 2, 1)))
+    return (vectors * np.exp(-0.3j * energies)[:, None, :]) @ vectors.conj().transpose(0, 2, 1)
+
+
 def test_evolve_steps_matches_sequential_products(monkeypatch):
     steps = np.array([matexp_unitary(random_hermitian(2), 0.3) for _ in range(37)])
     y0 = np.array([0.6, 0.8j])
@@ -422,10 +431,108 @@ def test_evolve_steps_matches_sequential_products(monkeypatch):
     assert np.array_equal(evolve_steps(make_steps, 0, y0), y0[None])
 
 
+def signed_permutations(n_steps, d):
+    """A stack (n_steps, d, d) of permutation matrices with entries 1, -1, 1j, -1j.
+
+    They do not commute, and every product of them is exact, so any
+    misordered or missing step changes a state by a whole unit."""
+    perms = np.array([rng.permutation(d) for _ in range(n_steps)])
+    out = np.zeros((n_steps, d, d), dtype=complex)
+    out[np.arange(n_steps)[:, None], np.arange(d), perms] = 1j ** rng.integers(0, 4, size=(n_steps, d))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 8, 37, 64, 4097])
+def test_pairwise_prefix_matches_sequential_products(monkeypatch, d, n_steps):
+    # odd, even and power-of-two lengths at every level of the recursion;
+    # 4097 steps cross the default chunk boundary with a chunk of one step
+    y0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+    y0 /= np.linalg.norm(y0)
+    exact = signed_permutations(n_steps, d)
+    expected = [y0]
+    for m in exact:
+        expected.append(m @ expected[-1])
+    states = evolve_steps(lambda lo, hi: exact[lo:hi], n_steps, y0)
+    assert states.shape == (n_steps + 1, d) and np.array_equal(states, expected)
+    # random unitaries against the sequential products in extended precision:
+    # over 4097 steps the double sequential products drift by about 1e-14 themselves
+    steps = random_unitaries(n_steps, d)
+    expected = [y0.astype(np.clongdouble)]
+    for m in steps.astype(np.clongdouble):
+        expected.append(m @ expected[-1])
+    extended = np.finfo(np.longdouble).eps < np.finfo(float).eps
+    tol = 1e-14 if extended else 3e-14
+    assert np.max(np.abs(evolve_steps(lambda lo, hi: steps[lo:hi], n_steps, y0) - expected)) <= tol
+    if n_steps <= 64:
+        monkeypatch.setattr(qcore, "STEP_CHUNK", 3)
+        assert np.array_equal(evolve_steps(lambda lo, hi: exact[lo:hi], n_steps, y0), states)
+        assert np.max(np.abs(evolve_steps(lambda lo, hi: steps[lo:hi], n_steps, y0) - expected)) <= tol
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 8, 37, 64, 1000, 4096])
+def test_evolve_steps_work_is_linear_in_the_steps(monkeypatch, n_steps):
+    # every product the chain makes goes through _entry_product; summing the
+    # stack lengths it receives counts matrix and matrix-vector products
+    lengths = []
+    product = qcore._entry_product
+
+    def counting(a, b):
+        lengths.append(math.prod(np.broadcast_shapes(a.shape[2:], b.shape[2:])))
+        return product(a, b)
+
+    monkeypatch.setattr(qcore, "_entry_product", counting)
+    steps = random_unitaries(n_steps, 2)
+    evolve_steps(lambda lo, hi: steps[lo:hi], n_steps, np.array([1.0, 0.0]))
+    assert sum(lengths) <= 2 * n_steps
+    assert len(lengths) <= 2 * math.ceil(math.log2(n_steps)) + 1
+    # chunked, the bound holds chunk by chunk
+    lengths.clear()
+    monkeypatch.setattr(qcore, "STEP_CHUNK", 7)
+    evolve_steps(lambda lo, hi: steps[lo:hi], n_steps, np.array([1.0, 0.0]))
+    assert sum(lengths) <= 2 * n_steps
+
+
 def test_matmul_follows_the_matmul_shape_rule():
+    # the entry product of entry arrays is a @ b, broadcasting included
     rng = np.random.default_rng(5)
     for sa, sb in [((5, 2, 2), (2, 1)), ((5, 3, 2), (5, 2, 4)), ((2, 2), (7, 2, 3)), ((4, 1, 3, 3), (5, 3, 2))]:
         a = rng.normal(size=sa) + 1j * rng.normal(size=sa)
         b = rng.normal(size=sb) + 1j * rng.normal(size=sb)
-        out = _matmul(a, b)
+        out = np.moveaxis(_entry_product(_entries(a), _entries(b)), (0, 1), (-2, -1))
         assert out.shape == (a @ b).shape and np.max(np.abs(out - a @ b)) < 1e-14
+
+
+# The former stage products of rk4_step_operators, its bit-for-bit oracle.
+def _matmul_oracle(a, b):
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]), dtype=complex)
+    for i in range(a.shape[-2]):
+        out[..., i, :] = sum(a[..., i, k, None] * b[..., k, :] for k in range(a.shape[-1]))
+    return out
+
+
+def _rk4_step_operators_oracle(h_start, h_mid, h_end, dt):
+    eye = np.eye(h_start.shape[-1])
+    k1, b2, b3 = ((-1j * dt / HBAR) * h for h in (h_start, h_mid, h_end))
+    k2 = _matmul_oracle(b2, eye + 0.5 * k1)
+    k3 = _matmul_oracle(b2, eye + 0.5 * k2)
+    k4 = _matmul_oracle(b3, eye + k3)
+    return eye + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rk4_step_operators_match_their_former_form_bit_for_bit(n):
+    def hermitian_stack(shape):
+        m = rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
+        return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
+
+    # one stack, real and complex; stacks that broadcast against each other
+    for shapes in [((40,),) * 3, ((4, 1), (5,), ()), ((), (), (3, 2)), ((6,), (1,), (6,))]:
+        for real in (False, True):
+            hs = [hermitian_stack(shape) for shape in shapes]
+            if real:
+                hs = [h.real for h in hs]
+            for dt in (0.01, 0.7):
+                got, want = rk4_step_operators(*hs, dt), _rk4_step_operators_oracle(*hs, dt)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.ascontiguousarray(got).tobytes() == want.tobytes()

@@ -31,6 +31,17 @@ def test_table_interpolation_and_domain():
         sig(-0.1)
 
 
+def test_table_order_check_spans_past_the_largest_float():
+    # np.diff overflowed on this span; the order check compares neighbours
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sig = signals.table([-1.7e308, 1.7e308], [0.2, 0.1])
+        assert sig(-1.7e308) == 0.2 and sig(1.7e308) == 0.1
+        for times in ([-1.7e308, 1.7e308, 1.7e308], [1.7e308, -1.7e308], [0.0, float("nan")]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                signals.table(times, [0.0] * len(times))
+
+
 def test_complex_table_keeps_imaginary_part():
     sig = signals.table([0.0, 1.0], [0.0, 1j])
     with warnings.catch_warnings():

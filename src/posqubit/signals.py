@@ -51,10 +51,13 @@ def table(times, values):
         raise ValueError("times and values must be 1-D arrays of equal length")
     if times.size < 2:
         raise ValueError("a tabulated signal needs at least two samples")
-    # neighbours compared directly: np.diff overflows on a span past the largest float;
-    # a NaN time fails the comparison too
+    # neighbours compared directly, before any gap is taken: a NaN time fails here too
     if not np.all(times[1:] > times[:-1]):
         raise ValueError("sample times must be strictly increasing")
+    # np.interp divides by each gap, and a gap past the largest float gives a wrong slope
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.diff(times)).all():
+            raise ValueError("gaps between sample times must be finite (at most the largest float)")
 
     def sig(t):
         t = np.asarray(t, dtype=float)

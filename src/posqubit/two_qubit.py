@@ -6,11 +6,16 @@ Basis ordering for all 4x4 operations (BasisOrder4):
     index 2: |1,0>_U |0,1>_L      index 3: |1,0>_U |1,0>_L
 
 where |1,0> means the electron sits on the left node (node 1) of its
-double dot and |0,1> on the right node (node 2).  The module builds the
-Coulomb couplings from device geometry, assembles the 4x4 Hamiltonian,
-gives the closed-form symmetric eigensystem, tests factorizability,
-evolves the two-body state, and implements the mean-field one-way
-coupling of a third double dot (controlled-NOT style).
+double dot and |0,1> on the right node (node 2): the upper system is
+the high bit, and a bit is 1 on node 1.  The module builds the Coulomb
+couplings from device geometry, assembles the 4x4 Hamiltonian as the
+N = 2 case of ``qcore.build_hn``, gives the closed-form symmetric
+eigensystem, tests factorizability, evolves the two-body state, and
+implements the mean-field one-way coupling of a third double dot
+(controlled-NOT style).  The mean field leaves out the target's
+back-action on the control: it follows the exact three-body Hamiltonian
+while the control sits in a node state and drifts from it once the
+control hops.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +26,7 @@ from .errors import OccupancyNotNormalizedError
 from .qcore import (
     StateVector,
     as_amplitudes,
-    evolve_rk4,
+    build_hn,
     evolve_steps,
     matexp_unitary,
     propagate,
@@ -108,7 +113,8 @@ class SwapParams:
 
 
 def build_h4(params, asymmetric_site_energies=None):
-    """4x4 two-body Hamiltonian in BasisOrder4.
+    """4x4 two-body Hamiltonian in BasisOrder4, ``qcore.build_hn`` of the
+    upper (U) and lower (L) double dots, bit 1 on node 1.
 
     The diagonal holds pairwise site energies plus the matching Coulomb
     coupling; t_l hops the lower system on index pairs (0,1), (2,3) and
@@ -120,14 +126,9 @@ def build_h4(params, asymmetric_site_energies=None):
         ep1 = ep2 = ep1p = ep2p = params.vs
     else:
         ep1, ep2, ep1p, ep2p = asymmetric_site_energies
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = ep2 + ep2p + cc.ec22
-    h[1, 1] = ep2 + ep1p + cc.ec21
-    h[2, 2] = ep1 + ep2p + cc.ec12
-    h[3, 3] = ep1 + ep1p + cc.ec11
-    h[0, 1] = h[1, 0] = h[2, 3] = h[3, 2] = params.t_l
-    h[0, 2] = h[2, 0] = h[1, 3] = h[3, 1] = params.t_u
-    return h
+    upper = ((ep2, params.t_u), (params.t_u, ep1))
+    lower = ((ep2p, params.t_l), (params.t_l, ep1p))
+    return build_hn((upper, lower), {(0, 1): ((cc.ec22, cc.ec21), (cc.ec12, cc.ec11))})
 
 
 @dataclass
@@ -188,15 +189,10 @@ def is_factorizable(state):
     return tau <= 1e-10, 2.0 * tau
 
 
-def evolve4(h, state, t0, t, dt=1e-3):
-    """Evolve a 4-component state under a constant matrix or a callable
-    t -> matrix.  Constant path is exact (matrix exponential); callable
-    path integrates the Schroedinger equation with RK4."""
-    amps = as_amplitudes(state)
-    if callable(h):
-        out = evolve_rk4(h, amps, t0, t, dt)
-    else:
-        out = matexp_unitary(h, t - t0) @ amps
+def evolve4(h, state, t0, t):
+    """Evolve a 4-component state under a constant matrix ``h`` from ``t0``
+    to ``t`` with the exact matrix exponential."""
+    out = matexp_unitary(h, t - t0) @ as_amplitudes(state)
     return StateVector(out, getattr(state, "basis", "position"))
 
 

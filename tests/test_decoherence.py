@@ -4,7 +4,8 @@ import pytest
 import posqubit.decoherence as dec
 import posqubit.measurement as ms
 import posqubit.single_qubit as sq
-from posqubit.qcore import eig_hermitian, matexp_unitary
+from posqubit import signals
+from posqubit.qcore import eig_hermitian, evolve_rk4, matexp_unitary
 
 rng = np.random.default_rng(505)
 
@@ -112,6 +113,50 @@ def test_build_h0_resonant_structure():
     assert np.max(np.abs(h - h.conj().T)) < 1e-15
 
 
+def _former_build_h0_resonant(e1a, e2a, e1b, e2b, e12a, e12b, t):
+    """build_h0_resonant as written before it called qcore.build_hn."""
+    e1a_v = signals.as_signal(e1a)(t)
+    e2a_v = signals.as_signal(e2a)(t)
+    e1b_v = signals.as_signal(e1b)(t)
+    e2b_v = signals.as_signal(e2b)(t)
+    e12a_v = signals.as_signal(e12a)(t)
+    e12b_v = signals.as_signal(e12b)(t)
+    h = np.diag(
+        np.array(
+            [e1a_v + e1b_v, e1a_v + e2b_v, e2a_v + e1b_v, e2a_v + e2b_v], dtype=complex
+        )
+    )
+    h[0, 1] = h[2, 3] = e12b_v
+    h[1, 0] = h[3, 2] = np.conj(e12b_v)
+    h[0, 2] = h[1, 3] = e12a_v
+    h[2, 0] = h[3, 1] = np.conj(e12a_v)
+    return h
+
+
+def test_build_h0_resonant_matches_its_former_body_bit_for_bit():
+    gen = np.random.default_rng(1517)
+    zeros = (0.0, -0.0)
+
+    def energy():
+        return zeros[gen.integers(2)] if gen.random() < 0.2 else float(gen.uniform(-3.0, 3.0))
+
+    def coupling():
+        # real, complex, or complex with signed-zero parts
+        kind = gen.integers(3)
+        if kind == 0:
+            return energy()
+        return complex(energy(), energy()) if kind == 1 else complex(zeros[gen.integers(2)], zeros[gen.integers(2)])
+
+    for i in range(3000):
+        args = [energy() for _ in range(4)] + [coupling(), coupling()]
+        if i % 5 == 0:
+            args[i % 6] = signals.sinusoid(*gen.uniform(0.1, 2.0, size=3))
+        t = float(gen.uniform(0.0, 5.0))
+        new, old = dec.build_h0_resonant(*args, t), _former_build_h0_resonant(*args, t)
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+
+
 def test_symmetric_case_matches_generic_machinery():
     dist = random_distances()
     k = 1.7
@@ -149,26 +194,29 @@ def test_evolve_density_unitary_invariants():
 
 
 def test_evolve_density_callable_matches_constant():
+    # RK4 on rho.reshape(16) under H x I - I x H^T, the von Neumann generator
     basis = random_basis()
     dist = random_distances()
     hdec = dec.decoherence_matrix(basis, dist, 0.5)
     h0 = dec.build_h0_resonant(-1.0, 1.0, -0.7, 0.7, 0.0, 0.0, 0.0)
     rho0 = ms.pure_density(np.array([1.0, 0.0, 0.0, 0.0]))
+    h = h0 + hdec
+    liouvillian = np.kron(h, np.eye(4)) - np.kron(np.eye(4), h.T)
+
+    def stepped(t0, ts):
+        y, out = rho0.reshape(16), []
+        for start, stop in zip([t0, *ts[:-1]], ts):
+            y = evolve_rk4(lambda tp: liouvillian, y, start, stop, 1e-3)
+            out.append(y.reshape(4, 4))
+        return np.array(out)
+
     exact = dec.evolve_density_with_decoherence(rho0, h0, hdec, 0.0, 1.5)
-    stepped = dec.evolve_density_with_decoherence(
-        rho0, lambda t: h0, lambda t: hdec, 0.0, 1.5, dt=1e-3
-    )
-    assert np.max(np.abs(exact - stepped)) < 1e-9
+    assert np.max(np.abs(exact - stepped(0.0, [1.5])[0])) < 1e-9
     # an array of sample times, stepped from each sample to the next
     ts = np.linspace(0.2, 1.5, 6)
     exact = dec.evolve_density_with_decoherence(rho0, h0, hdec, 0.2, ts)
-    stepped = dec.evolve_density_with_decoherence(rho0, lambda t: h0, hdec, 0.2, ts, dt=1e-3)
-    assert stepped.shape == exact.shape == (6, 4, 4)
-    assert np.max(np.abs(exact - stepped)) < 1e-9
-    with pytest.raises(ValueError, match="paper_factorized"):
-        dec.evolve_density_with_decoherence(rho0, lambda t: h0, hdec, 0.2, ts, paper_factorized=True)
-    with pytest.raises(ValueError, match="descend"):
-        dec.evolve_density_with_decoherence(rho0, lambda t: h0, hdec, 0.2, ts[::-1])
+    assert exact.shape == (6, 4, 4)
+    assert np.max(np.abs(exact - stepped(0.2, ts))) < 1e-9
 
 
 def test_paper_factorized_short_time_agreement():

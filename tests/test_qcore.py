@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from posqubit.qcore import (
     StateVector,
     _entries,
     _entry_product,
+    build_hn,
     eig_hermitian,
     evolve_rk4,
     evolve_steps,
@@ -232,6 +234,28 @@ def test_evolve_rk4_partial_final_step():
     h = np.array([[1.0]], dtype=complex)
     psi = evolve_rk4(lambda t: h, np.array([1.0]), 0.0, 0.2501, 1e-1)
     assert abs(psi[0] - np.exp(-1j * 0.2501)) < 1e-6
+
+
+def test_build_hn_is_the_kronecker_sum_plus_the_pair_diagonal():
+    eye = np.eye(2)
+    for n in (1, 2, 3):
+        bodies = [random_hermitian(2) for _ in range(n)]
+        pairs = {(k, l): rng.normal(size=(2, 2)) for k in range(n) for l in range(k + 1, n)}
+        expected = np.zeros((2**n, 2**n), dtype=complex)
+        for k, body in enumerate(bodies):
+            factors = [eye] * n
+            factors[k] = body
+            expected += functools.reduce(np.kron, factors)
+        # the node-diagonal pair terms: body 0 is the most significant bit
+        bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        for (k, l), c in pairs.items():
+            expected += np.diag(c[bits[:, k], bits[:, l]])
+        h = build_hn([b.tolist() for b in bodies], {key: c.tolist() for key, c in pairs.items()})
+        assert h.dtype == complex and h.shape == expected.shape
+        assert np.max(np.abs(h - expected)) < 1e-14
+        # off the diagonal every entry is copied, not summed
+        off = ~np.eye(2**n, dtype=bool)
+        assert np.array_equal(h[off], expected[off])
 
 
 def test_statevector_basics():

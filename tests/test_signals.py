@@ -32,14 +32,25 @@ def test_table_interpolation_and_domain():
 
 
 def test_table_order_check_spans_past_the_largest_float():
-    # np.diff overflowed on this span; the order check compares neighbours
+    # np.diff overflowed on this span; the order check compares neighbours,
+    # and only then is a gap past the largest float rejected
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sig = signals.table([-1.7e308, 1.7e308], [0.2, 0.1])
-        assert sig(-1.7e308) == 0.2 and sig(1.7e308) == 0.1
+        for times in ([-1.7e308, 1.7e308], [-float("inf"), 0.0], [0.0, 1.0, float("inf")]):
+            with pytest.raises(ValueError, match="gaps between sample times must be finite"):
+                signals.table(times, [0.2] * len(times))
         for times in ([-1.7e308, 1.7e308, 1.7e308], [1.7e308, -1.7e308], [0.0, float("nan")]):
             with pytest.raises(ValueError, match="strictly increasing"):
                 signals.table(times, [0.0] * len(times))
+
+
+def test_table_interpolates_over_the_widest_finite_gaps():
+    # np.interp's slope over a gap past the largest float read 0.2 here, not 0.15
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sig = signals.table([-8e307, 8e307], [0.2, 0.1])
+        assert abs(sig(0.0) - 0.15) <= 1e-15
+        assert sig(-8e307) == 0.2 and sig(8e307) == 0.1
 
 
 def test_complex_table_keeps_imaginary_part():

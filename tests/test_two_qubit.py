@@ -6,7 +6,7 @@ import pytest
 import posqubit.qcore as qcore
 import posqubit.two_qubit as tq
 from posqubit.errors import OccupancyNotNormalizedError
-from posqubit.qcore import StateVector, eig_hermitian
+from posqubit.qcore import StateVector, build_hn, eig_hermitian, evolve_rk4, propagate
 
 rng = np.random.default_rng(303)
 
@@ -65,6 +65,46 @@ def test_build_h4_asymmetric_site_energies():
     # index 0 = |0,1>_U |0,1>_L occupies nodes 2 and 2'
     assert h[0, 0].real == 2.0 + 4.0
     assert h[3, 3].real == 1.0 + 3.0
+
+
+def _former_build_h4(params, asymmetric_site_energies=None):
+    """build_h4 as written before it called qcore.build_hn, one entry at a time."""
+    cc = params.couplings
+    if asymmetric_site_energies is None:
+        ep1 = ep2 = ep1p = ep2p = params.vs
+    else:
+        ep1, ep2, ep1p, ep2p = asymmetric_site_energies
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 0] = ep2 + ep2p + cc.ec22
+    h[1, 1] = ep2 + ep1p + cc.ec21
+    h[2, 2] = ep1 + ep2p + cc.ec12
+    h[3, 3] = ep1 + ep1p + cc.ec11
+    h[0, 1] = h[1, 0] = h[2, 3] = h[3, 2] = params.t_l
+    h[0, 2] = h[2, 0] = h[1, 3] = h[3, 1] = params.t_u
+    return h
+
+
+def test_build_h4_matches_its_former_body_bit_for_bit():
+    gen = np.random.default_rng(1515)
+    zeros = (0.0, -0.0)
+
+    def value(low, high):
+        # one value in five a signed zero, so all-zero sums of either sign occur
+        return zeros[gen.integers(2)] if gen.random() < 0.2 else float(gen.uniform(low, high))
+
+    kinds = (tq.PARALLEL, tq.COLLINEAR, tq.PERPENDICULAR)
+    cases = [(tq.SwapParams(vs=-0.0, t_u=-0.0, t_l=-0.0, couplings=tq.CoulombCouplings(-0.0, -0.0, -0.0, -0.0)), None)]
+    for i in range(3000):
+        lengths = dict(zip(("a", "b", "d", "d1", "d2", "d3"), gen.uniform(0.1, 5.0, size=6).tolist()))
+        g = tq.DotGeometry(kind=kinds[i % 3], coulomb_k=value(0.0, 3.0), **lengths)
+        p = tq.SwapParams(vs=value(-3.0, 3.0), t_u=value(0.0, 1.0), t_l=value(0.0, 1.0), couplings=tq.coulomb_couplings(g))
+        asym = tuple(value(-3.0, 3.0) for _ in range(4)) if i % 2 else None
+        cases.append((p, asym))
+    for p, asym in cases:
+        new, old = tq.build_h4(p, asym), _former_build_h4(p, asym)
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+    assert np.signbit(tq.build_h4(cases[0][0]).diagonal().real).all()
 
 
 def test_symmetric_eigensystem_vs_numeric():
@@ -148,8 +188,8 @@ def test_evolve4_constant_matches_rk4():
     h = tq.build_h4(p)
     psi0 = StateVector(np.array([0.0, 1.0, 0.0, 0.0], dtype=complex))
     exact = tq.evolve4(h, psi0, 0.0, 3.0)
-    stepped = tq.evolve4(lambda t: h, psi0, 0.0, 3.0, dt=1e-3)
-    assert np.max(np.abs(exact.amps - stepped.amps)) < 1e-9
+    stepped = evolve_rk4(lambda t: h, psi0.amps, 0.0, 3.0, 1e-3)
+    assert np.max(np.abs(exact.amps - stepped)) < 1e-9
     assert abs(np.linalg.norm(exact.amps) - 1.0) < 1e-12
 
 
@@ -328,3 +368,50 @@ def test_cnot_target_matches_per_step_loop(monkeypatch):
     monkeypatch.setattr(qcore, "STEP_CHUNK", 7)
     chunked = tq.cnot_coupled_run(p, control[0], vs2, t2, target[0], g, 0.0, 20.0, dt)
     assert np.max(np.abs(chunked.target - np.array(oracle))) < 1e-12
+
+
+def _three_body_h(p, g, vs2, t2):
+    """8x8 Hamiltonian of the control's double dots U and L and the target T,
+    bodies (U, L, T), every pair coupled exactly.
+
+    The control-target tables are read off ``cnot_meanfield_h2`` with one
+    control node occupied at a time.  A control body's bit is 1 on its node
+    1, as in build_h4, but the target's bit is its amplitude index, 0 on its
+    node 1: its node order is reversed against the control's.
+    """
+    def onto_target(node):  # node indexes (p1, p2, p1', p2')
+        return tq.cnot_meanfield_h2(g, np.eye(4)[node], 0.0, 0.0).diagonal().real.tolist()
+
+    cc = p.couplings
+    return build_hn(
+        (((p.vs, p.t_u), (p.t_u, p.vs)), ((p.vs, p.t_l), (p.t_l, p.vs)), ((vs2, t2), (t2, vs2))),
+        {
+            (0, 1): ((cc.ec22, cc.ec21), (cc.ec12, cc.ec11)),
+            (0, 2): (onto_target(1), onto_target(0)),
+            (1, 2): (onto_target(3), onto_target(2)),
+        },
+    )
+
+
+def test_cnot_meanfield_matches_the_exact_three_body_run_with_the_control_frozen():
+    # with its hoppings at 0 the control stays in its node state, the
+    # composite stays a product, and the one-way mean field is exact
+    gen = np.random.default_rng(1516)
+    dt, n_steps = 0.01, 2000
+    for _ in range(20):
+        lengths = dict(zip(("a", "b", "d", "d1", "d2", "d3"), gen.uniform(0.3, 3.0, size=6)))
+        g = tq.DotGeometry(kind=tq.COLLINEAR, coulomb_k=gen.uniform(0.2, 2.0), **lengths)
+        p = tq.SwapParams(vs=gen.uniform(-1.0, 1.0), t_u=0.0, t_l=0.0, couplings=tq.coulomb_couplings(g))
+        vs2, t2 = gen.uniform(-1.0, 1.0), gen.uniform(0.05, 1.0)
+        h8 = _three_body_h(p, g, vs2, t2)
+        target0 = gen.normal(size=2) + 1j * gen.normal(size=2)
+        target0 /= np.linalg.norm(target0)
+        for node_state in range(4):
+            control0 = np.eye(4, dtype=complex)[node_state]
+            run = tq.cnot_coupled_run(p, control0, vs2, t2, target0, g, 0.0, n_steps * dt, dt)
+            exact = propagate(h8, np.kron(control0, target0), run.t).reshape(-1, 4, 2)
+            # the target's density matrix: populations and coherence
+            rho_exact = np.einsum("nci,ncj->nij", exact, exact.conj())
+            rho_mf = run.target[:, :, None] * run.target[:, None, :].conj()
+            assert np.max(np.abs(rho_exact - rho_mf)) < 1e-12
+            assert np.max(np.abs(np.abs(run.control) ** 2 - np.eye(4)[node_state])) < 1e-12

@@ -16,7 +16,8 @@ w = (<E1|x>, <E2|x>) the term is (k/d) v v^dag, v = kron(wA, wB).
 The module also assembles the resonant base Hamiltonian (the N = 2 case
 of ``qcore.build_hn``), the total decoherence matrix, the symmetric-case
 scalars, exact density-matrix evolution under constant H0 + Hdec and its
-first-order angle factorization.
+first-order angle factorization.  ``_evolve`` also takes the 4 amplitudes
+of a pure state, which is what the CLI's decoherence kind propagates.
 """
 
 from dataclasses import dataclass
@@ -180,6 +181,26 @@ def energy_to_position(op, basis):
     return m @ op @ m.conj().T
 
 
+def _evolve(y0, h0, hdec, spans, paper_factorized, density=False):
+    """Amplitudes (4,), or with ``density`` a density matrix (4, 4), at each
+    of the 1-D ``spans`` under constant Hermitian H0 + Hdec: exact, or with
+    ``paper_factorized`` the first-order split, where the diagonal phase
+    D = e^{-i diag(H0 + Hdec) t} acts first, as the per-sample start d o psi0
+    or D rho0 D^dag = rho0 o (d d^dag), and then Hdec - diag(Hdec)."""
+    h0 = require_hermitian(h0)
+    hdec = require_hermitian(hdec)
+    if not paper_factorized:
+        return propagate(h0 + hdec, y0, spans, density=density)
+    diag = np.real(np.diag(h0) + np.diag(hdec))
+    d = np.exp(-1j * np.multiply.outer(spans, diag) / HBAR)
+    if density:
+        y0 = y0 * d[:, :, None]
+        y0 *= d[:, None, :].conj()
+    else:
+        y0 = y0 * d
+    return propagate(hdec - np.diag(np.diag(hdec)), y0, spans, density=density)
+
+
 def evolve_density_with_decoherence(rho0, h0, hdec, t0, t, paper_factorized=False):
     """Unitary von-Neumann evolution of a two-qubit density matrix under
     constant H0 + Hdec.
@@ -192,19 +213,8 @@ def evolve_density_with_decoherence(rho0, h0, hdec, t0, t, paper_factorized=Fals
     factorization; exact when the two commute).
     """
     rho = validate_density(rho0, dim=4)
-    h0 = require_hermitian(h0)
-    hdec = require_hermitian(hdec)
     spans = np.asarray(t, dtype=float) - t0
-    flat = spans.reshape(-1)
-    if paper_factorized:
-        # the diagonal phase D acts first, as D rho D^dag = rho o (d d^dag)
-        diag = np.real(np.diag(h0) + np.diag(hdec))
-        d = np.exp(-1j * np.multiply.outer(flat, diag) / HBAR)
-        rho = rho * d[:, :, None]
-        rho *= d[:, None, :].conj()
-        out = propagate(hdec - np.diag(np.diag(hdec)), rho, flat, density=True)
-    else:
-        out = propagate(h0 + hdec, rho, flat, density=True)
+    out = _evolve(rho, h0, hdec, spans.reshape(-1), paper_factorized, density=True)
     return out.reshape(spans.shape + (4, 4))
 
 

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 import posqubit
 import posqubit.cli as cli
+import posqubit.decoherence as dec
+import posqubit.measurement as ms
 import posqubit.qcore as qcore
 import posqubit.single_qubit as sq
 from posqubit.errors import ConfigError
@@ -384,6 +386,121 @@ def test_decoherence_run_diagonalizes_once(monkeypatch):
         calls.clear()
         series, _ = cli.run_scenario(cfg, paper_factorized=paper_factorized)
         assert len(series.t) == 2001 and calls == ["hdec", (4, 4)]
+
+
+def test_decoherence_run_propagates_amplitudes_not_densities(monkeypatch):
+    propagate = qcore.propagate
+    calls = []
+
+    def recording(h, y0, times, *, density=False):
+        calls.append((np.shape(y0), density))
+        return propagate(h, y0, times, density=density)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decoherence point took the density path")
+
+    for module in (qcore, dec):
+        monkeypatch.setattr(module, "propagate", recording)
+    monkeypatch.setattr(dec, "evolve_density_with_decoherence", refuse)
+    for paper_factorized in (False, True):
+        calls.clear()
+        series, _ = cli.run_scenario(decoherence_cfg(), paper_factorized=paper_factorized)
+        # with the split, every sample starts from its own D(t) psi0
+        start = (len(series.t), 4) if paper_factorized else (4,)
+        assert calls == [(start, False)]
+
+
+def random_decoherence_cfg(gen):
+    def qubit():
+        return {
+            "ep1": gen.uniform(-1, 1),
+            "ep2": gen.uniform(-1, 1),
+            "ts_mag": gen.uniform(0.2, 1.5),
+            "alpha": gen.uniform(0, 2 * np.pi),
+        }
+
+    t0 = float(gen.integers(-4, 5)) / 4
+    n_steps = int(gen.integers(20, 300))
+    return {
+        "schema_version": 1,
+        "kind": "decoherence",
+        "time": {"t0": t0, "t_max": t0 + 0.05 * n_steps, "dt": 0.05, "sample_stride": int(gen.integers(1, 6))},
+        "parameters": {
+            "qubitA": qubit(),
+            "qubitB": qubit(),
+            **{f"d{ij}": gen.uniform(0.5, 4.0) for ij in dec.NODE_PAIRS},
+            "coulomb_k": gen.uniform(0.1, 1.5),
+            "initial": gen.normal(size=(4, 2)).tolist(),
+        },
+    }
+
+
+def symmetric_decoherence_cfg():
+    """The degenerate case of ``_symmetric_decoherence_hamiltonian`` in
+    tests/test_qcore.py: equal qubits and equal node distances."""
+    cfg = decoherence_cfg()
+    params = cfg["parameters"]
+    params.update({f"d{ij}": 1.0 for ij in dec.NODE_PAIRS}, coulomb_k=0.5)
+    params["initial"] = [[0.3, 0.1], [0.5, -0.2], [-0.4, 0.6], [0.2, 0.2]]
+    cfg["time"] = {"t0": 0.5, "t_max": 8.5, "dt": 0.02, "sample_stride": 3}
+    return cfg
+
+
+def _decoherence_oracles(cfg, ts, paper_factorized):
+    """H0 + Hdec of ``cfg`` and its density stacks at ``ts``: from
+    ``evolve_density_with_decoherence`` and from per-sample ``expm``."""
+    import scipy.linalg as sla
+
+    p = cfg["parameters"]
+    co_a, co_b = (sq.eigencoeffs(sq.QubitParams(**p[q]), 0.0) for q in ("qubitA", "qubitB"))
+    dist = dec.NodeDistances(*(p[f"d{ij}"] for ij in dec.NODE_PAIRS))
+    hdec = dec.decoherence_matrix(dec.QubitEnergyBasis(co_a, co_b), dist, p["coulomb_k"])
+    h0 = dec.build_h0_resonant(co_a.e1, co_a.e2, co_b.e1, co_b.e2, 0.0, 0.0, 0.0)
+    psi0 = np.array([complex(re, im) for re, im in p["initial"]])
+    rho0 = ms.pure_density(psi0 / np.linalg.norm(psi0))
+    t0 = cfg["time"]["t0"]
+    density = dec.evolve_density_with_decoherence(rho0, h0, hdec, t0, ts, paper_factorized=paper_factorized)
+    props = []
+    for span in ts - t0:
+        if paper_factorized:
+            diag = np.real(np.diag(h0 + hdec))
+            off = hdec - np.diag(np.diag(hdec))
+            props.append(sla.expm(-1j * off * span / qcore.HBAR) @ np.diag(np.exp(-1j * diag * span / qcore.HBAR)))
+        else:
+            props.append(sla.expm(-1j * (h0 + hdec) * span / qcore.HBAR))
+    per_sample = np.array([u @ rho0 @ u.conj().T for u in props])
+    return h0 + hdec, density, per_sample
+
+
+@pytest.mark.parametrize("paper_factorized", [False, True])
+def test_decoherence_columns_match_density_and_expm_oracles(paper_factorized):
+    gen = np.random.default_rng(1717)
+    cfgs = [symmetric_decoherence_cfg()] + [random_decoherence_cfg(gen) for _ in range(12)]
+    for index, cfg in enumerate(cfgs):
+        series, summary = cli.run_scenario(cfg, paper_factorized=paper_factorized)
+        h, *oracles = _decoherence_oracles(cfg, series.t, paper_factorized)
+        if index == 0:
+            assert np.min(np.diff(np.linalg.eigvalsh(h))) < 1e-12
+        for rho in oracles:
+            purity = np.real(np.einsum("tij,tji->t", rho, rho))
+            expected = {
+                "p_E1A_E1B": rho[:, 0, 0].real,
+                "p_E1A_E2B": rho[:, 1, 1].real,
+                "p_E2A_E1B": rho[:, 2, 2].real,
+                "p_E2A_E2B": rho[:, 3, 3].real,
+                "re_rho_01": rho[:, 0, 1].real,
+                "im_rho_01": rho[:, 0, 1].imag,
+                "purity": purity,
+            }
+            assert list(series.columns) == list(expected)
+            for name, column in expected.items():
+                assert np.max(np.abs(series.columns[name] - column)) <= 1e-12, (index, name)
+            assert abs(summary["min_purity"] - purity.min()) <= 1e-12
+        # the pairwise sums plus the r1 shifts are the diagonal of H0 + Hdec
+        assert np.max(np.abs(np.array(summary["renormalized_energies"]) - np.diag(h).real)) <= 1e-12
+        p = cfg["parameters"]
+        r1 = 0.25 * sum(p["coulomb_k"] / p[f"d{ij}"] for ij in dec.NODE_PAIRS)
+        assert abs(summary["symmetric_EAB_r1"] - r1) <= 1e-12
 
 
 def test_module_entry_point_warns_nothing(tmp_path):

@@ -5,6 +5,7 @@ import posqubit.decoherence as dec
 import posqubit.measurement as ms
 import posqubit.single_qubit as sq
 from posqubit import signals
+from posqubit.errors import NonHermitianError
 from posqubit.qcore import eig_hermitian, evolve_rk4, matexp_unitary
 
 rng = np.random.default_rng(505)
@@ -297,3 +298,50 @@ def test_evolve_density_sample_array_matches_per_sample(paper_factorized):
     )
     assert single.shape == (4, 4)
     assert np.max(np.abs(single - batched[9])) <= 1e-12
+
+
+def _symmetric_h0_hdec():
+    """Equal qubits and equal node distances: the middle pair of levels of
+    H0 + Hdec is degenerate."""
+    co = symmetric_basis().coeffs_a
+    hdec = dec.decoherence_matrix(symmetric_basis(), dec.NodeDistances(1.0, 1.0, 1.0, 1.0), 0.5)
+    h0 = dec.build_h0_resonant(co.e1, co.e2, co.e1, co.e2, 0.0, 0.0, 0.0)
+    assert np.min(np.diff(np.linalg.eigvalsh(h0 + hdec))) < 1e-12
+    return h0, hdec
+
+
+@pytest.mark.parametrize("paper_factorized", [False, True])
+def test_state_path_matches_density_path(paper_factorized):
+    """The amplitudes' path and the density path share one split: psi psi^dag
+    of the propagated state is the propagated density, sample by sample."""
+    cases = [_symmetric_h0_hdec()]
+    for _ in range(6):
+        h0 = dec.build_h0_resonant(*rng.uniform(-2, 2, size=4), 0.0, 0.0, 0.0)
+        cases.append((h0, dec.decoherence_matrix(random_basis(), random_distances(), rng.uniform(0.1, 1.5))))
+    spans = np.linspace(0.0, 6.0, 61)
+    for h0, hdec in cases:
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi0 = amps / np.linalg.norm(amps)
+        rho0 = ms.pure_density(psi0)
+        psi = dec._evolve(psi0, h0, hdec, spans, paper_factorized)
+        assert psi.shape == (61, 4)
+        states = psi[:, :, None] * psi[:, None, :].conj()
+        density = dec.evolve_density_with_decoherence(rho0, h0, hdec, 0.0, spans, paper_factorized=paper_factorized)
+        assert np.max(np.abs(states - density)) <= 1e-12
+        for span, rho in zip(spans, states):
+            assert np.max(np.abs(rho - _per_sample_density(rho0, h0, hdec, span, paper_factorized))) <= 1e-12
+
+
+def test_state_path_checks_both_hamiltonians():
+    h0, hdec = _symmetric_h0_hdec()
+    psi0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    # an imaginary diagonal entry: the split reads only the real diagonal,
+    # so no later check in the path would see it
+    skewed = hdec.copy()
+    skewed[0, 0] += 1e-6j
+    infinite = h0.copy()
+    infinite[3, 3] = np.inf
+    for paper_factorized in (False, True):
+        for bad in ((h0, skewed), (skewed, hdec), (infinite, hdec)):
+            with pytest.raises(NonHermitianError):
+                dec._evolve(psi0, *bad, np.array([0.0, 1.0]), paper_factorized)

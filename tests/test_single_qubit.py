@@ -288,6 +288,14 @@ def test_greens_operator_residual_small():
     assert res < 1e-6
 
 
+def test_greens_operator_residual_is_fourth_order_and_near_rounding():
+    f1 = signals.sinusoid(0.3, 2.0)
+    assert sq.greens_operator_residual(0.5, 0.8, f1, 0.0, 2.0) <= 1e-11
+    coarse, fine = (sq.greens_operator_residual(0.5, 0.8, f1, 0.0, 2.0, fd_step=h) for h in (2e-3, 1e-3))
+    # halving h cuts a fourth-order stencil's error 16-fold; a second-order one's 4-fold
+    assert coarse / fine >= 10.0
+
+
 def test_eigencoeffs_and_build_h2_accept_arrays():
     # an array of times gives, sample by sample, the scalar results, including
     # samples where ts == 0 takes the position-basis branch

@@ -15,10 +15,14 @@ are either numbers or objects like
 {"kind": "sinusoid", "amplitude": 1, "omega": 2, "phase": 0, "offset": 0}
 or {"kind": "table", "times": [...], "values": [...]}.
 
-Each field goes through a reader (``_number``, ``_integer``, ``_signal``,
-``_amplitudes``, ``_geometry``, ``_time_block``) that checks type, bounds
-and shape and raises ConfigError naming the dotted path; sizes are capped
-(MAX_*) before anything is allocated.  The README lists every field.
+``_SCHEMAS`` holds one schema per kind: a nested dict shaped like the
+JSON, whose leaves are (reader, default) pairs.  ``_read`` walks a config
+through it before any runner code runs, so the runners take plain
+values.  A reader (``_float``, ``_int``, ``_signal``, ``_amplitudes``,
+``_geometry``, ...) checks type, bounds and shape; a bad value, a missing
+required field and a key the schema lacks each raise ConfigError naming
+the dotted path.  Sizes are capped (MAX_*) before anything is allocated.
+The README lists every field.
 
 Outputs are deterministic: identical configs produce identical bytes
 (modulo the versioned header line).  Exit codes: 0 success, 2 config
@@ -26,10 +30,10 @@ error, 3 numerical failure, which includes a non-finite output value.
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -50,13 +54,12 @@ MAX_LEVELS = 16  # spectral basis.n_levels; the mode space has MAX_LEVELS**2 ent
 MAX_GRID = 4001  # spectral basis.n_grid; W assembly holds about n_levels**2 x n_grid floats
 
 _REQUIRED = object()
-_GEOMETRY_FIELDS = {f.name for f in dataclasses.fields(tq.DotGeometry)}
 
 
-@dataclasses.dataclass
 class TimeSeries:
-    t: np.ndarray
-    columns: dict  # name -> real array
+    def __init__(self, t, columns):
+        self.t = t
+        self.columns = columns  # name -> real array
 
     def as_rows(self):
         names = ["t"] + list(self.columns)
@@ -68,17 +71,37 @@ def _fail(path, message):
     raise ConfigError(f"{path}: {message}")
 
 
-def _get(cfg, path, default=_REQUIRED):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict):
-            _fail(path, "an enclosing field is not an object")
-        if part not in node:
-            if default is _REQUIRED:
-                _fail(path, "missing required field")
-            return default
-        node = node[part]
-    return node
+def _read(raw, schema, path):
+    """The object ``raw`` read through ``schema``, a dict of its fields, each
+    a nested schema or a (reader, default) pair.  A key the schema lacks is
+    an error; a missing field takes its default through the same reader,
+    unless the default is _REQUIRED."""
+    if not isinstance(raw, dict):
+        _fail(path, "expected an object")
+    for key in raw:
+        if key not in schema:
+            _fail(f"{path}.{key}" if path else key, f"unknown field; expected one of {sorted(schema)}")
+    out = {}
+    for key, node in schema.items():
+        sub = f"{path}.{key}" if path else key
+        if isinstance(node, dict):
+            out[key] = _read(raw.get(key, {}), node, sub)
+        elif key in raw or node[1] is not _REQUIRED:
+            out[key] = node[0](raw.get(key, node[1]), sub)
+        else:
+            _fail(sub, "missing required field")
+    return out
+
+
+def _kind_fields(raw, path, kinds, default=None):
+    """(kind, fields) of the object ``raw``, whose ``kind`` picks the schema
+    in ``kinds`` that reads its other fields."""
+    if not isinstance(raw, dict):
+        _fail(path, "expected an object")
+    kind = raw.get("kind", default)
+    if not (isinstance(kind, str) and kind in kinds):
+        _fail(f"{path}.kind" if path else "kind", f"unknown kind {kind!r:.40}; choose from {sorted(kinds)}")
+    return kind, _read({k: v for k, v in raw.items() if k != "kind"}, kinds[kind], path)
 
 
 def _float(value, path, gt=None, ge=None):
@@ -102,34 +125,17 @@ def _int(value, path, low, high):
     return int(x)
 
 
-def _number(cfg, path, default=_REQUIRED, gt=None, ge=None):
-    return _float(_get(cfg, path, default), path, gt, ge)
+def _floats(raw, path):
+    if not isinstance(raw, list):
+        _fail(path, "expected a list of numbers")
+    return [_float(x, path) for x in raw]
 
 
-def _integer(cfg, path, default, low, high):
-    return _int(_get(cfg, path, default), path, low, high)
-
-
-def _signal(cfg, path, default=_REQUIRED):
-    """A number or a constant / sinusoid / table object, as a signal."""
-    raw = _get(cfg, path, default)
-    if not isinstance(raw, dict):
-        return signals.constant(_float(raw, path))
-    kind = raw.get("kind")
-    if kind == "constant":
-        return signals.constant(_number(cfg, f"{path}.value", 0.0))
-    if kind == "sinusoid":
-        keys = ("amplitude", "omega", "phase", "offset")
-        return signals.sinusoid(*(_number(cfg, f"{path}.{key}", 0.0) for key in keys))
-    if kind == "table":
-        times, values = _get(cfg, f"{path}.times"), _get(cfg, f"{path}.values")
-        if not (isinstance(times, list) and isinstance(values, list)):
-            _fail(path, "times and values must be lists of numbers")
-        try:
-            return signals.table(*([_float(x, path) for x in xs] for xs in (times, values)))
-        except ValueError as exc:
-            _fail(path, str(exc))
-    _fail(f"{path}.kind", f"unknown signal kind {kind!r:.40}")
+def _odd_grid(value, path):
+    n = _int(value, path, 3, MAX_GRID)
+    if n % 2 == 0:
+        _fail(path, "Simpson quadrature needs an odd point count")
+    return n
 
 
 def _pair(raw, path):
@@ -145,48 +151,124 @@ def _normalized(amps, path):
     return amps / norm
 
 
-def _amplitudes(cfg, path, n, required=False):
-    """``n`` [re, im] pairs, normalized; the first basis state by default."""
-    raw = _get(cfg, path, _REQUIRED if required else [[1.0, 0.0]] + [[0.0, 0.0]] * (n - 1))
+def _amplitudes(raw, path, n):
+    """``n`` [re, im] pairs, normalized."""
     if not (isinstance(raw, list) and len(raw) == n):
         _fail(path, f"expected a list of {n} [re, im] pairs")
     return _normalized(np.array([_pair(x, path) for x in raw]), path)
 
 
-def _time_block(cfg):
+def _modes(raw, path):
+    """[n, m, re, im] entries as (n, m, amplitude); ``_run_spectral`` bounds n, m by n_levels."""
+    if not (isinstance(raw, list) and all(isinstance(e, list) and len(e) == 4 for e in raw)):
+        _fail(path, "expected a list of [n, m, re, im] entries")
+    return [(_int(e[0], path, 0, MAX_LEVELS - 1), _int(e[1], path, 0, MAX_LEVELS - 1), _pair(e[2:], path)) for e in raw]
+
+
+def _signal(raw, path):
+    """A number or a constant / sinusoid / table object, as a signal."""
+    if not isinstance(raw, dict):
+        return signals.constant(_float(raw, path))
+    kind, fields = _kind_fields(raw, path, _SIGNALS)
+    try:
+        # looked up at each call, as the factories are never stored
+        return getattr(signals, kind)(**fields)
+    except ValueError as exc:
+        _fail(path, str(exc))
+
+
+def _geometry(raw, path, optional=False):
+    """A DotGeometry; None when it is optional and absent."""
+    if raw is None and optional:
+        return None
+    kind, fields = _kind_fields(raw, path, _GEOMETRIES, tq.COLLINEAR)
+    return tq.DotGeometry(kind, **fields)
+
+
+def _time_block(t0, t_max, dt, sample_stride):
     """(t0, dt, n_steps, steps): n_steps = (t_max - t0) / dt steps of dt
     from t0, sampled at the step indices ``steps`` (every sample_stride-th
     from 0, and n_steps), so at the times t0 + dt * steps.  ``dt`` must
     divide the span to 1e-9 relative, so no sample lies past t_max."""
-    t0 = _number(cfg, "time.t0", 0.0)
-    t_max = _number(cfg, "time.t_max", gt=t0)
-    dt = _number(cfg, "time.dt", gt=0.0)
-    stride = _integer(cfg, "time.sample_stride", 1, 1, MAX_STEPS)
+    if not t_max > t0:
+        _fail("time.t_max", f"must exceed {t0}, got {t_max}")
     ratio = (t_max - t0) / dt
     if not ratio <= MAX_STEPS:
         _fail("time", f"(t_max - t0) / dt exceeds MAX_STEPS = {MAX_STEPS}")
     n_steps = int(round(ratio))
     if abs(ratio - n_steps) > 1e-9 * ratio:
         _fail("time.dt", f"must divide t_max - t0; (t_max - t0) / dt = {ratio:.17g} is not a whole number")
-    if not all(map(math.isfinite, (dt * stride, t0 + dt * n_steps))):
+    if not all(map(math.isfinite, (dt * sample_stride, t0 + dt * n_steps))):
         _fail("time", "dt * sample_stride and every step time up to t_max must be finite")
-    return t0, dt, n_steps, np.append(np.arange(0, n_steps, stride), n_steps)
+    return t0, dt, n_steps, np.append(np.arange(0, n_steps, sample_stride), n_steps)
 
 
-def _geometry(cfg, required=False):
-    """``parameters.geometry`` as a DotGeometry; None when it is optional and absent."""
-    path = "parameters.geometry"
-    raw = _get(cfg, path, _REQUIRED if required else None)
-    if raw is None and not required:
-        return None
-    if not isinstance(raw, dict) or not raw.keys() <= _GEOMETRY_FIELDS:
-        _fail(path, f"expected an object with fields from {sorted(_GEOMETRY_FIELDS)}")
-    kind = raw.get("kind", tq.COLLINEAR)
-    if kind not in (tq.PARALLEL, tq.COLLINEAR, tq.PERPENDICULAR):
-        _fail(f"{path}.kind", f"unknown geometry kind {kind!r:.40}")
-    sizes = {k: _number(cfg, f"{path}.{k}", gt=0.0) for k in raw if k not in ("kind", "coulomb_k")}
-    k = _number(cfg, f"{path}.coulomb_k", 1.0, ge=0.0)
-    return tq.DotGeometry(kind, coulomb_k=k, **sizes)
+def _state(n, required=False):
+    """The leaf of ``n`` amplitudes, the first basis state by default."""
+    return partial(_amplitudes, n=n), _REQUIRED if required else [[1.0, 0.0]] + [[0.0, 0.0]] * (n - 1)
+
+
+def _qubit(read):
+    return {"ep1": (read, 0.0), "ep2": (read, 0.0), "ts_mag": (read, _REQUIRED), "alpha": (read, 0.0)}
+
+
+# The schemas hold private readers only: a reader looks up the package
+# functions it calls when it runs, so a wrapper set on them is seen.
+_NUMBER = (_float, 0.0)
+_POSITIVE = partial(_float, gt=0.0)
+_NONNEGATIVE = partial(_float, ge=0.0)
+_EC = ("ec11", "ec22", "ec12", "ec21")
+_SIGNALS = {
+    "constant": {"value": _NUMBER},
+    "sinusoid": dict.fromkeys(("amplitude", "omega", "phase", "offset"), _NUMBER),
+    "table": {"times": (_floats, _REQUIRED), "values": (_floats, _REQUIRED)},
+}
+_GEOMETRIES = dict.fromkeys(
+    (tq.PARALLEL, tq.COLLINEAR, tq.PERPENDICULAR),
+    {**dict.fromkeys(("a", "b", "d", "d1", "d2", "d3"), (_POSITIVE, 1.0)), "coulomb_k": (_NONNEGATIVE, 1.0)},
+)
+_LEVELS = {"n_levels": (partial(_int, low=1, high=MAX_LEVELS), 2), "n_grid": (_odd_grid, 1601)}
+_BASES = {"harmonic": {**_LEVELS, "omega": (_POSITIVE, 1.0)}, "box": {**_LEVELS, "width": (_POSITIVE, 1.0)}}
+_HOPPING = {"vs": _NUMBER, "t_u": (_NONNEGATIVE, _REQUIRED), "t_l": (_NONNEGATIVE, _REQUIRED)}
+_TIME = {
+    "t0": _NUMBER,
+    "t_max": (_float, _REQUIRED),
+    "dt": (_POSITIVE, _REQUIRED),
+    "sample_stride": (partial(_int, low=1, high=MAX_STEPS), 1),
+}
+_PARAMETERS = {
+    "single-qubit": {**_qubit(_signal), "initial": _state(2)},
+    "rabi": {"e1": (_signal, _REQUIRED), "e2": (_signal, _REQUIRED), "e12": (_signal, 0.0), "initial": _state(2)},
+    "swap": {
+        **_HOPPING,
+        "geometry": (partial(_geometry, optional=True), None),
+        **dict.fromkeys(_EC, _NUMBER),
+        "initial": _state(4),
+    },
+    "cnot": {
+        **_HOPPING,
+        "geometry": (_geometry, _REQUIRED),
+        "vs2": _NUMBER,
+        "t2": (_float, _REQUIRED),
+        "initial_control": _state(4, required=True),
+        "initial_target": _state(2, required=True),
+    },
+    "decoherence": {
+        "qubitA": _qubit(_float),
+        "qubitB": _qubit(_float),
+        **{f"d{ij}": (_POSITIVE, _REQUIRED) for ij in dec.NODE_PAIRS},
+        "coulomb_k": (_float, 1.0),
+        "initial": _state(4),
+    },
+    "spectral": {
+        "basis": (partial(_kind_fields, kinds=_BASES, default="harmonic"), {}),
+        "kernel": {"e2": (_float, 1.0), "d_reg": (_POSITIVE, 0.1)},
+        "well_offset": _NUMBER,
+        "initial_modes": (_modes, [[0, 0, 1.0, 0.0]]),
+    },
+}
+_VERSION = (partial(_int, low=SCHEMA_VERSION, high=SCHEMA_VERSION), _REQUIRED)
+_SCHEMAS = {kind: {"schema_version": _VERSION, "time": _TIME, "parameters": p} for kind, p in _PARAMETERS.items()}
 
 
 def extract_frequency(t, series):
@@ -207,22 +289,16 @@ def extract_frequency(t, series):
     return float(2.0 * np.pi / period)
 
 
-def _qubit_params(cfg, path="parameters", read=_signal):
-    defaults = {"ep1": 0.0, "ep2": 0.0, "ts_mag": _REQUIRED, "alpha": 0.0}
-    return sq.QubitParams(**{k: read(cfg, f"{path}.{k}", d) for k, d in defaults.items()})
-
-
-def _run_single_qubit(cfg):
-    params = _qubit_params(cfg)
-    t0, dt, n_steps, steps = _time_block(cfg)
-    psi0 = _amplitudes(cfg, "parameters.initial", 2)
+def _run_single_qubit(time, initial, **qubit):
+    params = sq.QubitParams(**qubit)
+    t0, dt, n_steps, steps = time
     t = t0 + dt * np.arange(n_steps + 1)
 
     def step_operators(lo, hi):
         starts = t[lo:hi]
         return rk4_step_operators(*(sq.build_h2(params, ts) for ts in (starts, starts + 0.5 * dt, starts + dt)), dt)
 
-    psi = evolve_steps(step_operators, n_steps, psi0)[steps]
+    psi = evolve_steps(step_operators, n_steps, initial)[steps]
     c_en = np.einsum("nij,nj->ni", sq.eigencoeffs(params, t[steps]).basis_matrix().conj(), psi)
     series = TimeSeries(
         t[steps],
@@ -245,14 +321,11 @@ def _run_single_qubit(cfg):
     return series, summary
 
 
-def _run_rabi(cfg):
-    e1, e2 = _signal(cfg, "parameters.e1"), _signal(cfg, "parameters.e2")
-    e12 = _signal(cfg, "parameters.e12", 0.0)
-    t0, dt, _, steps = _time_block(cfg)
+def _run_rabi(time, e1, e2, e12, initial):
+    t0, dt, _, steps = time
     ts = t0 + dt * steps
-    psi0 = _amplitudes(cfg, "parameters.initial", 2)
     u = np.concatenate([np.eye(2)[None], sq.rabi_evolution_matrix(e1, e2, e12, t0, ts[1:])])
-    psi = u @ psi0
+    psi = u @ initial
     defect = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2)), axis=(-2, -1))
     pe1, pe2 = np.abs(psi[:, 0]) ** 2, np.abs(psi[:, 1]) ** 2
     series = TimeSeries(ts, {"p_E1": pe1, "p_E2": pe2, "unitarity_defect": defect})
@@ -260,19 +333,10 @@ def _run_rabi(cfg):
     return series, summary
 
 
-def _swap_params(cfg, geom):
-    """SwapParams with the couplings of ``geom``, or of ec11..ec21 when it is None."""
-    if geom is not None:
-        couplings = tq.coulomb_couplings(geom)
-    else:
-        keys = ("ec11", "ec22", "ec12", "ec21")
-        couplings = tq.CoulombCouplings(*(_number(cfg, f"parameters.{k}", 0.0) for k in keys))
-    return tq.SwapParams(
-        vs=_number(cfg, "parameters.vs", 0.0),
-        t_u=_number(cfg, "parameters.t_u", ge=0.0),
-        t_l=_number(cfg, "parameters.t_l", ge=0.0),
-        couplings=couplings,
-    )
+def _swap_params(vs, t_u, t_l, geometry, **ec):
+    """SwapParams with the couplings of ``geometry``, or of ec11..ec21 when it is None."""
+    couplings = tq.CoulombCouplings(**ec) if geometry is None else tq.coulomb_couplings(geometry)
+    return tq.SwapParams(vs=vs, t_u=t_u, t_l=t_l, couplings=couplings)
 
 
 def _symmetric_eigensystem(params):
@@ -284,11 +348,11 @@ def _symmetric_eigensystem(params):
     return None
 
 
-def _run_swap(cfg):
-    params = _swap_params(cfg, _geometry(cfg))
-    t0, dt, _, steps = _time_block(cfg)
+def _run_swap(time, initial, **coupled):
+    params = _swap_params(**coupled)
+    t0, dt, _, steps = time
     ts = t0 + dt * steps
-    psi0 = StateVector(_amplitudes(cfg, "parameters.initial", 4))
+    psi0 = StateVector(initial)
     h4 = tq.build_h4(params)
     amps = np.empty((ts.size, 4), dtype=complex)
     ent = np.empty(ts.size)
@@ -320,18 +384,11 @@ def _run_swap(cfg):
     return series, summary
 
 
-def _run_cnot(cfg):
-    geom = _geometry(cfg, required=True)
-    params = _swap_params(cfg, geom)
-    t0, dt, n_steps, steps = _time_block(cfg)
+def _run_cnot(time, geometry, vs2, t2, initial_control, initial_target, **hopping):
+    params = _swap_params(geometry=geometry, **hopping)
+    t0, dt, n_steps, steps = time
     # no cnot Hamiltonian depends on t; counting from 0 keeps n_steps exact for any t0
-    run = tq.cnot_coupled_run(
-        params,
-        _amplitudes(cfg, "parameters.initial_control", 4, required=True),
-        _number(cfg, "parameters.vs2", 0.0), _number(cfg, "parameters.t2"),
-        _amplitudes(cfg, "parameters.initial_target", 2, required=True),
-        geom, 0.0, dt * n_steps, dt,
-    )
+    run = tq.cnot_coupled_run(params, initial_control, vs2, t2, initial_target, geometry, 0.0, dt * n_steps, dt)
     series = TimeSeries(
         t0 + dt * steps,
         {
@@ -350,24 +407,20 @@ def _run_cnot(cfg):
     return series, summary
 
 
-def _run_decoherence(cfg, paper_factorized=False):
-    pa = _qubit_params(cfg, "parameters.qubitA", _number)
-    pb = _qubit_params(cfg, "parameters.qubitB", _number)
-    dist = dec.NodeDistances(*(_number(cfg, f"parameters.d{ij}", gt=0.0) for ij in dec.NODE_PAIRS))
-    k = _number(cfg, "parameters.coulomb_k", 1.0)
-    psi0 = _amplitudes(cfg, "parameters.initial", 4)
-    t0, dt, _, steps = _time_block(cfg)
+def _run_decoherence(time, qubitA, qubitB, coulomb_k, initial, paper_factorized=False, **distances):
+    dist = dec.NodeDistances(**distances)
+    t0, dt, _, steps = time
     ts = t0 + dt * steps
-    coeffs_a = sq.eigencoeffs(pa, 0.0)
-    coeffs_b = sq.eigencoeffs(pb, 0.0)
+    coeffs_a = sq.eigencoeffs(sq.QubitParams(**qubitA), 0.0)
+    coeffs_b = sq.eigencoeffs(sq.QubitParams(**qubitB), 0.0)
     basis = dec.QubitEnergyBasis(coeffs_a, coeffs_b)
-    hdec = dec.decoherence_matrix(basis, dist, k)
+    hdec = dec.decoherence_matrix(basis, dist, coulomb_k)
     h0 = dec.build_h0_resonant(
         coeffs_a.e1, coeffs_a.e2, coeffs_b.e1, coeffs_b.e2, 0.0, 0.0, 0.0
     )
     # the pure state psi psi^dag stays pure: its 4 amplitudes carry every column
-    ms.validate_density(ms.pure_density(psi0), dim=4)
-    psi = dec._evolve(psi0, h0, hdec, ts - t0, paper_factorized)
+    ms.validate_density(ms.pure_density(initial), dim=4)
+    psi = dec._evolve(initial, h0, hdec, ts - t0, paper_factorized)
     pops = np.abs(psi) ** 2
     rho_01 = psi[:, 0] * psi[:, 1].conj()
     purity = pops.sum(axis=1) ** 2  # Tr rho^2 = (psi^dag psi)^2
@@ -383,7 +436,7 @@ def _run_decoherence(cfg, paper_factorized=False):
             "purity": purity,
         },
     )
-    sc = dec.symmetric_case(dist, k)
+    sc = dec.symmetric_case(dist, coulomb_k)
     summary = {
         "renormalized_energies": [
             float(x)
@@ -397,34 +450,19 @@ def _run_decoherence(cfg, paper_factorized=False):
     return series, summary
 
 
-def _run_spectral(cfg):
-    t0, dt, _, steps = _time_block(cfg)
-    n_levels = _integer(cfg, "parameters.basis.n_levels", 2, 1, MAX_LEVELS)
-    n_grid = _integer(cfg, "parameters.basis.n_grid", 1601, 3, MAX_GRID)
-    if n_grid % 2 == 0:
-        _fail("parameters.basis.n_grid", "Simpson quadrature needs an odd point count")
-    kind = _get(cfg, "parameters.basis.kind", "harmonic")
-    if kind not in ("harmonic", "box"):
-        _fail("parameters.basis.kind", f"unsupported basis kind {kind!r:.40}")
-    size_key = "omega" if kind == "harmonic" else "width"
-    size = {size_key: _number(cfg, f"parameters.basis.{size_key}", 1.0, gt=0.0)}
-    kernel = sp.CoulombKernel(
-        e2=_number(cfg, "parameters.kernel.e2", 1.0),
-        d_reg=_number(cfg, "parameters.kernel.d_reg", 0.1, gt=0.0),
-    )
-    offset = _number(cfg, "parameters.well_offset", 0.0)
+def _run_spectral(time, basis, kernel, well_offset, initial_modes):
+    t0, dt, _, steps = time
+    kind, fields = basis
+    n_levels = fields["n_levels"]
     path = "parameters.initial_modes"
-    modes = _get(cfg, path, [[0, 0, 1.0, 0.0]])
-    if not (isinstance(modes, list) and all(isinstance(e, list) and len(e) == 4 for e in modes)):
-        _fail(path, "expected a list of [n, m, re, im] entries")
     q0 = np.zeros((n_levels, n_levels), dtype=complex)
-    for entry in modes:
-        n_idx, m_idx = (_int(idx, path, 0, n_levels - 1) for idx in entry[:2])
-        q0[n_idx, m_idx] = _pair(entry[2:], path)
+    for n_idx, m_idx, amp in initial_modes:
+        if max(n_idx, m_idx) >= n_levels:
+            _fail(path, f"mode index {max(n_idx, m_idx)} is not below n_levels = {n_levels}")
+        q0[n_idx, m_idx] = amp
     q0 = _normalized(q0, path)
-    make_basis = sp.harmonic_basis if kind == "harmonic" else sp.box_basis
-    basis = make_basis(n_levels, n_grid=n_grid, **size)
-    w = sp.interaction_matrix_elements(basis, basis, kernel, offset)
+    basis = (sp.harmonic_basis if kind == "harmonic" else sp.box_basis)(**fields)
+    w = sp.interaction_matrix_elements(basis, basis, sp.CoulombKernel(**kernel), well_offset)
     times = t0 + dt * steps
     series_q = sp.evolve_modes(q0, basis, basis, w, t0, times)
     cols = {}
@@ -456,25 +494,24 @@ _RUNNERS = {
 }
 
 
-def _scenario_kind(cfg):
-    """Check the config root (an object with the schema version) and return its kind."""
+def _read_scenario(cfg):
+    """(kind, time grid, parameters) of ``cfg``, every field read through its kind's schema."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
-    version = cfg.get("schema_version")
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
-        _fail("schema_version", f"expected {SCHEMA_VERSION}, got {version!r:.40}")
-    kind = cfg.get("kind")
-    if not isinstance(kind, str) or kind not in _RUNNERS:
-        _fail("kind", f"unknown scenario kind {kind!r:.40}; choose from {sorted(_RUNNERS)}")
-    return kind
+    kind, out = _kind_fields(cfg, "", _SCHEMAS)
+    params = out["parameters"]
+    if kind == "swap" and params["geometry"] is not None:
+        for key in _EC:
+            if key in cfg["parameters"]:
+                _fail(f"parameters.{key}", "not allowed with geometry")
+    return kind, _time_block(**out["time"]), params
 
 
 def run_scenario(cfg, paper_factorized=False):
-    kind = _scenario_kind(cfg)
+    kind, time, params = _read_scenario(cfg)
     if kind == "decoherence":
-        series, summary = _RUNNERS[kind](cfg, paper_factorized=paper_factorized)
-    else:
-        series, summary = _RUNNERS[kind](cfg)
+        params["paper_factorized"] = paper_factorized
+    series, summary = _RUNNERS[kind](time, **params)
     _, rows = series.as_rows()
     if not (np.all(np.isfinite(rows)) and all(np.all(np.isfinite(v)) for v in summary.values())):
         raise FloatingPointError("non-finite values in scenario output")
@@ -530,8 +567,10 @@ def _parse_values(spec):
 
 
 def _set_path(cfg, path, value):
-    parent, _, leaf = path.rpartition(".")
-    node = _get(cfg, parent, None) if parent else cfg
+    *parents, leaf = path.split(".")
+    node = cfg
+    for part in parents:
+        node = node.get(part) if isinstance(node, dict) else None
     if not (isinstance(node, dict) and isinstance(node.get(leaf), (int, float))):
         raise ConfigError(f"{path}: sweep axis must name a numeric field of the scenario")
     node[leaf] = value
@@ -583,11 +622,10 @@ def _cmd_sweep(args):
 
 
 def _cmd_eigens(args):
-    cfg = _load_config(args.config)
-    kind = _scenario_kind(cfg)
+    kind, (t0, *_), fields = _read_scenario(_load_config(args.config))
+    fields.pop("initial", None)  # eigens has no state
     if kind == "single-qubit":
-        params = _qubit_params(cfg)
-        t0 = _number(cfg, "time.t0", 0.0)
+        params = sq.QubitParams(**fields)
         co = sq.eigencoeffs(params, t0)
         numeric, _ = eig_hermitian(sq.build_h2(params, t0))
         out = {
@@ -596,7 +634,7 @@ def _cmd_eigens(args):
             "max_deviation": float(max(abs(numeric[0] - co.e1), abs(numeric[1] - co.e2))),
         }
     elif kind == "swap":
-        params = _swap_params(cfg, _geometry(cfg))
+        params = _swap_params(**fields)
         numeric, _ = eig_hermitian(tq.build_h4(params))
         out = {"numeric": [float(x) for x in numeric]}
         closed = _symmetric_eigensystem(params)

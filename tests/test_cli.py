@@ -2,6 +2,7 @@ import copy
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,6 +18,7 @@ import posqubit.cli as cli
 import posqubit.decoherence as dec
 import posqubit.measurement as ms
 import posqubit.qcore as qcore
+import posqubit.signals as signals
 import posqubit.single_qubit as sq
 from posqubit.errors import ConfigError
 from posqubit.qcore import evolve_rk4
@@ -116,8 +118,10 @@ def test_single_qubit_columns_match_rk4_oracle(monkeypatch):
     runs = [cli.run_scenario(cfg)]
     monkeypatch.setattr(qcore, "STEP_CHUNK", 7)
     runs.append(cli.run_scenario(cfg))
-    params = cli._qubit_params(cfg)
-    psi = cli._amplitudes(cfg, "parameters.initial", 2)
+    params = sq.QubitParams(
+        signals.sinusoid(0.28, 1.1, 0.4, 0.02), signals.constant(-0.03), signals.constant(0.5), signals.sinusoid(0.5, 0.3)
+    )
+    psi = np.array([0.6 + 0.1j, 0.3 - 0.4j]) / np.linalg.norm([0.6 + 0.1j, 0.3 - 0.4j])
     t0, dt, n_steps, stride = 0.5, 0.01, 2000, 3
     rows = []
     for i in range(n_steps + 1):
@@ -146,8 +150,8 @@ def test_rabi_columns_match_per_sample_oracle():
     cfg["parameters"]["e12"] = {"kind": "sinusoid", "amplitude": 0.18, "omega": 1.0, "phase": 0.3}
     cfg["parameters"]["initial"] = [[0.8, 0.1], [0.2, -0.5]]
     series, summary = cli.run_scenario(cfg)
-    e12 = cli._signal(cfg, "parameters.e12")
-    psi0 = cli._amplitudes(cfg, "parameters.initial", 2)
+    e12 = signals.sinusoid(0.18, 1.0, 0.3)
+    psi0 = np.array([0.8 + 0.1j, 0.2 - 0.5j]) / np.linalg.norm([0.8 + 0.1j, 0.2 - 0.5j])
     for t, p1, p2, defect in zip(series.t, *series.columns.values()):
         u = sq.rabi_evolution_matrix(-0.5, 0.5, e12, 0.3, t) if t > 0.3 else np.eye(2)
         psi = u @ psi0
@@ -642,10 +646,13 @@ def test_main_exit_codes(tmp_path, capsys):
     argv += ["--out", str(out_path)]
     for spec in ("0:1:x", "0:1:-1", "0:1", "1,nan"):
         assert cli.main(argv + ["--values", spec]) == 2
-    # nesting that json.load accepts is copied for each point without overflowing the stack
+    # nesting that json.load accepts is copied for each point without overflowing
+    # the stack; the point then fails, as no kind accepts a field named notes
     nested = json.loads("[" * 500 + "]" * 500)
     cfg_path.write_text(json.dumps(dict(base_single_qubit(), notes=nested)))
     assert cli.main(argv + ["--values", "0.4"]) == 0
+    [row] = json.loads(out_path.read_text())["rows"]
+    assert row["status"] == "failed" and row["error"].startswith("notes: unknown field")
     capsys.readouterr()
 
 
@@ -706,7 +713,7 @@ def replaced(cfg, path, value):
     node = cfg
     *parents, leaf = path.split(".")
     for part in parents:
-        node = node[part]
+        node = node.setdefault(part, {})
     node[leaf] = value
     return cfg
 
@@ -759,6 +766,29 @@ def _field_paths(node, prefix=""):
             yield from _field_paths(value, prefix + key + ".")
 
 
+def _object_paths(node, prefix=""):
+    """The dotted path of every object in ``node``, "" for the root."""
+    yield prefix.rstrip(".")
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _object_paths(value, prefix + key + ".")
+
+
+def _schema_leaves(schema, prefix=""):
+    """Every field path of ``schema``; an object whose kind picks its fields
+    gives its ``kind`` and the fields of every kind."""
+    for key, node in schema.items():
+        path = prefix + key
+        if isinstance(node, dict):
+            yield from _schema_leaves(node, path + ".")
+        elif getattr(node[0], "func", None) is cli._kind_fields:
+            yield path + ".kind"
+            for fields in node[0].keywords["kinds"].values():
+                yield from _schema_leaves(fields, path + ".")
+        else:
+            yield path
+
+
 _KINDS = ("single-qubit", "rabi", "swap", "cnot", "decoherence", "spectral")
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -780,10 +810,16 @@ def _number_at(cfg, path, default):
 
 @st.composite
 def _one_field_replaced(draw):
+    """A complete config with one field of its kind's schema or of the config
+    itself set to any JSON value, or with an unknown key added to one object."""
     kind = draw(st.sampled_from(_KINDS))
     cfg = complete_cfg(kind)
-    path = draw(st.sampled_from(sorted(_field_paths(cfg))))
-    return replaced(cfg, path, draw(_JSON))
+    if draw(st.booleans()):
+        paths = set(_field_paths(cfg)) | set(_schema_leaves(cli._SCHEMAS[kind]))
+        return replaced(cfg, draw(st.sampled_from(sorted(paths))), draw(_JSON))
+    parent = draw(st.sampled_from(sorted(_object_paths(cfg))))
+    key = draw(st.text(max_size=8).filter(lambda k: k != "kind" and "." not in k))
+    return replaced(cfg, f"{parent}.{key}" if parent else key, draw(_JSON))
 
 
 @settings(max_examples=500, deadline=None, database=None, derandomize=True)
@@ -807,3 +843,141 @@ def test_main_exit_code_is_total(tmp_path_factory, cfg, command):
     if command == "simulate":
         argv += ["--out", str(work / "out.csv")]
     assert cli.main(argv) in (0, 2, 3)
+
+
+_SIGNAL_OBJECTS = {
+    "constant": {"kind": "constant", "value": 0.1},
+    "sinusoid": {"kind": "sinusoid", "amplitude": 0.1, "omega": 1.0, "phase": 0.2, "offset": 0.0},
+    "table": {"kind": "table", "times": [0.0, 10.0], "values": [0.0, 0.1]},
+}
+
+
+def _schema_cases():
+    """Each kind's complete config, and a single-qubit one per signal kind."""
+    cases = [complete_cfg(kind) for kind in _KINDS]
+    return cases + [replaced(base_single_qubit(), "parameters.ep1", sig) for sig in _SIGNAL_OBJECTS.values()]
+
+
+def test_complete_configs_carry_every_object_the_schemas_read():
+    paths = {path for cfg in _schema_cases() for path in _object_paths(cfg)}
+    assert paths >= {"", "time", "parameters", "parameters.basis", "parameters.kernel", "parameters.qubitA"}
+    assert paths >= {"parameters.qubitB", "parameters.geometry", "parameters.ep1", "parameters.e12"}
+    for cfg in _schema_cases():
+        cli.run_scenario(cfg)
+
+
+def test_unknown_key_at_every_object_level_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    for cfg in _schema_cases():
+        for parent in _object_paths(cfg):
+            path = f"{parent}.bogus" if parent else "bogus"
+            bad = replaced(cfg, path, 1.0)
+            with pytest.raises(ConfigError, match=f"^{path}: unknown field"):
+                cli.run_scenario(bad)
+            cfg_path.write_text(json.dumps(bad))
+            for argv in (["simulate", "--out", str(tmp_path / "out.csv")], ["eigens"]):
+                assert cli.main(argv + ["--config", str(cfg_path)]) == 2
+                assert f"config error: {path}: unknown field" in capsys.readouterr().err
+
+
+def test_misspelled_fields_are_config_errors(tmp_path, capsys):
+    """A misspelled field used to fall back to its default and exit 0."""
+    cfg_path = tmp_path / "cfg.json"
+    for path in ("time.sample_strde", "parameters.vss", "parameters.intial"):
+        cfg_path.write_text(json.dumps(replaced(swap_cfg(), path, 5 if path.startswith("time") else 0.2)))
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 2
+        assert f"{path}: unknown field" in capsys.readouterr().err
+    sinusoid = {"kind": "sinusoid", "omgea": 1}
+    cfg_path.write_text(json.dumps(replaced(base_single_qubit(), "parameters.ep1", sinusoid)))
+    assert cli.main(["eigens", "--config", str(cfg_path)]) == 2
+    assert "parameters.ep1.omgea: unknown field" in capsys.readouterr().err
+
+
+def test_fields_of_another_variant_are_config_errors(tmp_path, capsys):
+    """ec* next to a geometry, and the size field of the other basis kind."""
+    geometry = {"kind": "parallel", "a": 1.0, "b": 1.0, "d1": 2.0}
+    spectral = spectral_cfg()
+    cases = [
+        (replaced(swap_cfg(), "parameters.geometry", geometry), "parameters.ec11: not allowed with geometry"),
+        (replaced(spectral, "parameters.basis.width", 2.0), "parameters.basis.width: unknown field"),
+        (replaced(replaced(spectral, "parameters.basis.kind", "box"), "parameters.basis.omega", 2.0),
+         "parameters.basis.omega: unknown field"),
+    ]
+    cfg_path = tmp_path / "cfg.json"
+    for cfg, message in cases:
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 2
+        assert message in capsys.readouterr().err
+    # with a null geometry, the ec* fields set the couplings
+    swap = replaced(swap_cfg(), "parameters.geometry", None)
+    assert cli.run_scenario(swap)[1] == cli.run_scenario(swap_cfg())[1]
+
+
+def test_sweep_over_a_field_the_kind_does_not_accept_has_no_ok_row():
+    """A sweep over ec11 next to a geometry gave three ok rows with equal energies."""
+    swap = replaced(swap_cfg(), "parameters.geometry", {"kind": "parallel", "a": 1.0, "b": 1.0, "d1": 2.0})
+    rows = cli.sweep(swap, "parameters.ec11", [0.1, 5.0, 50.0])
+    assert [row["status"] for row in rows] == ["failed"] * 3
+    assert all(row["error"] == "parameters.ec11: not allowed with geometry" for row in rows)
+    rows = cli.sweep(replaced(swap_cfg(), "parameters.vss", 0.1), "parameters.vss", [0.1, 0.2])
+    assert [row["status"] for row in rows] == ["failed"] * 2
+    assert "parameters.vss: unknown field" in rows[0]["error"]
+
+
+@pytest.mark.parametrize("value", [["swap"], {"kind": "swap"}, None, 1])
+def test_non_string_kind_is_a_config_error(tmp_path, capsys, value):
+    cfg_path = tmp_path / "cfg.json"
+    paths = ["kind", "parameters.ep1.kind", "parameters.geometry.kind", "parameters.basis.kind"]
+    cfgs = [base_single_qubit(), replaced(base_single_qubit(), "parameters.ep1", _SIGNAL_OBJECTS["sinusoid"])]
+    cfgs += [cnot_cfg(), spectral_cfg()]
+    for cfg, path in zip(cfgs, paths):
+        cfg_path.write_text(json.dumps(replaced(cfg, path, value)))
+        assert cli.main(["eigens", "--config", str(cfg_path)]) == 2
+        assert f"config error: {path}: unknown" in capsys.readouterr().err
+
+
+def test_sweep_pulls_each_value_after_the_previous_point(monkeypatch):
+    """Values are taken one at a time, so a caller can time each point by
+    when the next value is asked for."""
+    events = []
+    run = cli.run_scenario
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg, **kw: events.append("run") or run(cfg, **kw))
+
+    def values():
+        for value in (0.4, 0.6):
+            events.append("pull")
+            yield value
+
+    assert [row["status"] for row in cli.sweep(base_single_qubit(), "parameters.ts_mag", values())] == ["ok", "ok"]
+    assert events == ["pull", "run", "pull", "run"]
+
+
+def _readme_field_reference():
+    """{scope: paths} from the README field reference: a scenario kind, or
+    "geometry"; and the signal kinds with their fields."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Field reference", 1)[1].split("\n### ", 1)[0]
+    paths = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 5 or cells[0] in ("kind", "---"):
+            continue
+        fields = re.findall(r"`([^`]+)`", cells[1])
+        for scope in cells[0].split(", "):
+            for kind in _KINDS if scope == "all" else [scope]:
+                prefix = "" if scope in ("all", "geometry") else "parameters."
+                paths.setdefault(kind, set()).update(prefix + field for field in fields)
+    signal_kinds = {
+        kind: set(re.findall(r'"(\w+)"', rest)) for kind, rest in re.findall(r'\{"kind": "(\w+)", ([^}]*)\}', section)
+    }
+    return paths, signal_kinds
+
+
+def test_readme_field_reference_matches_the_schemas():
+    paths, signal_kinds = _readme_field_reference()
+    for kind in _KINDS:
+        # the root's kind picks the schema, as a geometry's or a basis's does
+        assert paths[kind] == {"kind"} | set(_schema_leaves(cli._SCHEMAS[kind])), kind
+    for fields in cli._GEOMETRIES.values():
+        assert paths["geometry"] == {"kind"} | set(fields)
+    assert signal_kinds == {kind: set(fields) for kind, fields in cli._SIGNALS.items()}

@@ -51,7 +51,7 @@ SCHEMA_VERSION = 1
 
 MAX_STEPS = 100_000  # (t_max - t0) / dt, sample_stride, sweep points; 256 B per density sample
 MAX_LEVELS = 16  # spectral basis.n_levels; the mode space has MAX_LEVELS**2 entries
-MAX_GRID = 4001  # spectral basis.n_grid; W assembly holds about n_levels**2 x n_grid floats
+MAX_GRID = 4001  # spectral basis.n_grid; W assembly holds about n_levels**2 x n_grid floats plus one fixed FFT block
 
 _REQUIRED = object()
 
@@ -159,10 +159,16 @@ def _amplitudes(raw, path, n):
 
 
 def _modes(raw, path):
-    """[n, m, re, im] entries as (n, m, amplitude); ``_run_spectral`` bounds n, m by n_levels."""
+    """[n, m, re, im] entries as (n, m, amplitude), each (n, m) once; ``_run_spectral`` bounds n, m by n_levels."""
     if not (isinstance(raw, list) and all(isinstance(e, list) and len(e) == 4 for e in raw)):
         _fail(path, "expected a list of [n, m, re, im] entries")
-    return [(_int(e[0], path, 0, MAX_LEVELS - 1), _int(e[1], path, 0, MAX_LEVELS - 1), _pair(e[2:], path)) for e in raw]
+    modes = [(_int(e[0], path, 0, MAX_LEVELS - 1), _int(e[1], path, 0, MAX_LEVELS - 1), _pair(e[2:], path)) for e in raw]
+    seen = set()
+    for n_idx, m_idx, _ in modes:
+        if (n_idx, m_idx) in seen:
+            _fail(path, f"mode ({n_idx}, {m_idx}) is listed more than once")
+        seen.add((n_idx, m_idx))
+    return modes
 
 
 def _signal(raw, path):

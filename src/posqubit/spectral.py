@@ -11,8 +11,10 @@ with W[(n,m),(s,e)] = <psi_n psi_m| V |psi_s psi_e> evaluated by
 Simpson quadrature on the two wells' grids.  The grids share one uniform
 spacing, so the kernel matrix V(x_g - x_h) is Toeplitz: it is applied to
 the weighted basis products as an FFT convolution of 2N - 1 kernel
-samples, never formed as an N x N mesh, and one matrix product finishes
-the contraction.  The raw spectral coefficients g_{i,j} = <psi_i psi_j| V>
+samples, never formed as an N x N mesh.  The kernel is transformed once,
+the products are convolved in fixed blocks of rows, so only one block's
+transforms are held at a time, and one matrix product finishes the
+contraction.  The raw spectral coefficients g_{i,j} = <psi_i psi_j| V>
 use the same convolution.
 """
 
@@ -152,15 +154,24 @@ def _fft_length(n):
         n += 1
 
 
+_CONTRACT_ROWS = 16  # rows of rows_b transformed at once: about 1.2 MiB of FFT buffers at n_grid 2401
+
+
 def _kernel_contract(rows_a, grid_a, rows_b, grid_b, kernel, well_offset):
     """rows_a @ V @ rows_b.T for V[g, h] = kernel(grid_a[g] - grid_b[h] - well_offset).
 
     Both grids share one spacing, so V depends only on the lag g - h
     (Toeplitz) and is never formed: the kernel is sampled at the
-    na + nb - 1 lags and the rows of ``rows_b`` are convolved with it by a
-    real FFT of length >= na + nb - 1.  The circular wrap reaches only the
-    first nb - 1 outputs, which are dropped.  Raises BasisMismatchError when
-    the spacings differ by more than 1e-12 relative.
+    na + nb - 1 lags and transformed once by a real FFT of length
+    >= na + nb - 1.  The rows of ``rows_b`` are convolved with it
+    ``_CONTRACT_ROWS`` at a time into one (rows, na) array, so the
+    transforms held at once do not grow with the row count; the circular
+    wrap reaches only the first nb - 1 outputs, which are dropped.  One
+    matrix product finishes the contraction: BLAS may sum a small product
+    in another order (OpenBLAS's small-matrix kernel), so contracting block
+    by block would make the last bits depend on the block size.  Raises
+    BasisMismatchError when the spacings differ by more than 1e-12
+    relative.
     """
     na, nb = grid_a.size, grid_b.size
     dx, dx_b = ((x[-1] - x[0]) / (x.size - 1) for x in (grid_a, grid_b))
@@ -170,9 +181,14 @@ def _kernel_contract(rows_a, grid_a, rows_b, grid_b, kernel, well_offset):
         )
     lags = (grid_a[0] - grid_b[0] - well_offset) + dx * np.arange(1 - nb, na)
     n_fft = _fft_length(na + nb - 1)
-    spectrum = np.fft.rfft(rows_b, n_fft)
-    spectrum *= np.fft.rfft(kernel(lags), n_fft)
-    return rows_a @ np.fft.irfft(spectrum, n_fft)[:, nb - 1 : nb - 1 + na].T
+    kernel_spectrum = np.fft.rfft(kernel(lags), n_fft)
+    convolved = np.empty((rows_b.shape[0], na))
+    for lo in range(0, rows_b.shape[0], _CONTRACT_ROWS):
+        block = slice(lo, lo + _CONTRACT_ROWS)
+        spectrum = np.fft.rfft(rows_b[block], n_fft)
+        spectrum *= kernel_spectrum
+        convolved[block] = np.fft.irfft(spectrum, n_fft)[:, nb - 1 : nb - 1 + na]
+    return rows_a @ convolved.T
 
 
 def _gij_on_stride(basis_a, basis_b, kernel, well_offset, every):
@@ -210,8 +226,10 @@ def _pair_products(basis):
     first, second = np.triu_indices(n)
     index = np.zeros((n, n), dtype=int)
     index[first, second] = index[second, first] = np.arange(first.size)
-    weights = _simpson_weights(basis.grid.size, basis.dx)
-    return basis.functions[first] * basis.functions[second] * weights, index
+    products = basis.functions[first]
+    products *= basis.functions[second]
+    products *= _simpson_weights(basis.grid.size, basis.dx)
+    return products, index
 
 
 def interaction_matrix_elements(basis_a, basis_b, kernel, well_offset=0.0):
@@ -220,13 +238,15 @@ def interaction_matrix_elements(basis_a, basis_b, kernel, well_offset=0.0):
     Returned as a K x K matrix over the composite index n * Mb + m with
     K = (levels of A) x (levels of B); real symmetric for real bases.
     Only the unique Simpson-weighted pair products psi_n psi_s (n <= s)
-    are convolved and contracted; the table is expanded by the n <-> s and
-    m <-> e symmetries, so W is exactly symmetric.  Both grids must share
-    one spacing (BasisMismatchError otherwise; sizes and origins may
-    differ): no dense N x N path is kept for unequal spacings.
+    are convolved, in blocks of rows, and contracted (``_kernel_contract``);
+    the table is expanded by the n <-> s and m <-> e symmetries, so W is
+    exactly symmetric.  The products are built once when ``basis_b`` is
+    ``basis_a``.  Both grids must share one spacing (BasisMismatchError
+    otherwise; sizes and origins may differ): no dense N x N path is kept
+    for unequal spacings.
     """
     pa, index_a = _pair_products(basis_a)
-    pb, index_b = _pair_products(basis_b)
+    pb, index_b = (pa, index_a) if basis_b is basis_a else _pair_products(basis_b)
     table = _kernel_contract(pa, basis_a.grid, pb, basis_b.grid, kernel, well_offset)
     k = basis_a.n_levels * basis_b.n_levels
     return table[index_a[:, None, :, None], index_b[None, :, None, :]].reshape(k, k)

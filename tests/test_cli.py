@@ -600,6 +600,18 @@ def test_main_exit_codes(tmp_path, capsys):
         assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
         assert "initial_modes" in capsys.readouterr().err
 
+    # so is a repeated (n, m) pair, whose later amplitude would replace the earlier;
+    # (0, 1) and (1, 0) are distinct modes
+    spectral = spectral_cfg()
+    spectral["parameters"]["initial_modes"] = [[0, 1, 1.0, 0.0], [1, 0, 0.5, 0.0], [0, 1, 0.0, 1.0]]
+    cfg_path.write_text(json.dumps(spectral))
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
+    assert "parameters.initial_modes: mode (0, 1) is listed more than once" in capsys.readouterr().err
+    del spectral["parameters"]["initial_modes"][2]
+    cfg_path.write_text(json.dumps(spectral))
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+
     # wrong types, non-finite or out-of-range values and bad shapes are config
     # errors; an overflowing drive is a numerical failure, a large one is fine
     sinusoid = {"kind": "sinusoid", "amplitude": 0.2, "omega": 1.0}

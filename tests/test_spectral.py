@@ -84,6 +84,72 @@ def test_unequal_grids_sharing_a_spacing_match_dense_oracle():
             assert _rel_dev(g, _dense_gij(a, b, kern, offset)) <= 1e-12
 
 
+# Former one-shot bodies: every row of rows_b transformed at once.  The
+# streamed contraction must reproduce them bit for bit.
+
+
+def _one_shot_contract(rows_a, grid_a, rows_b, grid_b, kernel, well_offset):
+    na, nb = grid_a.size, grid_b.size
+    dx = (grid_a[-1] - grid_a[0]) / (na - 1)
+    lags = (grid_a[0] - grid_b[0] - well_offset) + dx * np.arange(1 - nb, na)
+    n_fft = sp._fft_length(na + nb - 1)
+    spectrum = np.fft.rfft(rows_b, n_fft)
+    spectrum *= np.fft.rfft(kernel(lags), n_fft)
+    return rows_a @ np.fft.irfft(spectrum, n_fft)[:, nb - 1 : nb - 1 + na].T
+
+
+def _one_shot_pair_products(basis):
+    n = basis.n_levels
+    first, second = np.triu_indices(n)
+    index = np.zeros((n, n), dtype=int)
+    index[first, second] = index[second, first] = np.arange(first.size)
+    weights = sp._simpson_weights(basis.grid.size, basis.dx)
+    return basis.functions[first] * basis.functions[second] * weights, index
+
+
+def _one_shot_w(basis_a, basis_b, kernel, well_offset):
+    pa, index_a = _one_shot_pair_products(basis_a)
+    pb, index_b = _one_shot_pair_products(basis_b)
+    table = _one_shot_contract(pa, basis_a.grid, pb, basis_b.grid, kernel, well_offset)
+    k = basis_a.n_levels * basis_b.n_levels
+    return table[index_a[:, None, :, None], index_b[None, :, None, :]].reshape(k, k)
+
+
+def _one_shot_gij(basis_a, basis_b, kernel, well_offset, every):
+    xa = basis_a.grid[::every]
+    xb = basis_b.grid[::every]
+    fa = basis_a.functions[:, ::every] * sp._simpson_weights(xa.size, xa[1] - xa[0])
+    fb = basis_b.functions[:, ::every] * sp._simpson_weights(xb.size, xb[1] - xb[0])
+    return _one_shot_contract(fa, xa, fb, xb, kernel, well_offset)
+
+
+def _same_bytes(got, ref):
+    return got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+# None keeps the module's block; the pair-product rows (1, 6, 28, 136) and the
+# g rows (1, 3, 7, 16) are multiples of some blocks and not of others.  At 801
+# points a 16-level block falls under OpenBLAS's small-matrix threshold, where
+# contracting block by block would round differently.
+@pytest.mark.parametrize("block", [None, 1, 2, 3])
+@pytest.mark.parametrize("n_levels", [1, 3, 7, 16])
+def test_streamed_contraction_matches_the_one_shot_body_bit_for_bit(monkeypatch, n_levels, block):
+    if block is not None:
+        monkeypatch.setattr(sp, "_CONTRACT_ROWS", block)
+    # spacing 0.025 on all three; sizes 801 and 241, origins -10 and -2.3
+    wide = sp.harmonic_basis(n_levels, half_width=10.0, n_grid=801)
+    twin = sp.harmonic_basis(n_levels, half_width=10.0, n_grid=801)
+    narrow = sp.box_basis(n_levels, width=6.0, center=0.7, n_grid=241)
+    kern = sp.CoulombKernel(e2=0.8, d_reg=0.2)
+    for a, b in ((wide, wide), (wide, twin), (wide, narrow), (narrow, wide)):
+        for offset in (0.0, 3.0):
+            ref = _one_shot_w(a, b, kern, offset)
+            assert _same_bytes(sp.interaction_matrix_elements(a, b, kern, offset), ref)
+            for every in (1, 2):
+                got = sp._gij_on_stride(a, b, kern, offset, every)
+                assert _same_bytes(got, _one_shot_gij(a, b, kern, offset, every))
+
+
 def test_mismatched_spacings_rejected():
     a = sp.harmonic_basis(2, half_width=8.0, n_grid=801)
     b = sp.harmonic_basis(2, half_width=8.0, n_grid=803)
@@ -98,15 +164,22 @@ def test_w_assembly_memory_is_linear_in_the_grid():
     # the N x N kernel mesh alone would be 2401**2 * 8 bytes = 44 MiB
     import numpy.fft  # noqa: F401  trace the assembly, not the import
 
-    basis = sp.harmonic_basis(16, n_grid=2401)
+    from posqubit.cli import MAX_GRID
+
     kern = sp.CoulombKernel(e2=1.0, d_reg=0.2)
-    tracemalloc.start()
-    try:
-        sp.interaction_matrix_elements(basis, basis, kern, 3.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # (n_grid, a second equal basis object, bound in MiB): the traced peak read
+    # 6.25 / 10.41 / 8.74 MiB, and 15.25 / 25.32 / 15.25 MiB while every
+    # pair-product row was transformed at once
+    for n_grid, distinct, bound_mib in ((2401, False, 8), (MAX_GRID, False, 13), (2401, True, 11)):
+        basis = sp.harmonic_basis(16, n_grid=n_grid)
+        other = sp.harmonic_basis(16, n_grid=n_grid) if distinct else basis
+        tracemalloc.start()
+        try:
+            sp.interaction_matrix_elements(basis, other, kern, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, (n_grid, distinct, peak)
 
 
 def test_harmonic_basis_matches_closed_form_hermite_functions():

@@ -305,7 +305,8 @@ def _run_single_qubit(time, initial, **qubit):
         return rk4_step_operators(*(sq.build_h2(params, ts) for ts in (starts, starts + 0.5 * dt, starts + dt)), dt)
 
     psi = evolve_steps(step_operators, n_steps, initial)[steps]
-    c_en = np.einsum("nij,nj->ni", sq.eigencoeffs(params, t[steps]).basis_matrix().conj(), psi)
+    co = sq.eigencoeffs(params, t[steps])  # the first sample is t0
+    c_en = np.einsum("nij,nj->ni", co.basis_matrix().conj(), psi)
     series = TimeSeries(
         t[steps],
         {
@@ -317,10 +318,9 @@ def _run_single_qubit(time, initial, **qubit):
             "phase_x2": np.angle(psi[:, 1]),
         },
     )
-    co = sq.eigencoeffs(params, t0)
     summary = {
-        "E1": co.e1,
-        "E2": co.e2,
+        "E1": float(co.e1[0]),
+        "E2": float(co.e2[0]),
         "angular_frequency_p_x1": extract_frequency(series.t, series.columns["p_x1"]),
         "final_norm": float(np.linalg.norm(psi[-1])),
     }

@@ -10,9 +10,10 @@ two-qubit energy basis (ordering |E1A E1B>, |E1A E2B>, |E2A E1B>,
     r3 - qubit A excitation/deexcitation (B unchanged),
     r4 - simultaneous two-qubit transitions.
 
-Each node term is exactly rank one in the energy basis, which makes the
-channel split systematic: with per-qubit overlap vectors
-w = (<E1|x>, <E2|x>) the term is (k/d) v v^dag, v = kron(wA, wB).
+Both composites put qubit A on the high bit: the energy index is
+2*i_A + i_B with level 1 on E2, so the channel of entry (i, j) is i ^ j.
+Each node term is exactly rank one in the energy basis: with per-qubit
+overlap vectors w = (<E1|x>, <E2|x>) it is (k/d) v v^dag, v = kron(wA, wB).
 The module also assembles the resonant base Hamiltonian (the N = 2 case
 of ``qcore.build_hn``), the total decoherence matrix, the symmetric-case
 scalars, exact density-matrix evolution under constant H0 + Hdec and its
@@ -32,13 +33,9 @@ NODE_PAIRS = ("11", "22", "12", "21")
 # node index (0 or 1) of qubit A and of qubit B in each pair of NODE_PAIRS
 _NODE_A, _NODE_B = np.array([[int(n) - 1 for n in pair] for pair in NODE_PAIRS]).T
 
-# channel masks over the 4x4 energy-composite index (2*(pA-1) + (pB-1))
-_R2 = np.zeros((4, 4), dtype=bool)
-_R2[0, 1] = _R2[1, 0] = _R2[2, 3] = _R2[3, 2] = True
-_R3 = np.zeros((4, 4), dtype=bool)
-_R3[0, 2] = _R3[2, 0] = _R3[1, 3] = _R3[3, 1] = True
-_R4 = np.zeros((4, 4), dtype=bool)
-_R4[0, 3] = _R4[3, 0] = _R4[1, 2] = _R4[2, 1] = True
+# channel of each energy-composite entry (i, j): the bits that differ,
+# 0 = r1, 1 = r2 (B flips), 2 = r3 (A flips), 3 = r4 (both flip)
+_CHANNEL = np.bitwise_xor.outer(np.arange(4), np.arange(4))
 
 
 @dataclass
@@ -79,11 +76,10 @@ class RenormalizationSplit:
         return self.r1 + self.r2 + self.r3 + self.r4
 
 
-def _overlap_vector(coeffs, node):
-    """w = (<E1|x_node>, <E2|x_node>) for one qubit."""
-    if node == "1":
-        return np.array([np.conj(coeffs.a), np.conj(coeffs.c)])
-    return np.array([np.conj(coeffs.b), np.conj(coeffs.d)])
+def _overlap_rows(coeffs):
+    """Both overlap rows w = (<E1|x>, <E2|x>) of one qubit, node 1 then node 2;
+    the node-2 row (b*, d*) is real when b and d are."""
+    return np.array([np.conj(coeffs.a), np.conj(coeffs.c)]), np.array([np.conj(coeffs.b), np.conj(coeffs.d)])
 
 
 def coulomb_node_term_energy_basis(node_pair, basis, distance, k):
@@ -96,16 +92,11 @@ def coulomb_node_term_energy_basis(node_pair, basis, distance, k):
     """
     if node_pair not in NODE_PAIRS:
         raise ValueError(f"node pair must be one of {NODE_PAIRS}")
-    wa = _overlap_vector(basis.coeffs_a, node_pair[0])
-    wb = _overlap_vector(basis.coeffs_b, node_pair[1])
+    wa = _overlap_rows(basis.coeffs_a)[int(node_pair[0]) - 1]
+    wb = _overlap_rows(basis.coeffs_b)[int(node_pair[1]) - 1]
     v = np.kron(wa, wb)
     full = (k / distance) * np.outer(v, v.conj())
-    return RenormalizationSplit(
-        r1=np.diag(np.diag(full)),
-        r2=np.where(_R2, full, 0.0),
-        r3=np.where(_R3, full, 0.0),
-        r4=np.where(_R4, full, 0.0),
-    )
+    return RenormalizationSplit(*(np.where(_CHANNEL == channel, full, 0.0) for channel in range(4)))
 
 
 def decoherence_matrix(basis, dist, k):
@@ -115,10 +106,7 @@ def decoherence_matrix(basis, dist, k):
     adjoint to be exactly Hermitian.  The channel splits of
     ``coulomb_node_term_energy_basis`` cover all 16 entries, so the sum of
     their totals is its test oracle."""
-    wa, wb = (
-        np.array([_overlap_vector(c, "1"), _overlap_vector(c, "2")], dtype=complex)
-        for c in (basis.coeffs_a, basis.coeffs_b)
-    )
+    wa, wb = (np.array(_overlap_rows(c), dtype=complex) for c in (basis.coeffs_a, basis.coeffs_b))
     v = (wa[_NODE_A, :, None] * wb[_NODE_B, None, :]).reshape(4, 4)
     h = (v.T * (k / np.array([dist.of(pair) for pair in NODE_PAIRS]))) @ v.conj()
     return 0.5 * (h + h.conj().T)

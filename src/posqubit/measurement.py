@@ -1,11 +1,13 @@
 """Position measurements, one-body extraction and partial traces.
 
 Operates on two-body states in BasisOrder4 (see two_qubit) and on 2x2 /
-4x4 density matrices.  Strong position measurement projects onto the
-left or right node of one subsystem and renormalizes by the square root
-of the outcome probability (Born rule); the coherent one-body extraction
-keeps the 1/sqrt(2)-weighted amplitude sums as a distinct, documented
-operation and partial_trace provides the faithful reduced state.
+4x4 density matrices.  A BasisOrder4 state is read as the (2, 2) grid of
+``qcore.build_hn``'s body layout: axis 0 is U, axis 1 is L, and level 1
+is the left node.  Strong position measurement keeps one level of one
+axis and renormalizes by the square root of the outcome probability
+(Born rule); the coherent one-body extraction keeps the 1/sqrt(2)-weighted
+amplitude sums as a distinct, documented operation and partial_trace
+provides the faithful reduced state.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidDensityError, ZeroMarginalError, ZeroProbabilityError
+from .errors import InvalidDensityError, NonHermitianError, ZeroMarginalError, ZeroProbabilityError
 from .qcore import StateVector, as_amplitudes, require_hermitian
 
 SUBSYSTEM_U = "U"
@@ -21,14 +23,13 @@ SUBSYSTEM_L = "L"
 LEFT = "left"
 RIGHT = "right"
 
-# BasisOrder4 indices where the chosen subsystem occupies the chosen node.
-# left = node 1 = |1,0>, right = node 2 = |0,1>.
-_MASKS = {
-    (SUBSYSTEM_U, LEFT): (2, 3),
-    (SUBSYSTEM_U, RIGHT): (0, 1),
-    (SUBSYSTEM_L, LEFT): (1, 3),
-    (SUBSYSTEM_L, RIGHT): (0, 2),
-}
+# grid axis of each subsystem and grid level of each side
+_GRID = {SUBSYSTEM_U: 0, SUBSYSTEM_L: 1, LEFT: 1, RIGHT: 0}
+
+
+def _grid(state):
+    """A BasisOrder4 state as its (2, 2) grid of amplitudes [U level, L level]."""
+    return as_amplitudes(state).reshape(2, 2)
 
 
 @dataclass
@@ -44,42 +45,34 @@ def project_position(state, subsystem, side):
     state; raises ZeroProbabilityError for (numerically) impossible
     outcomes.
     """
-    amps = as_amplitudes(state)
-    idx = _MASKS[(subsystem, side)]
-    masked = np.zeros(4, dtype=complex)
-    masked[list(idx)] = amps[list(idx)]
-    prob = float(np.sum(np.abs(masked) ** 2))
+    at_side = np.expand_dims(np.arange(2) == _GRID[side], 1 - _GRID[subsystem])
+    kept = np.where(at_side, _grid(state), 0.0).ravel()
+    prob = float(np.sum(np.abs(kept) ** 2))
     if prob < 1e-14:
         raise ZeroProbabilityError(
             f"outcome ({subsystem}, {side}) has probability {prob:.3e}"
         )
-    return MeasurementOutcome(prob, StateVector(masked / np.sqrt(prob)))
+    return MeasurementOutcome(prob, StateVector(kept / np.sqrt(prob)))
 
 
 def measurement_probabilities(state, subsystem):
     """(left, right) outcome probabilities for one subsystem; they sum to 1."""
-    amps = as_amplitudes(state)
-    pr = np.abs(amps) ** 2
-    left = float(sum(pr[i] for i in _MASKS[(subsystem, LEFT)]))
-    right = float(sum(pr[i] for i in _MASKS[(subsystem, RIGHT)]))
-    return left, right
+    marginal = np.sum(np.abs(_grid(state)) ** 2, axis=1 - _GRID[subsystem])
+    return float(marginal[_GRID[LEFT]]), float(marginal[_GRID[RIGHT]])
 
 
 def extract_one_body(state, subsystem):
     """Coherent one-body amplitudes of one subsystem.
 
     The amplitude for each node is the 1/sqrt(2)-weighted coherent sum of
-    the two consistent two-body amplitudes, renormalized to unit norm.
+    the two consistent two-body amplitudes (the grid summed over the other
+    axis), renormalized to unit norm.
     For factorizable states this recovers the true factor up to a global
     phase; for strongly entangled states it is a coherent marginal, not a
     faithful reduced state (use partial_trace for that).
     Ordering of the result is (|0,1>, |1,0>) i.e. (right node, left node).
     """
-    amps = as_amplitudes(state)
-    if subsystem == SUBSYSTEM_U:
-        pair = np.array([amps[0] + amps[1], amps[2] + amps[3]]) / np.sqrt(2.0)
-    else:
-        pair = np.array([amps[0] + amps[2], amps[1] + amps[3]]) / np.sqrt(2.0)
+    pair = np.sum(_grid(state), axis=1 - _GRID[subsystem]) / np.sqrt(2.0)
     norm = np.linalg.norm(pair)
     if norm < 1e-14:
         raise ZeroMarginalError(f"both coherent sums vanish for subsystem {subsystem}")
@@ -99,7 +92,7 @@ def validate_density(rho, dim=None):
         raise InvalidDensityError(f"expected {dim}x{dim}, got {rho.shape}")
     try:
         rho = require_hermitian(rho, tol=1e-10)
-    except Exception as exc:
+    except NonHermitianError as exc:
         raise InvalidDensityError(str(exc)) from exc
     if abs(np.trace(rho).real - 1.0) > 1e-10:
         raise InvalidDensityError(f"trace {np.trace(rho).real} != 1")
@@ -113,18 +106,12 @@ def partial_trace(rho, keep):
     """Reduced density matrix of one qubit from a 4x4 two-qubit density.
 
     Composite index ordering is (first qubit) x (second qubit), i.e.
-    index = 2*i_A + i_B; keep is "A" (first factor) or "B" (second).
+    index = 2*i_A + i_B; keep is "A" (first factor) or "B" (second).  The
+    density is traced as a (2, 2, 2, 2) array [i_A, i_B, j_A, j_B] over
+    the other qubit's row and column axes.
     """
     rho = validate_density(rho, dim=4)
-    out = np.zeros((2, 2), dtype=complex)
-    if keep == "A":
-        for i in range(2):
-            for j in range(2):
-                out[i, j] = rho[2 * i, 2 * j] + rho[2 * i + 1, 2 * j + 1]
-    elif keep == "B":
-        for i in range(2):
-            for j in range(2):
-                out[i, j] = rho[i, j] + rho[2 + i, 2 + j]
-    else:
+    if keep not in ("A", "B"):
         raise ValueError("keep must be 'A' or 'B'")
-    return out
+    other = 1 if keep == "A" else 0
+    return np.trace(rho.reshape(2, 2, 2, 2), axis1=other, axis2=other + 2)

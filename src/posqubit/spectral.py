@@ -125,12 +125,12 @@ def numeric_basis(potential, n_levels, x_min, x_max, mass=1.0, n_grid=401):
     v = potential(grid) if callable(potential) else np.asarray(potential, dtype=float)
     if v.shape != grid.shape:
         raise ValueError("potential table must match the grid")
-    kinetic = (
-        np.diag(np.full(n_grid, 1.0 / (mass * dx * dx)))
-        + np.diag(np.full(n_grid - 1, -0.5 / (mass * dx * dx)), 1)
-        + np.diag(np.full(n_grid - 1, -0.5 / (mass * dx * dx)), -1)
-    )
-    energies, vectors = np.linalg.eigh(kinetic + np.diag(v))
+    # the tridiagonal finite-difference H, written into one n_grid x n_grid array
+    h = np.zeros((n_grid, n_grid))
+    np.fill_diagonal(h, 1.0 / (mass * dx * dx) + v)
+    np.fill_diagonal(h[1:], -0.5 / (mass * dx * dx))
+    np.fill_diagonal(h[:, 1:], -0.5 / (mass * dx * dx))
+    energies, vectors = np.linalg.eigh(h)
     funcs = vectors[:, :n_levels].T / np.sqrt(dx)
     # deterministic sign: largest-magnitude sample positive
     for k in range(n_levels):

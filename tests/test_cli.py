@@ -1,3 +1,4 @@
+import ast
 import copy
 import gc
 import json
@@ -855,6 +856,32 @@ def test_main_exit_code_is_total(tmp_path_factory, cfg, command):
     if command == "simulate":
         argv += ["--out", str(work / "out.csv")]
     assert cli.main(argv) in (0, 2, 3)
+
+
+def _broad_handlers(tree):
+    """Line numbers of the handlers in ``tree`` that catch every exception."""
+    broad = {"Exception", "BaseException"}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if any(t is None or (isinstance(t, ast.Name) and t.id in broad) for t in caught):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_source_module_catches_every_exception():
+    """A broad handler would turn a MemoryError or a programming error into exit 2 or 3."""
+    assert _broad_handlers(ast.parse("try:\n    pass\nexcept:\n    pass\n")) == [3]
+    assert _broad_handlers(ast.parse("try:\n    pass\nexcept (ValueError, Exception):\n    pass\n")) == [3]
+    assert _broad_handlers(ast.parse("try:\n    pass\nexcept ValueError:\n    pass\n")) == []
+    found = {}
+    for path in sorted(Path(posqubit.__file__).parent.glob("*.py")):
+        lines = _broad_handlers(ast.parse(path.read_text()))
+        if lines:
+            found[path.name] = lines
+    assert found == {}
 
 
 _SIGNAL_OBJECTS = {

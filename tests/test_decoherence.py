@@ -345,3 +345,75 @@ def test_state_path_checks_both_hamiltonians():
         for bad in ((h0, skewed), (skewed, hdec), (infinite, hdec)):
             with pytest.raises(NonHermitianError):
                 dec._evolve(psi0, *bad, np.array([0.0, 1.0]), paper_factorized)
+
+
+# The bodies below are the channel split and the overlap rows as written
+# before the channel of entry (i, j) was read as i ^ j; each is a test oracle.
+_R2 = np.zeros((4, 4), dtype=bool)
+_R2[0, 1] = _R2[1, 0] = _R2[2, 3] = _R2[3, 2] = True
+_R3 = np.zeros((4, 4), dtype=bool)
+_R3[0, 2] = _R3[2, 0] = _R3[1, 3] = _R3[3, 1] = True
+_R4 = np.zeros((4, 4), dtype=bool)
+_R4[0, 3] = _R4[3, 0] = _R4[1, 2] = _R4[2, 1] = True
+
+
+def _overlap_vector(coeffs, node):
+    if node == "1":
+        return np.array([np.conj(coeffs.a), np.conj(coeffs.c)])
+    return np.array([np.conj(coeffs.b), np.conj(coeffs.d)])
+
+
+def _former_coulomb_node_term_energy_basis(node_pair, basis, distance, k):
+    wa = _overlap_vector(basis.coeffs_a, node_pair[0])
+    wb = _overlap_vector(basis.coeffs_b, node_pair[1])
+    v = np.kron(wa, wb)
+    full = (k / distance) * np.outer(v, v.conj())
+    return dec.RenormalizationSplit(
+        r1=np.diag(np.diag(full)),
+        r2=np.where(_R2, full, 0.0),
+        r3=np.where(_R3, full, 0.0),
+        r4=np.where(_R4, full, 0.0),
+    )
+
+
+def _former_decoherence_matrix(basis, dist, k):
+    wa, wb = (
+        np.array([_overlap_vector(c, "1"), _overlap_vector(c, "2")], dtype=complex)
+        for c in (basis.coeffs_a, basis.coeffs_b)
+    )
+    v = (wa[dec._NODE_A, :, None] * wb[dec._NODE_B, None, :]).reshape(4, 4)
+    h = (v.T * (k / np.array([dist.of(pair) for pair in dec.NODE_PAIRS]))) @ v.conj()
+    return 0.5 * (h + h.conj().T)
+
+
+def _oracle_basis(gen):
+    """A random basis; one qubit in four sits at ts = 0, where the
+    coefficients are the position basis itself."""
+    basis = random_basis(gen)
+    if gen.random() < 0.25:
+        p = sq.QubitParams(ep1=gen.uniform(-3, 3), ep2=gen.uniform(-3, 3), ts_mag=0.0)
+        basis.coeffs_b = sq.eigencoeffs(p, 0.0)
+    return basis
+
+
+def test_decoherence_matrix_matches_its_former_body_bit_for_bit():
+    gen = np.random.default_rng(2022)
+    for _ in range(2000):
+        basis, dist, k = _oracle_basis(gen), random_distances(gen), gen.uniform(0.1, 2.0)
+        new, old = dec.decoherence_matrix(basis, dist, k), _former_decoherence_matrix(basis, dist, k)
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+
+
+def test_channel_split_matches_its_former_body_bit_for_bit():
+    gen = np.random.default_rng(2023)
+    for _ in range(2000):
+        basis, distance, k = _oracle_basis(gen), gen.uniform(0.5, 4.0), gen.uniform(0.1, 2.0)
+        for pair in dec.NODE_PAIRS:
+            new = dec.coulomb_node_term_energy_basis(pair, basis, distance, k)
+            old = _former_coulomb_node_term_energy_basis(pair, basis, distance, k)
+            for channel in ("r1", "r2", "r3", "r4"):
+                got, ref = getattr(new, channel), getattr(old, channel)
+                # a (2,2') term is real: both node-2 rows are
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()

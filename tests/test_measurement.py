@@ -3,7 +3,8 @@ import pytest
 
 import posqubit.measurement as ms
 from posqubit.errors import InvalidDensityError, ZeroMarginalError, ZeroProbabilityError
-from posqubit.qcore import StateVector
+from posqubit.qcore import StateVector, as_amplitudes, build_hn
+from posqubit.two_qubit import swap_occupancies
 
 rng = np.random.default_rng(404)
 
@@ -110,3 +111,132 @@ def test_partial_trace_preserves_trace_and_hermiticity():
             assert np.max(np.abs(red - red.conj().T)) < 1e-12
     with pytest.raises(ValueError):
         ms.partial_trace(ms.pure_density(random_state4()), "C")
+
+
+# The bodies below are the functions as written before they read the (2, 2)
+# grid of qcore.build_hn's body layout; each is a bit-for-bit test oracle.
+_MASKS = {
+    (ms.SUBSYSTEM_U, ms.LEFT): (2, 3),
+    (ms.SUBSYSTEM_U, ms.RIGHT): (0, 1),
+    (ms.SUBSYSTEM_L, ms.LEFT): (1, 3),
+    (ms.SUBSYSTEM_L, ms.RIGHT): (0, 2),
+}
+
+
+def _former_project_position(state, subsystem, side):
+    amps = as_amplitudes(state)
+    idx = _MASKS[(subsystem, side)]
+    masked = np.zeros(4, dtype=complex)
+    masked[list(idx)] = amps[list(idx)]
+    prob = float(np.sum(np.abs(masked) ** 2))
+    if prob < 1e-14:
+        raise ZeroProbabilityError(f"outcome ({subsystem}, {side}) has probability {prob:.3e}")
+    return ms.MeasurementOutcome(prob, StateVector(masked / np.sqrt(prob)))
+
+
+def _former_measurement_probabilities(state, subsystem):
+    amps = as_amplitudes(state)
+    pr = np.abs(amps) ** 2
+    left = float(sum(pr[i] for i in _MASKS[(subsystem, ms.LEFT)]))
+    right = float(sum(pr[i] for i in _MASKS[(subsystem, ms.RIGHT)]))
+    return left, right
+
+
+def _former_extract_one_body(state, subsystem):
+    amps = as_amplitudes(state)
+    if subsystem == ms.SUBSYSTEM_U:
+        pair = np.array([amps[0] + amps[1], amps[2] + amps[3]]) / np.sqrt(2.0)
+    else:
+        pair = np.array([amps[0] + amps[2], amps[1] + amps[3]]) / np.sqrt(2.0)
+    norm = np.linalg.norm(pair)
+    if norm < 1e-14:
+        raise ZeroMarginalError(f"both coherent sums vanish for subsystem {subsystem}")
+    return StateVector(pair / norm)
+
+
+def _former_partial_trace(rho, keep):
+    rho = ms.validate_density(rho, dim=4)
+    out = np.zeros((2, 2), dtype=complex)
+    if keep == "A":
+        for i in range(2):
+            for j in range(2):
+                out[i, j] = rho[2 * i, 2 * j] + rho[2 * i + 1, 2 * j + 1]
+    elif keep == "B":
+        for i in range(2):
+            for j in range(2):
+                out[i, j] = rho[i, j] + rho[2 + i, 2 + j]
+    else:
+        raise ValueError("keep must be 'A' or 'B'")
+    return out
+
+
+def _same_bytes(new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    return new.dtype == old.dtype and new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ZeroProbabilityError, ZeroMarginalError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_oracle_state(gen):
+    """Random amplitudes with some entries zeroed (of either sign), as an array,
+    a list or a StateVector."""
+    amps = gen.normal(size=4) + 1j * gen.normal(size=4)
+    amps[gen.random(4) < 0.25] = 0.0
+    amps[gen.random(4) < 0.1] = complex(-0.0, -0.0)
+    if gen.random() < 0.1:
+        amps = np.array([1.0, -1.0, -1.0, 1.0]) * amps[0]  # both coherent sums cancel
+    norm = np.linalg.norm(amps)
+    amps = amps / norm if norm > 0 else amps
+    kind = gen.integers(3)
+    return amps if kind == 0 else list(amps) if kind == 1 else StateVector(amps)
+
+
+def test_grid_layout_functions_match_their_former_bodies_bit_for_bit():
+    gen = np.random.default_rng(2020)
+    for _ in range(2000):
+        state = _random_oracle_state(gen)
+        for sub in (ms.SUBSYSTEM_U, ms.SUBSYSTEM_L):
+            new, old = ms.measurement_probabilities(state, sub), _former_measurement_probabilities(state, sub)
+            assert _same_bytes(new, old) and all(type(x) is float for x in new)
+            new, old = _outcome(ms.extract_one_body, state, sub), _outcome(_former_extract_one_body, state, sub)
+            assert type(new) is type(old)
+            assert new == old if isinstance(old, tuple) else _same_bytes(new.amps, old.amps)
+            for side in (ms.LEFT, ms.RIGHT):
+                new = _outcome(ms.project_position, state, sub, side)
+                old = _outcome(_former_project_position, state, sub, side)
+                assert type(new) is type(old)
+                if isinstance(old, tuple):
+                    assert new == old
+                else:
+                    assert type(new.probability) is float and new.probability == old.probability
+                    assert _same_bytes(new.post_state.amps, old.post_state.amps)
+
+
+def test_partial_trace_matches_its_former_body_bit_for_bit():
+    gen = np.random.default_rng(2021)
+    for _ in range(2000):
+        rank = gen.integers(1, 5)
+        m = gen.normal(size=(4, rank)) + 1j * gen.normal(size=(4, rank))
+        rho = m @ m.conj().T
+        rho /= np.trace(rho).real
+        for keep in ("A", "B"):
+            assert _same_bytes(ms.partial_trace(rho, keep), _former_partial_trace(rho, keep))
+
+
+def test_measurement_reads_the_body_bits_of_build_hn():
+    """Basis state s of build_hn((U, L), {}) has U at level H[s, s] % 10 and L
+    at level H[s, s] // 10; level 1 is the left node."""
+    h = build_hn((((0.0, 0.0), (0.0, 1.0)), ((0.0, 0.0), (0.0, 10.0))), {})
+    for s in range(4):
+        level_u, level_l = int(h[s, s].real) % 10, int(h[s, s].real) // 10
+        state = np.eye(4)[s]
+        for sub, level in ((ms.SUBSYSTEM_U, level_u), (ms.SUBSYSTEM_L, level_l)):
+            assert ms.measurement_probabilities(state, sub) == (float(level), float(1 - level))
+        occupancies = swap_occupancies(state)
+        assert occupancies.tolist() == [level_u, 1 - level_u, level_l, 1 - level_l]

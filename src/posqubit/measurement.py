@@ -3,7 +3,8 @@
 Operates on two-body states in BasisOrder4 (see two_qubit) and on 2x2 /
 4x4 density matrices.  A BasisOrder4 state is read as the (2, 2) grid of
 ``qcore.build_hn``'s body layout: axis 0 is U, axis 1 is L, and level 1
-is the left node.  Strong position measurement keeps one level of one
+is the left node; outcome probabilities are ``qcore.body_populations``
+of U or L.  Strong position measurement keeps one level of one
 axis and renormalizes by the square root of the outcome probability
 (Born rule); the coherent one-body extraction keeps the 1/sqrt(2)-weighted
 amplitude sums as a distinct, documented operation and partial_trace
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidDensityError, NonHermitianError, ZeroMarginalError, ZeroProbabilityError
-from .qcore import StateVector, as_amplitudes, require_hermitian
+from .qcore import StateVector, as_amplitudes, body_populations, require_hermitian
 
 SUBSYSTEM_U = "U"
 SUBSYSTEM_L = "L"
@@ -57,8 +58,8 @@ def project_position(state, subsystem, side):
 
 def measurement_probabilities(state, subsystem):
     """(left, right) outcome probabilities for one subsystem; they sum to 1."""
-    marginal = np.sum(np.abs(_grid(state)) ** 2, axis=1 - _GRID[subsystem])
-    return float(marginal[_GRID[LEFT]]), float(marginal[_GRID[RIGHT]])
+    levels = body_populations(state, 2)[_GRID[subsystem]]
+    return float(levels[_GRID[LEFT]]), float(levels[_GRID[RIGHT]])
 
 
 def extract_one_body(state, subsystem):

@@ -4,7 +4,9 @@ Dense complex matrices of fixed small dimension (2x2, 4x4, ...) with a
 deterministic eigenvector phase convention, unitary propagation through
 exact exponentiation, and exact sampled propagation under a constant
 Hamiltonian.  ``build_hn`` assembles the Hamiltonian of N electrostatically
-coupled two-level bodies, one bit of the composite index per body.  For
+coupled two-level bodies, one bit of the composite index per body, and
+``body_populations`` reads every body's level populations off a stack of
+states; both read the one level table ``_levels``.  For
 time-dependent 2x2 and other small generators, whole grids of step
 operators (RK4 step matrices, closed-form SU(2) exponentials) are built in
 one broadcast and chained by ``evolve_steps`` with a pairwise prefix, in
@@ -16,6 +18,7 @@ Energies are expressed in a user-chosen unit and hbar = 1 internally, so
 times carry the inverse of that unit.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,29 +138,52 @@ def propagate(h, y0, times, *, density=False):
     return coeffs @ vectors.T
 
 
+@functools.lru_cache(maxsize=None)
+def _levels(n):
+    """Level of body k in composite state s, as rows[s][k] for s < 2**n:
+    body 0 is the most significant bit of s, so s is the C-order index of
+    the bodies' (2,) * n grid.  This is the one statement of the body layout."""
+    return tuple(tuple((s >> (n - 1 - k)) & 1 for k in range(n)) for s in range(2**n))
+
+
 def build_hn(bodies, pair_energies):
     """Hamiltonian of N coupled two-level bodies, shape (2**N, 2**N), complex.
 
     ``bodies[k]`` is body k's 2x2 Hamiltonian [i][j]; body 0 is the most
-    significant bit of the composite index, and H is their Kronecker sum.
-    Each table c in ``pair_energies``, keyed by a body pair (k, l), adds
-    c[i][j] to the diagonal wherever body k is in level i and body l in
-    level j.  A diagonal entry sums the given scalars, bodies then pairs,
-    from -0.0 so that a sum of zeros keeps its sign.  At N = 2 this loop
-    takes microseconds; np.kron takes about 150.
+    significant bit of the composite index (``_levels``), and H is their
+    Kronecker sum: body k's off-diagonal entry joins two states whose levels
+    differ in body k alone.  Each table c in ``pair_energies``, keyed by a
+    body pair (k, l), adds c[i][j] to the diagonal wherever body k is in
+    level i and body l in level j.  A diagonal entry sums the given scalars,
+    bodies then pairs, from -0.0 so that a sum of zeros keeps its sign.  At
+    N = 2 this loop takes microseconds; np.kron takes about 150.
     """
-    n = len(bodies)
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for s in range(2**n):
-        bits = [(s >> (n - 1 - k)) & 1 for k in range(n)]
+    rows = _levels(len(bodies))
+    state_of = {bits: s for s, bits in enumerate(rows)}
+    h = np.zeros((len(rows),) * 2, dtype=complex)
+    for s, bits in enumerate(rows):
         total = -0.0
         for k, body in enumerate(bodies):
-            total += body[bits[k]][bits[k]]
-            h[s, s ^ (1 << (n - 1 - k))] = body[bits[k]][1 - bits[k]]
+            i = bits[k]
+            total += body[i][i]
+            h[s, state_of[bits[:k] + (1 - i,) + bits[k + 1 :]]] = body[i][1 - i]
         for (k, l), c in pair_energies.items():
             total += c[bits[k]][bits[l]]
         h[s, s] = total
     return h
+
+
+def body_populations(amps, n_bodies):
+    """Level populations of every body, shape (..., n_bodies, 2) indexed
+    [body, level], of a stack (..., 2**n_bodies) of amplitudes in
+    ``build_hn``'s layout.  The gathered |amps|^2 are added, not multiplied
+    by a 0/1 table, so a population that overflows stays inf, not NaN."""
+    pops = np.abs(as_amplitudes(amps)) ** 2
+    if pops.shape[-1:] != (2**n_bodies,):
+        raise ValueError(f"expected amplitudes (..., {2**n_bodies}), got shape {pops.shape}")
+    rows = _levels(n_bodies)
+    states = [[[s for s, bits in enumerate(rows) if bits[k] == i] for i in (0, 1)] for k in range(n_bodies)]
+    return pops[..., states].sum(axis=-1)
 
 
 def stack2x2(m00, m01, m10, m11):

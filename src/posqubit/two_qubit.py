@@ -10,12 +10,12 @@ double dot and |0,1> on the right node (node 2): the upper system is
 the high bit, and a bit is 1 on node 1.  The module builds the Coulomb
 couplings from device geometry, assembles the 4x4 Hamiltonian as the
 N = 2 case of ``qcore.build_hn``, gives the closed-form symmetric
-eigensystem, tests factorizability, evolves the two-body state, and
-implements the mean-field one-way coupling of a third double dot
-(controlled-NOT style).  The mean field leaves out the target's
-back-action on the control: it follows the exact three-body Hamiltonian
-while the control sits in a node state and drifts from it once the
-control hops.
+eigensystem, tests factorizability, evolves the two-body state, reads
+its node occupancies off ``qcore.body_populations``, and implements the
+mean-field one-way coupling of a third double dot (controlled-NOT
+style).  The mean field leaves out the target's back-action on the
+control: it follows the exact three-body Hamiltonian while the control
+sits in a node state and drifts from it once the control hops.
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +26,7 @@ from .errors import OccupancyNotNormalizedError
 from .qcore import (
     StateVector,
     as_amplitudes,
+    body_populations,
     build_hn,
     evolve_steps,
     matexp_unitary,
@@ -197,15 +198,11 @@ def evolve4(h, state, t0, t):
 
 
 def swap_occupancies(state):
-    """Node occupancies (p1, p2, p1', p2') from BasisOrder4 marginals, shape
-    (..., 4) for a stack (..., 4) of amplitudes.
-
-    p1 is the probability that the U electron sits on its node 1
-    (indices 2, 3); p1' the same for the L electron (indices 1, 3).
-    """
-    pr = np.abs(as_amplitudes(state)) ** 2
-    p0, p1, p2, p3 = np.moveaxis(pr, -1, 0)
-    return np.stack([p2 + p3, p0 + p1, p1 + p3, p0 + p2], axis=-1)
+    """Node occupancies (p1, p2, p1', p2') of U and L, shape (..., 4) for a
+    stack (..., 4) of BasisOrder4 amplitudes: ``qcore.body_populations``
+    with each body's levels in node order, level 1 (node 1) first."""
+    levels = body_populations(state, 2)
+    return levels[..., ::-1].reshape(levels.shape[:-2] + (4,))
 
 
 def cnot_meanfield_h2(geom, occupancies, vs2, t2):

@@ -417,3 +417,32 @@ def test_channel_split_matches_its_former_body_bit_for_bit():
                 # a (2,2') term is real: both node-2 rows are
                 assert got.dtype == ref.dtype and got.shape == ref.shape
                 assert got.tobytes() == ref.tobytes()
+
+
+def test_a_qubit_held_in_one_node_cannot_flip():
+    """At ts_mag = 0 with ep1 != ep2 a qubit's energy states are its node
+    states, and a node-diagonal Coulomb term cannot flip it.  Its own channel
+    (r3 for A, r2 for B) and the two-qubit channel r4 then read exactly 0 in
+    every node term and in the decoherence matrix, while the other qubit's
+    channel does not.  The energy index is 2 iA + iB, so A flips between
+    entries 0 <-> 2 and 1 <-> 3, and B between 0 <-> 1 and 2 <-> 3."""
+    held = sq.eigencoeffs(sq.QubitParams(ep1=0.3, ep2=-0.2, ts_mag=0.0), 0.0)
+    free = sq.eigencoeffs(sq.QubitParams(ep1=0.1, ep2=0.25, ts_mag=0.4), 0.0)
+    dist = dec.NodeDistances(d11=1.0, d22=1.3, d12=1.7, d21=0.8)
+    a_flips = {(0, 2), (2, 0), (1, 3), (3, 1)}
+    b_flips = {(0, 1), (1, 0), (2, 3), (3, 2)}
+    both_flip = {(0, 3), (3, 0), (1, 2), (2, 1)}
+    cases = (
+        (dec.QubitEnergyBasis(held, free), "r3", "r2", a_flips, b_flips),
+        (dec.QubitEnergyBasis(free, held), "r2", "r3", b_flips, a_flips),
+    )
+    for basis, still, moving, still_entries, moving_entries in cases:
+        for pair in dec.NODE_PAIRS:
+            split = dec.coulomb_node_term_energy_basis(pair, basis, dist.of(pair), 1.0)
+            assert not getattr(split, still).any() and not split.r4.any()
+            nonzero = set(zip(*np.nonzero(getattr(split, moving))))
+            assert nonzero and nonzero <= moving_entries
+            assert np.abs(getattr(split, moving)).max() > 0.05
+        hdec = dec.decoherence_matrix(basis, dist, 1.0)
+        assert all(hdec[i, j] == 0.0 for i, j in still_entries | both_flip)
+        assert min(abs(hdec[i, j]) for i, j in moving_entries) > 0.05

@@ -3,7 +3,7 @@ import pytest
 
 import posqubit.measurement as ms
 from posqubit.errors import InvalidDensityError, ZeroMarginalError, ZeroProbabilityError
-from posqubit.qcore import StateVector, as_amplitudes, build_hn
+from posqubit.qcore import StateVector, as_amplitudes, body_populations, build_hn
 from posqubit.two_qubit import swap_occupancies
 
 rng = np.random.default_rng(404)
@@ -218,6 +218,18 @@ def test_grid_layout_functions_match_their_former_bodies_bit_for_bit():
                     assert _same_bytes(new.post_state.amps, old.post_state.amps)
 
 
+def test_measurement_probabilities_keep_overflowing_populations_as_their_former_body():
+    gen = np.random.default_rng(2122)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(500):
+            amps = gen.normal(size=4) + 1j * gen.normal(size=4)
+            amps[gen.random(4) < 0.5] *= 1e200 if gen.random() < 0.5 else 1e308
+            for sub in (ms.SUBSYSTEM_U, ms.SUBSYSTEM_L):
+                new, old = ms.measurement_probabilities(amps, sub), _former_measurement_probabilities(amps, sub)
+                assert _same_bytes(new, old)
+        assert ms.measurement_probabilities([0.0, 0.0, 1e200, 0.0], ms.SUBSYSTEM_U) == (np.inf, 0.0)
+
+
 def test_partial_trace_matches_its_former_body_bit_for_bit():
     gen = np.random.default_rng(2021)
     for _ in range(2000):
@@ -230,13 +242,19 @@ def test_partial_trace_matches_its_former_body_bit_for_bit():
 
 
 def test_measurement_reads_the_body_bits_of_build_hn():
-    """Basis state s of build_hn((U, L), {}) has U at level H[s, s] % 10 and L
-    at level H[s, s] // 10; level 1 is the left node."""
-    h = build_hn((((0.0, 0.0), (0.0, 1.0)), ((0.0, 0.0), (0.0, 10.0))), {})
-    for s in range(4):
-        level_u, level_l = int(h[s, s].real) % 10, int(h[s, s].real) // 10
-        state = np.eye(4)[s]
-        for sub, level in ((ms.SUBSYSTEM_U, level_u), (ms.SUBSYSTEM_L, level_l)):
-            assert ms.measurement_probabilities(state, sub) == (float(level), float(1 - level))
-        occupancies = swap_occupancies(state)
-        assert occupancies.tolist() == [level_u, 1 - level_u, level_l, 1 - level_l]
+    """Body k of build_hn(bodies, {}) with body k = diag(0, 10**k) has level
+    (H[s, s] // 10**k) % 10 in basis state s.  body_populations reads those
+    levels for N = 1 ... 4; at N = 2 (U, L) measurement_probabilities and
+    swap_occupancies do too, level 1 on the left node."""
+    for n in range(1, 5):
+        h = build_hn([((0.0, 0.0), (0.0, 10.0**k)) for k in range(n)], {})
+        for s in range(2**n):
+            levels = [int(h[s, s].real) // 10**k % 10 for k in range(n)]
+            assert body_populations(np.eye(2**n)[s], n).tolist() == [[1 - lv, lv] for lv in levels]
+            if n == 2:
+                level_u, level_l = levels
+                state = np.eye(4)[s]
+                for sub, level in ((ms.SUBSYSTEM_U, level_u), (ms.SUBSYSTEM_L, level_l)):
+                    assert ms.measurement_probabilities(state, sub) == (float(level), float(1 - level))
+                occupancies = swap_occupancies(state)
+                assert occupancies.tolist() == [level_u, 1 - level_u, level_l, 1 - level_l]

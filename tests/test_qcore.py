@@ -14,6 +14,7 @@ from posqubit.qcore import (
     StateVector,
     _entries,
     _entry_product,
+    body_populations,
     build_hn,
     eig_hermitian,
     evolve_rk4,
@@ -560,3 +561,23 @@ def test_rk4_step_operators_match_their_former_form_bit_for_bit(n):
                 got, want = rk4_step_operators(*hs, dt), _rk4_step_operators_oracle(*hs, dt)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+def test_body_populations_of_a_stack():
+    gen = np.random.default_rng(2123)
+    for n in range(1, 5):
+        amps = gen.normal(size=(3, 5, 2**n)) + 1j * gen.normal(size=(3, 5, 2**n))
+        amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+        pops = body_populations(amps, n)
+        assert pops.shape == (3, 5, n, 2) and pops.dtype == float
+        assert np.max(np.abs(pops.sum(axis=-1) - 1.0)) < 1e-15
+        # body k's populations from the amplitude grid, one axis per body
+        grid = np.abs(amps.reshape((3, 5) + (2,) * n)) ** 2
+        for k in range(n):
+            others = tuple(2 + j for j in range(n) if j != k)
+            assert np.max(np.abs(pops[..., k, :] - grid.sum(axis=others))) < 1e-15
+    amps = np.array([0.6, 0.8j])
+    assert body_populations(StateVector(amps), 1).tolist() == [(np.abs(amps) ** 2).tolist()]
+    for bad in (np.ones(3), np.ones((2, 8))):
+        with pytest.raises(ValueError):
+            body_populations(bad, 2)

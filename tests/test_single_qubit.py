@@ -11,7 +11,7 @@ from posqubit.errors import (
     NonHermitianDriveError,
     SingularExtractionError,
 )
-from posqubit.qcore import ENERGY, HBAR, StateVector, eig_hermitian, evolve_rk4
+from posqubit.qcore import ENERGY, HBAR, StateVector, eig_hermitian, evolve_rk4, propagate
 
 rng = np.random.default_rng(202)
 
@@ -351,3 +351,17 @@ def test_rabi_evolution_matrix_accepts_array_times(monkeypatch):
     h = np.array([[0.4, 0.3 + 0.2j], [0.3 - 0.2j, -1.1]])
     assert max(np.max(np.abs(u - matexp_unitary(h, t))) for t, u in zip(times, us)) < 1e-12
     assert sq.rabi_evolution_matrix(0.4, -1.1, 0.3, 0.0, times[:0]).shape == (0, 2, 2)
+
+
+def test_analytic_c1c2_is_the_hadamard_gate_at_a_quarter_period():
+    """The paper's Hadamard closed form: undriven, a node state of symmetric
+    wells reaches equal node populations at |ts| t = pi/4, and the closed
+    form agrees with exact propagation under build_h2."""
+    for ep, ts in ((0.0, 0.5), (0.2, 0.7), (-1.3, 2.0)):
+        t = 0.25 * np.pi / ts
+        for c0 in ((1.0, 0.0), (0.0, 1.0)):
+            c1, c2 = sq.analytic_c1c2(*c0, ep, ts, 0.0, 0.0, 0.0, t)
+            assert abs(abs(c1) ** 2 - 0.5) < 1e-15 and abs(abs(c2) ** 2 - 0.5) < 1e-15
+            h = sq.build_h2(sq.QubitParams(ep1=ep, ep2=ep, ts_mag=ts), 0.0)
+            exact = propagate(h, np.array(c0, dtype=complex), [t])[0]
+            assert np.max(np.abs(exact - [c1, c2])) < 1e-14

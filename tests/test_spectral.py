@@ -379,3 +379,28 @@ def test_interaction_drives_entanglement():
     q0[0, 1] = 1.0
     final = sp.evolve_modes(q0, basis, basis, w, 0.0, 1.0)
     assert sp.entanglement_entropy(final) > 1e-6
+
+
+def _exchange(n_levels):
+    """X|n, m> = (-1)^(n + m) |m, n> over the composite index n * n_levels + m."""
+    n, m = np.divmod(np.arange(n_levels**2), n_levels)
+    x = np.zeros((n_levels**2, n_levels**2))
+    x[m * n_levels + n, n * n_levels + m] = (-1.0) ** (n + m)
+    return x
+
+
+def test_composite_hamiltonian_commutes_with_well_exchange():
+    """Both wells on one basis of parity (-1)^n and an even kernel: exchanging
+    the wells and reflecting both coordinates maps H onto itself, for either
+    sign of well_offset; one function with a flipped sign in basis_b breaks it."""
+    kernel = sp.CoulombKernel(e2=1.0, d_reg=0.1)
+    x = _exchange(8)
+    for basis in (sp.harmonic_basis(8, n_grid=801), sp.box_basis(8, width=2.0, n_grid=801)):
+        for offset in (-3.0, -0.7, 0.0, 0.7, 3.0):
+            h = sp.composite_hamiltonian(basis, basis, sp.interaction_matrix_elements(basis, basis, kernel, offset))
+            assert np.linalg.norm(x @ h @ x - h) <= 1e-13 * np.linalg.norm(h)
+        functions = basis.functions.copy()
+        functions[3] *= -1.0
+        flipped = sp.ConfinementBasis(basis.kind, basis.grid, functions, basis.energies)
+        h = sp.composite_hamiltonian(basis, flipped, sp.interaction_matrix_elements(basis, flipped, kernel, 0.7))
+        assert np.linalg.norm(x @ h @ x - h) > 1e-5 * np.linalg.norm(h)

@@ -6,7 +6,7 @@ import pytest
 import posqubit.qcore as qcore
 import posqubit.two_qubit as tq
 from posqubit.errors import OccupancyNotNormalizedError
-from posqubit.qcore import StateVector, build_hn, eig_hermitian, evolve_rk4, propagate
+from posqubit.qcore import StateVector, body_populations, build_hn, eig_hermitian, evolve_rk4, propagate
 
 rng = np.random.default_rng(303)
 
@@ -219,6 +219,40 @@ def test_swap_occupancies_sum_rules():
         assert abs(p1p + p2p - 1.0) < 1e-12
 
 
+def _former_swap_occupancies(state):
+    """swap_occupancies as written before it read qcore.body_populations: a
+    bit-for-bit test oracle."""
+    pr = np.abs(qcore.as_amplitudes(state)) ** 2
+    p0, p1, p2, p3 = np.moveaxis(pr, -1, 0)
+    return np.stack([p2 + p3, p0 + p1, p1 + p3, p0 + p2], axis=-1)
+
+
+def _random_occupancy_input(gen):
+    """Amplitudes with zeroed entries of either sign, and sometimes entries
+    whose |a|^2 or |a| overflows to inf, or a NaN; one state or a stack, as an
+    array, a list or a StateVector."""
+    shape = ((), (5,), (2, 3))[gen.integers(3)] + (4,)
+    amps = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+    amps[gen.random(shape) < 0.25] = 0.0
+    amps[gen.random(shape) < 0.1] = complex(-0.0, -0.0)
+    for big, share in ((1e200, 0.1), (1e308, 0.05)):
+        amps[gen.random(shape) < share] *= big
+    amps[gen.random(shape) < 0.02] = complex(np.nan, 0.0)
+    kind = gen.integers(3) if amps.ndim == 1 else gen.integers(2)
+    return amps if kind == 0 else amps.tolist() if kind == 1 else StateVector(amps)
+
+
+def test_swap_occupancies_match_their_former_body_bit_for_bit():
+    gen = np.random.default_rng(2121)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2000):
+            state = _random_occupancy_input(gen)
+            new, old = tq.swap_occupancies(state), _former_swap_occupancies(state)
+            assert new.dtype == old.dtype and new.shape == old.shape and new.tobytes() == old.tobytes()
+        # a population that overflows stays inf, where a 0/1 matrix product reads NaN
+        assert tq.swap_occupancies([1e200, 0.0, 0.0, 0.0]).tolist() == [0.0, np.inf, 0.0, np.inf]
+
+
 def test_cnot_meanfield_h2_values():
     g = tq.DotGeometry(kind=tq.COLLINEAR, a=0.5, b=0.5, d1=1.0, d2=1.0, d3=2.0, coulomb_k=1.0)
     h = tq.cnot_meanfield_h2(g, (0.0, 1.0, 0.0, 0.0), vs2=0.3, t2=0.1)
@@ -414,4 +448,10 @@ def test_cnot_meanfield_matches_the_exact_three_body_run_with_the_control_frozen
             rho_exact = np.einsum("nci,ncj->nij", exact, exact.conj())
             rho_mf = run.target[:, :, None] * run.target[:, None, :].conj()
             assert np.max(np.abs(rho_exact - rho_mf)) < 1e-12
+            # every body's marginal of the exact run, bodies (U, L, T)
+            grid = exact.reshape(-1, 2, 2, 2)
+            marginals = [np.einsum(f"nijk,nijk->n{axis}", grid, grid.conj()).real for axis in "ijk"]
+            pops = body_populations(exact.reshape(-1, 8), 3)
+            assert np.max(np.abs(pops - np.stack(marginals, 1))) < 1e-15
+            assert np.max(np.abs(pops[:, 2] - rho_mf.diagonal(0, 1, 2).real)) < 1e-12
             assert np.max(np.abs(np.abs(run.control) ** 2 - np.eye(4)[node_state])) < 1e-12

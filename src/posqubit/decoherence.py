@@ -115,7 +115,7 @@ def decoherence_matrix(basis, dist, k):
 def renormalized_energies(e1a, e2a, e1b, e2b, hdec):
     """Pairwise eigenenergy sums plus the r1 diagonal shifts, read off the
     diagonal of ``hdec`` (a ``decoherence_matrix``)."""
-    pairwise = np.array([e1a + e1b, e1a + e2b, e2a + e1b, e2a + e2b])
+    pairwise = np.add.outer((e1a, e2a), (e1b, e2b)).ravel()
     shifts = np.real(np.diag(hdec))
     return pairwise + shifts
 

@@ -3,8 +3,9 @@
 Dense complex matrices of fixed small dimension (2x2, 4x4, ...) with a
 deterministic eigenvector phase convention, unitary propagation through
 exact exponentiation, and exact sampled propagation under a constant
-Hamiltonian.  ``build_hn`` assembles the Hamiltonian of N electrostatically
-coupled two-level bodies, one bit of the composite index per body, and
+Hamiltonian, given as a matrix or as its eigendecomposition.  ``build_hn``
+assembles the Hamiltonian of N electrostatically coupled two-level
+bodies, one bit of the composite index per body, and
 ``body_populations`` reads every body's level populations off a stack of
 states; both read the one level table ``_levels``.  For
 time-dependent 2x2 and other small generators, whole grids of step
@@ -115,7 +116,16 @@ def propagate(h, y0, times, *, density=False):
     initial value per sample.
     """
     h = require_hermitian(h)
-    energies, vectors = np.linalg.eigh(h)
+    return propagate_eigen(*np.linalg.eigh(h), y0, times, density=density)
+
+
+def propagate_eigen(energies, vectors, y0, times, *, density=False):
+    """``propagate`` from a given eigendecomposition h = V diag(E) V^dag.
+
+    ``vectors`` holds orthonormal eigenvectors in columns, in the order of
+    ``energies``, which need not ascend; real vectors take real products.
+    The arguments and the result are those of ``propagate``.
+    """
     times = np.asarray(times, dtype=float)
     phases = np.exp(-1j * np.multiply.outer(times, energies) / HBAR)
     y0 = np.asarray(y0, dtype=complex)

@@ -15,7 +15,10 @@ samples, never formed as an N x N mesh.  The kernel is transformed once,
 the products are convolved in fixed blocks of rows, so only one block's
 transforms are held at a time, and one matrix product finishes the
 contraction.  The raw spectral coefficients g_{i,j} = <psi_i psi_j| V>
-use the same convolution.
+use the same convolution.  When both wells share one basis of parity
+(-1)^n, exchanging the wells and reflecting both coordinates commutes
+with H, and ``evolve_modes`` diagonalizes H as its two exchange-parity
+blocks.
 """
 
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatchError, GridTooCoarseError, QuadratureNotConvergedError
-from .qcore import HBAR, propagate
+from .qcore import HBAR, propagate, propagate_eigen, require_hermitian
 
 HARMONIC = "harmonic"
 BOX = "box"
@@ -154,7 +157,7 @@ def _fft_length(n):
         n += 1
 
 
-_CONTRACT_ROWS = 16  # rows of rows_b transformed at once: about 1.2 MiB of FFT buffers at n_grid 2401
+_CONTRACT_ROWS = 8  # rows of rows_b transformed at once: about 0.9 MiB of FFT buffers at n_grid 2401
 
 
 def _kernel_contract(rows_a, grid_a, rows_b, grid_b, kernel, well_offset):
@@ -163,8 +166,9 @@ def _kernel_contract(rows_a, grid_a, rows_b, grid_b, kernel, well_offset):
     Both grids share one spacing, so V depends only on the lag g - h
     (Toeplitz) and is never formed: the kernel is sampled at the
     na + nb - 1 lags and transformed once by a real FFT of length
-    >= na + nb - 1.  The rows of ``rows_b`` are convolved with it
-    ``_CONTRACT_ROWS`` at a time into one (rows, na) array, so the
+    >= na + nb - 1.  The rows of ``rows_b`` are copied
+    ``_CONTRACT_ROWS`` at a time into one zero-padded buffer, reused for
+    every block, and convolved with it into one (rows, na) array, so the
     transforms held at once do not grow with the row count; the circular
     wrap reaches only the first nb - 1 outputs, which are dropped.  One
     matrix product finishes the contraction: BLAS may sum a small product
@@ -183,11 +187,13 @@ def _kernel_contract(rows_a, grid_a, rows_b, grid_b, kernel, well_offset):
     n_fft = _fft_length(na + nb - 1)
     kernel_spectrum = np.fft.rfft(kernel(lags), n_fft)
     convolved = np.empty((rows_b.shape[0], na))
+    padded = np.zeros((min(_CONTRACT_ROWS, rows_b.shape[0]), n_fft))
     for lo in range(0, rows_b.shape[0], _CONTRACT_ROWS):
-        block = slice(lo, lo + _CONTRACT_ROWS)
-        spectrum = np.fft.rfft(rows_b[block], n_fft)
+        block = rows_b[lo : lo + _CONTRACT_ROWS]
+        padded[: len(block), :nb] = block
+        spectrum = np.fft.rfft(padded[: len(block)])
         spectrum *= kernel_spectrum
-        convolved[block] = np.fft.irfft(spectrum, n_fft)[:, nb - 1 : nb - 1 + na]
+        convolved[lo : lo + len(block)] = np.fft.irfft(spectrum, n_fft)[:, nb - 1 : nb - 1 + na]
     return rows_a @ convolved.T
 
 
@@ -258,18 +264,59 @@ def composite_hamiltonian(basis_a, basis_b, w):
     return np.diag(diag) + w
 
 
+EXCHANGE_TOL = 1e-12  # max |XHX - H| / max |H| up to which evolve_modes diagonalizes the parity blocks
+
+
+def _exchange_eigen(h, n):
+    """Eigendecomposition of h over n x n modes from its exchange-parity blocks, or None.
+
+    X|n,m> = (-1)^(n+m) |m,n> exchanges the wells and reflects both
+    coordinates.  When max |XHX - H| <= EXCHANGE_TOL max |H|, h is
+    diagonalized as two blocks built by gathers on h: the +1 block over
+    v = w (|n,m> + (-1)^(n+m) |m,n>) for n <= m, with w = 1/sqrt(2) for
+    n < m and 1/2 for n = m, and the -1 block over the n < m differences.
+    With XHX = H, <v_i|H|v_j> = 2 w_i w_j (H[r_i, r_j] + s_j H[r_i, r'_j]).
+    Returns the two blocks' energies, +1 block first, and their
+    eigenvectors mapped back into one dense matrix over the composite index.
+    """
+    levels = np.arange(n)
+    parity = (-1.0) ** np.add.outer(levels, levels)
+    h4 = h.reshape(n, n, n, n)  # XHX[(n,m),(s,e)] = (-1)^(n+m+s+e) H[(m,n),(e,s)]
+    defect = np.abs(np.multiply.outer(parity, parity) * h4.transpose(1, 0, 3, 2) - h4).max()
+    if not defect <= EXCHANGE_TOL * np.abs(h).max():
+        return None
+    first, second = np.triu_indices(n)
+    r, r_swap = first * n + second, second * n + first
+    s, pair = parity[first, second], first < second
+    w = np.where(pair, np.sqrt(0.5), 0.5)
+    direct, cross = h[np.ix_(r, r)], h[np.ix_(r, r_swap)] * s
+    e_plus, u_plus = np.linalg.eigh(2.0 * np.outer(w, w) * (direct + cross))
+    e_minus, u_minus = np.linalg.eigh((direct - cross)[np.ix_(pair, pair)])
+    vectors = np.zeros((n * n, n * n), dtype=np.result_type(u_plus, u_minus))
+    vectors[r, : r.size] = w[:, None] * u_plus
+    vectors[r_swap, : r.size] += (s * w)[:, None] * u_plus
+    vectors[r[pair], r.size :] = np.sqrt(0.5) * u_minus
+    vectors[r_swap[pair], r.size :] = (-np.sqrt(0.5) * s[pair])[:, None] * u_minus
+    return np.concatenate([e_plus, e_minus]), vectors
+
+
 def evolve_modes(q0, basis_a, basis_b, w, t0, t):
     """Exact evolution of the coupled mode equations from ``q0`` at ``t0``.
 
     The composite Hamiltonian is constant, so it is diagonalized once and
-    every sample is exact (``qcore.propagate``).  ``t`` is a scalar or a
+    every sample is exact (``qcore.propagate_eigen``).  When both wells
+    share one basis object and H keeps the well-exchange symmetry, H is
+    diagonalized as its two exchange-parity blocks (``_exchange_eigen``);
+    otherwise as one matrix (``qcore.propagate``).  ``t`` is a scalar or a
     1-D array of sample times; the mode amplitudes have shape
     ``np.shape(t) + (levels_A, levels_B)``.
     """
     na, nb = basis_a.n_levels, basis_b.n_levels
     spans = np.asarray(t, dtype=float) - t0
     h = composite_hamiltonian(basis_a, basis_b, w)
-    series = propagate(h, np.asarray(q0, dtype=complex).reshape(na * nb), spans)
+    y0 = np.asarray(q0, dtype=complex).reshape(na * nb)
+    eigen = _exchange_eigen(require_hermitian(h), na) if basis_b is basis_a else None
+    series = propagate(h, y0, spans) if eigen is None else propagate_eigen(*eigen, y0, spans)
     return series.reshape(spans.shape + (na, nb))
 
 
@@ -291,11 +338,14 @@ def entanglement_entropy(q):
     """Von Neumann entropy (natural log) of the Schmidt weights of q.
 
     ``q`` is one (na, nb) matrix, giving a float, or a stack (..., na, nb),
-    giving an array of shape (...) from one batched SVD.  Weights at or
-    below 1e-300 are left out of each matrix's sum.
+    giving an array of shape (...).  The weights are the eigenvalues of
+    the smaller Gram matrix, q q^dag or q^dag q, from one batched
+    ``eigvalsh``, clipped at 0; weights at or below 1e-300 are left out of
+    each matrix's sum.
     """
-    sv = np.linalg.svd(np.asarray(q, dtype=complex), compute_uv=False)
-    p = sv * sv
+    q = np.asarray(q, dtype=complex)
+    qh = np.conj(np.swapaxes(q, -1, -2))
+    p = np.clip(np.linalg.eigvalsh(q @ qh if q.shape[-2] <= q.shape[-1] else qh @ q), 0.0, None)
     kept = p > 1e-300
     p = np.where(kept, p, 0.0)
     # a zero matrix keeps no weight and has entropy 0

@@ -320,6 +320,48 @@ def test_propagate_matches_expm_at_every_sample():
         propagate(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2), times)
 
 
+def _former_propagate(h, y0, times, *, density=False):
+    """propagate as written before it handed its eigendecomposition to propagate_eigen."""
+    h = require_hermitian(h)
+    energies, vectors = np.linalg.eigh(h)
+    times = np.asarray(times, dtype=float)
+    phases = np.exp(-1j * np.multiply.outer(times, energies) / HBAR)
+    y0 = np.asarray(y0, dtype=complex)
+    vh = vectors.conj().T
+    if density:
+        rho_e = phases[:, :, None] * phases[:, None, :].conj()
+        rho_e *= vh @ y0 @ vectors
+        n2 = vectors.size
+        back = (vectors.T[:, None, :, None] * vh[None, :, None, :]).reshape(n2, n2)
+        return (rho_e.reshape(-1, n2) @ back).reshape(rho_e.shape)
+    coeffs = phases * (y0 @ vh.T)
+    if vectors.dtype.kind == "f":
+        out = np.empty(coeffs.shape, dtype=complex)
+        out.real = coeffs.real @ vectors.T
+        out.imag = coeffs.imag @ vectors.T
+        return out
+    return coeffs @ vectors.T
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 48])
+def test_propagate_matches_its_former_body_bit_for_bit(n):
+    local = np.random.default_rng(70 + n)  # leaves the module's generator to the other tests
+    times = np.concatenate([[0.0, -0.0], local.uniform(-5.0, 5.0, size=9)])
+    for trial in range(20):
+        m = local.normal(size=(n, n)) + 1j * local.normal(size=(n, n))
+        h = 0.5 * (m + m.conj().T) if trial % 2 else 0.5 * (m.real + m.real.T)
+        psi = local.normal(size=(len(times), n)) + 1j * local.normal(size=(len(times), n))
+        rho = psi[:, :, None] * psi[:, None, :].conj()
+        cases = [(psi[0], times, False), (psi, times, False), (psi[0].real, times[3], False)]
+        if n <= 8:  # the density back-rotation holds an n**2 x n**2 matrix
+            cases += [(rho[0], times, True), (rho, times, True), (list(map(list, rho[0])), times[:1], True)]
+        for y0, ts, density in cases:
+            got = propagate(h, y0, ts, density=density)
+            ref = _former_propagate(h, y0, ts, density=density)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
 def _density_by_broadcast(h, rho0, times):
     """The back-rotation that propagate(density=True) replaced: V rho_E V^dag
     as (n_times, n, n) broadcast matrix products, one per sample."""

@@ -5,7 +5,7 @@ import pytest
 
 import posqubit.spectral as sp
 from posqubit.errors import BasisMismatchError, GridTooCoarseError, QuadratureNotConvergedError
-from posqubit.qcore import matexp_unitary
+from posqubit.qcore import matexp_unitary, propagate
 
 rng = np.random.default_rng(606)
 
@@ -168,8 +168,9 @@ def test_w_assembly_memory_is_linear_in_the_grid():
 
     kern = sp.CoulombKernel(e2=1.0, d_reg=0.2)
     # (n_grid, a second equal basis object, bound in MiB): the traced peak read
-    # 6.25 / 10.41 / 8.74 MiB, and 15.25 / 25.32 / 15.25 MiB while every
-    # pair-product row was transformed at once
+    # 5.95 / 9.91 / 8.44 MiB with one reused 8-row buffer, 6.25 / 10.41 / 8.74 MiB
+    # with 16-row blocks padded by rfft, and 15.25 / 25.32 / 15.25 MiB while
+    # every pair-product row was transformed at once
     for n_grid, distinct, bound_mib in ((2401, False, 8), (MAX_GRID, False, 13), (2401, True, 11)):
         basis = sp.harmonic_basis(16, n_grid=n_grid)
         other = sp.harmonic_basis(16, n_grid=n_grid) if distinct else basis
@@ -404,3 +405,100 @@ def test_composite_hamiltonian_commutes_with_well_exchange():
         flipped = sp.ConfinementBasis(basis.kind, basis.grid, functions, basis.energies)
         h = sp.composite_hamiltonian(basis, flipped, sp.interaction_matrix_elements(basis, flipped, kernel, 0.7))
         assert np.linalg.norm(x @ h @ x - h) > 1e-5 * np.linalg.norm(h)
+
+
+def _former_evolve_modes(q0, basis_a, basis_b, w, t0, t):
+    """evolve_modes as written before it diagonalized the exchange-parity blocks."""
+    na, nb = basis_a.n_levels, basis_b.n_levels
+    spans = np.asarray(t, dtype=float) - t0
+    h = sp.composite_hamiltonian(basis_a, basis_b, w)
+    series = propagate(h, np.asarray(q0, dtype=complex).reshape(na * nb), spans)
+    return series.reshape(spans.shape + (na, nb))
+
+
+def _random_modes(n_levels, gen):
+    q0 = gen.normal(size=(n_levels, n_levels)) + 1j * gen.normal(size=(n_levels, n_levels))
+    return q0 / np.linalg.norm(q0)
+
+
+_PARITY_BASES = {
+    "harmonic": lambda n: sp.harmonic_basis(n, n_grid=801),
+    "box": lambda n: sp.box_basis(n, width=4.0, n_grid=801),
+}
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 3, 16])
+@pytest.mark.parametrize("kind", sorted(_PARITY_BASES))
+def test_exchange_blocks_match_the_single_eigh_and_expm(kind, n_levels):
+    """n_levels 1 leaves the -1 block empty; every column of the blocks'
+    eigenvectors is even (the first n(n+1)/2) or odd under X, exactly."""
+    from scipy.linalg import expm
+
+    basis = _PARITY_BASES[kind](n_levels)
+    kern = sp.CoulombKernel(e2=1.0, d_reg=0.2)
+    gen = np.random.default_rng(2200 + n_levels)
+    k, plus = n_levels**2, n_levels * (n_levels + 1) // 2
+    x = _exchange(n_levels)
+    times = np.array([0.0, 0.05, 0.4, 1.3, 3.0])
+    for offset in (-3.0, 0.0, 3.0):
+        w = sp.interaction_matrix_elements(basis, basis, kern, offset)
+        h = sp.composite_hamiltonian(basis, basis, w)
+        energies, vectors = sp._exchange_eigen(h, n_levels)
+        assert energies.shape == (k,) and vectors.shape == (k, k)
+        assert np.array_equal(x @ vectors, vectors * np.repeat([1.0, -1.0], [plus, k - plus]))
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(k))) <= 1e-14
+        assert _rel_dev((vectors * energies) @ vectors.T, h) <= 1e-13
+        q0 = _random_modes(n_levels, gen)
+        got = sp.evolve_modes(q0, basis, basis, w, 0.7, 0.7 + times)
+        assert got.shape == (times.size, n_levels, n_levels)
+        assert np.max(np.abs(got - _former_evolve_modes(q0, basis, basis, w, 0.7, 0.7 + times))) <= 1e-12
+        for t, q in zip(times, got):
+            assert np.max(np.abs(q.reshape(k) - expm(-1j * h * t) @ q0.reshape(k))) <= 1e-12
+        single = sp.evolve_modes(q0, basis, basis, w, 0.7, 2.0)
+        assert single.shape == (n_levels, n_levels)
+        assert np.max(np.abs(single - _former_evolve_modes(q0, basis, basis, w, 0.7, 2.0))) <= 1e-12
+
+
+def test_broken_exchange_symmetry_falls_back_to_one_eigh_byte_for_byte():
+    """Two distinct basis objects keep the single eigh although their H is
+    symmetric; a numeric basis of an asymmetric potential breaks the parity
+    of its functions, so the measured defect sends it there too."""
+    kern = sp.CoulombKernel(e2=1.0, d_reg=0.2)
+    gen = np.random.default_rng(2210)
+    times = np.linspace(0.0, 2.0, 9)
+    twins = sp.harmonic_basis(6, n_grid=801), sp.harmonic_basis(6, n_grid=801)
+    tilted = sp.numeric_basis(lambda x: 0.5 * x * x + 0.3 * np.exp(-((x - 1.0) ** 2)), 6, -10.0, 10.0, n_grid=801)
+    for basis_a, basis_b, symmetric in ((*twins, True), (tilted, tilted, False)):
+        w = sp.interaction_matrix_elements(basis_a, basis_b, kern, 3.0)
+        h = sp.composite_hamiltonian(basis_a, basis_b, w)
+        assert (sp._exchange_eigen(h, 6) is not None) == symmetric
+        q0 = _random_modes(6, gen)
+        got = sp.evolve_modes(q0, basis_a, basis_b, w, 0.0, times)
+        ref = _former_evolve_modes(q0, basis_a, basis_b, w, 0.0, times)
+        assert _same_bytes(got, ref)
+    defect = np.linalg.norm(_exchange(6) @ h @ _exchange(6) - h) / np.linalg.norm(h)
+    assert defect > 1e3 * sp.EXCHANGE_TOL
+
+
+def test_the_cli_spectral_kind_takes_the_exchange_split(monkeypatch):
+    from posqubit import cli
+
+    def single_eigh(*args, **kwargs):
+        raise AssertionError("evolve_modes fell back to the single eigh")
+
+    monkeypatch.setattr(sp, "propagate", single_eigh)
+    for basis in ({"kind": "harmonic", "n_levels": 4, "n_grid": 401}, {"kind": "box", "n_levels": 3, "n_grid": 401}):
+        cfg = {
+            "schema_version": 1,
+            "kind": "spectral",
+            "time": {"t_max": 0.5, "dt": 0.01, "sample_stride": 10},
+            "parameters": {
+                "basis": basis,
+                "kernel": {"e2": 1.0, "d_reg": 0.2},
+                "well_offset": 3.0,
+                "initial_modes": [[0, 1, 1.0, 0.0], [1, 0, 0.0, 0.5]],
+            },
+        }
+        _, summary = cli.run_scenario(cfg)
+        assert abs(summary["final_norm"] - 1.0) <= 1e-12
+        assert summary["energy_drift"] <= 1e-12

@@ -477,15 +477,11 @@ def _run_spectral(time, basis, kernel, well_offset, initial_modes):
             cols[f"p_mode_{n_idx}{m_idx}"] = np.abs(series_q[:, n_idx, m_idx]) ** 2
     cols["entropy"] = sp.entanglement_entropy(series_q)
     series = TimeSeries(times, cols)
+    first, last = sp.mode_energy(series_q[[0, -1]], basis, basis, w)
     summary = {
         "final_norm": float(np.sqrt(np.sum(np.abs(series_q[-1]) ** 2))),
         "final_entropy": float(cols["entropy"][-1]),
-        "energy_drift": float(
-            abs(
-                sp.mode_energy(series_q[-1], basis, basis, w)
-                - sp.mode_energy(series_q[0], basis, basis, w)
-            )
-        ),
+        "energy_drift": float(abs(last - first)),
     }
     return series, summary
 

@@ -16,9 +16,10 @@ Each node term is exactly rank one in the energy basis: with per-qubit
 overlap vectors w = (<E1|x>, <E2|x>) it is (k/d) v v^dag, v = kron(wA, wB).
 The module also assembles the resonant base Hamiltonian (the N = 2 case
 of ``qcore.build_hn``), the total decoherence matrix, the symmetric-case
-scalars, exact density-matrix evolution under constant H0 + Hdec and its
-first-order angle factorization.  ``_evolve`` also takes the 4 amplitudes
-of a pure state, which is what the CLI's decoherence kind propagates.
+scalars, exact evolution under constant H0 + Hdec and its first-order
+angle factorization.  ``_evolve`` propagates amplitudes only: the CLI's
+decoherence kind passes the 4 amplitudes of its pure state, and a density
+matrix evolves as U rho0 U^dag from the 4 propagated basis states.
 """
 
 from dataclasses import dataclass
@@ -169,24 +170,19 @@ def energy_to_position(op, basis):
     return m @ op @ m.conj().T
 
 
-def _evolve(y0, h0, hdec, spans, paper_factorized, density=False):
-    """Amplitudes (4,), or with ``density`` a density matrix (4, 4), at each
-    of the 1-D ``spans`` under constant Hermitian H0 + Hdec: exact, or with
-    ``paper_factorized`` the first-order split, where the diagonal phase
-    D = e^{-i diag(H0 + Hdec) t} acts first, as the per-sample start d o psi0
-    or D rho0 D^dag = rho0 o (d d^dag), and then Hdec - diag(Hdec)."""
+def _evolve(y0, h0, hdec, spans, paper_factorized):
+    """Amplitudes at each of the 1-D ``spans`` under constant Hermitian
+    H0 + Hdec, with ``y0`` broadcast as in ``qcore.propagate``: exact, or
+    with ``paper_factorized`` the first-order split, where the diagonal
+    phase D = e^{-i diag(H0 + Hdec) t} acts first, as the per-sample start
+    d o y0, and then Hdec - diag(Hdec)."""
     h0 = require_hermitian(h0)
     hdec = require_hermitian(hdec)
     if not paper_factorized:
-        return propagate(h0 + hdec, y0, spans, density=density)
+        return propagate(h0 + hdec, y0, spans)
     diag = np.real(np.diag(h0) + np.diag(hdec))
     d = np.exp(-1j * np.multiply.outer(spans, diag) / HBAR)
-    if density:
-        y0 = y0 * d[:, :, None]
-        y0 *= d[:, None, :].conj()
-    else:
-        y0 = y0 * d
-    return propagate(hdec - np.diag(np.diag(hdec)), y0, spans, density=density)
+    return propagate(hdec - np.diag(np.diag(hdec)), y0 * d, spans)
 
 
 def evolve_density_with_decoherence(rho0, h0, hdec, t0, t, paper_factorized=False):
@@ -194,15 +190,21 @@ def evolve_density_with_decoherence(rho0, h0, hdec, t0, t, paper_factorized=Fals
     constant H0 + Hdec.
 
     ``t`` is a scalar or a 1-D array of sample times, and the result has
-    shape ``np.shape(t) + (4, 4)``.  The evolution is exact: the generator
-    is diagonalized once per call (``qcore.propagate``).  With
-    ``paper_factorized`` the propagator is split into the off-diagonal
+    shape ``np.shape(t) + (4, 4)``.  The evolution is exact: the 4 basis
+    states are propagated as one stack (``_evolve``, one diagonalization
+    per call), which gives U(t) column by column, and rho(t) = U rho0 U^dag.
+    With ``paper_factorized`` the propagator is split into the off-diagonal
     decoherence factor times the diagonal phase (first-order
     factorization; exact when the two commute).
     """
     rho = validate_density(rho0, dim=4)
     spans = np.asarray(t, dtype=float) - t0
-    out = _evolve(rho, h0, hdec, spans.reshape(-1), paper_factorized, density=True)
+    # columns[j, s] = U(t_s) e_j, so U(t_s) is columns[:, s] transposed
+    columns = _evolve(np.eye(4)[:, None], h0, hdec, spans.reshape(-1), paper_factorized)
+    u = np.moveaxis(columns, 0, -1)
+    out = u @ rho
+    np.conjugate(columns, out=columns)  # u is now U*, and its swapped axes U^dag
+    out = out @ np.swapaxes(u, -1, -2)
     return out.reshape(spans.shape + (4, 4))
 
 

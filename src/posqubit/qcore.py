@@ -100,26 +100,23 @@ def matexp_unitary(h, dt):
     return (vectors * phases) @ vectors.conj().T
 
 
-def propagate(h, y0, times, *, density=False):
-    """Exact evolution under a constant Hermitian ``h`` at every time in ``times``.
+def propagate(h, y0, times):
+    """Exact evolution of states under a constant Hermitian ``h`` at every time in ``times``.
 
     ``h`` is checked and diagonalized once, h = V diag(E) V^dag (a real
     ``eigh`` when ``h`` is real floating, see ``require_hermitian``; states
-    then take real products with V), and all
-    samples are formed in one broadcast: states as V e^{-iEt} V^dag y0,
-    shape (n_times, n); densities (``density=True``) as
-    V (rho_E o e^{-i(E_j - E_k)t}) V^dag with rho_E = V^dag rho0 V, shape
-    (n_times, n, n), all back-rotated at once as one product of the
-    flattened (n_times, n*n) stack with the constant n*n x n*n matrix
-    B[(j,k),(a,b)] = V[a,j] V*[b,k].  Times count from the moment ``y0``
-    holds.  ``y0`` may also carry a leading axis of length n_times, one
-    initial value per sample.
+    then take real products with V), and all samples V e^{-iEt} V^dag y0
+    are formed in one broadcast.  Times count from the moment ``y0`` holds.
+    ``y0`` broadcasts against (n_times, n): one state (n,) gives
+    (n_times, n), one state per sample (n_times, n) the same, and a stack
+    (k, 1, n) of k states gives (k, n_times, n), so the basis states
+    ``np.eye(n)[:, None]`` give the columns of U(t).
     """
     h = require_hermitian(h)
-    return propagate_eigen(*np.linalg.eigh(h), y0, times, density=density)
+    return propagate_eigen(*np.linalg.eigh(h), y0, times)
 
 
-def propagate_eigen(energies, vectors, y0, times, *, density=False):
+def propagate_eigen(energies, vectors, y0, times):
     """``propagate`` from a given eigendecomposition h = V diag(E) V^dag.
 
     ``vectors`` holds orthonormal eigenvectors in columns, in the order of
@@ -130,13 +127,6 @@ def propagate_eigen(energies, vectors, y0, times, *, density=False):
     phases = np.exp(-1j * np.multiply.outer(times, energies) / HBAR)
     y0 = np.asarray(y0, dtype=complex)
     vh = vectors.conj().T
-    if density:
-        # in place where possible: the (n_times, n, n) stack is the bulk of the memory
-        rho_e = phases[:, :, None] * phases[:, None, :].conj()
-        rho_e *= vh @ y0 @ vectors
-        n2 = vectors.size
-        back = (vectors.T[:, None, :, None] * vh[None, :, None, :]).reshape(n2, n2)
-        return (rho_e.reshape(-1, n2) @ back).reshape(rho_e.shape)
     coeffs = phases * (y0 @ vh.T)
     if vectors.dtype.kind == "f":
         # two real products: ``coeffs @ vectors.T`` would cast the real

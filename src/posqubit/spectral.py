@@ -321,11 +321,16 @@ def evolve_modes(q0, basis_a, basis_b, w, t0, t):
 
 
 def mode_energy(q, basis_a, basis_b, w):
-    """Expectation of the composite Hamiltonian in mode amplitudes q."""
+    """Expectation of the composite Hamiltonian in mode amplitudes q.
+
+    ``q`` is one (na, nb) matrix, giving a float, or a stack (..., na, nb),
+    giving an array of shape (...); H is built once for the whole stack.
+    """
     na, nb = basis_a.n_levels, basis_b.n_levels
-    flat = np.asarray(q, dtype=complex).reshape(na * nb)
+    q = np.asarray(q, dtype=complex)
     h = composite_hamiltonian(basis_a, basis_b, w)
-    return float(np.real(flat.conj() @ h @ flat))
+    energies = [float(np.real(flat.conj() @ h @ flat)) for flat in q.reshape(-1, na * nb)]
+    return np.array(energies).reshape(q.shape[:-2]) if q.ndim > 2 else energies[0]
 
 
 def reconstruct_wavefunction(q, basis_a, basis_b):

@@ -397,9 +397,9 @@ def test_decoherence_run_propagates_amplitudes_not_densities(monkeypatch):
     propagate = qcore.propagate
     calls = []
 
-    def recording(h, y0, times, *, density=False):
-        calls.append((np.shape(y0), density))
-        return propagate(h, y0, times, density=density)
+    def recording(h, y0, times):
+        calls.append(np.shape(y0))
+        return propagate(h, y0, times)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a decoherence point took the density path")
@@ -412,7 +412,7 @@ def test_decoherence_run_propagates_amplitudes_not_densities(monkeypatch):
         series, _ = cli.run_scenario(decoherence_cfg(), paper_factorized=paper_factorized)
         # with the split, every sample starts from its own D(t) psi0
         start = (len(series.t), 4) if paper_factorized else (4,)
-        assert calls == [(start, False)]
+        assert calls == [start]
 
 
 def random_decoherence_cfg(gen):

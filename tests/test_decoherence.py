@@ -11,19 +11,17 @@ from posqubit.qcore import eig_hermitian, evolve_rk4, matexp_unitary
 rng = np.random.default_rng(505)
 
 
+def random_params(gen=rng):
+    return sq.QubitParams(
+        ep1=gen.uniform(-3, 3),
+        ep2=gen.uniform(-3, 3),
+        ts_mag=gen.uniform(0.1, 3),
+        alpha=gen.uniform(0, 2 * np.pi),
+    )
+
+
 def random_basis(gen=rng):
-    pa = sq.QubitParams(
-        ep1=gen.uniform(-3, 3),
-        ep2=gen.uniform(-3, 3),
-        ts_mag=gen.uniform(0.1, 3),
-        alpha=gen.uniform(0, 2 * np.pi),
-    )
-    pb = sq.QubitParams(
-        ep1=gen.uniform(-3, 3),
-        ep2=gen.uniform(-3, 3),
-        ts_mag=gen.uniform(0.1, 3),
-        alpha=gen.uniform(0, 2 * np.pi),
-    )
+    pa, pb = random_params(gen), random_params(gen)
     return dec.QubitEnergyBasis(sq.eigencoeffs(pa, 0.0), sq.eigencoeffs(pb, 0.0))
 
 
@@ -112,6 +110,9 @@ def _former_renormalized_energies(e1a, e2a, e1b, e2b, hdec):
 
 
 def test_renormalized_energies_matches_the_former_body_bit_for_bit():
+    """Guards ``_former_renormalized_energies``: the |E1A E1B>, |E1A E2B>,
+    |E2A E1B>, |E2A E2B> order and float semantics on special values.
+    test_renormalized_energies_are_position_basis_expectations checks the physics."""
     local = np.random.default_rng(5051)
     specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, 5e-324]
     for trial in range(2000):
@@ -131,6 +132,51 @@ def test_renormalized_energies_matches_the_former_body_bit_for_bit():
             ref = _former_renormalized_energies(*energies, m)
         assert got.dtype == ref.dtype and got.shape == ref.shape == (4,)
         assert got.tobytes() == ref.tobytes()
+
+
+def _position_hamiltonian(pa, pb, dist, k):
+    """H_A x 1 + 1 x H_B + sum k/d |x_i x_j'><x_i x_j'| in the position
+    composite basis x1x1', x1x2', x2x1', x2x2'; also the bare Coulomb part."""
+    coulomb = np.diag(k / np.array([dist.d11, dist.d12, dist.d21, dist.d22]))
+    eye = np.eye(2)
+    return np.kron(sq.build_h2(pa, 0.0), eye) + np.kron(eye, sq.build_h2(pb, 0.0)) + coulomb, coulomb
+
+
+def _energy_kets(basis):
+    """Column 2 iA + iB is the product eigenstate |E_iA E_iB> in the position basis."""
+    return np.kron(basis.coeffs_a.basis_matrix().T, basis.coeffs_b.basis_matrix().T)
+
+
+def test_renormalized_energies_are_position_basis_expectations():
+    """Entry 2 iA + iB is <E_iA E_iB| H |E_iA E_iB> of the position-basis H
+    of both qubits and their four node-node Coulomb terms."""
+    gen = np.random.default_rng(2303)
+    for _ in range(50):
+        pa, pb = random_params(gen), random_params(gen)
+        basis = dec.QubitEnergyBasis(sq.eigencoeffs(pa, 0.0), sq.eigencoeffs(pb, 0.0))
+        dist, k = random_distances(gen), gen.uniform(0.1, 2.0)
+        h, _ = _position_hamiltonian(pa, pb, dist, k)
+        kets = _energy_kets(basis)
+        expected = np.real(np.einsum("ip,ij,jp->p", kets.conj(), h, kets))
+        co_a, co_b = basis.coeffs_a, basis.coeffs_b
+        got = dec.renormalized_energies(co_a.e1, co_a.e2, co_b.e1, co_b.e2, dec.decoherence_matrix(basis, dist, k))
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_decoherence_matrix_is_the_position_coulomb_operator_in_the_energy_basis():
+    """Hdec[p, q] = <E_p| sum k/d |x_i x_j'><x_i x_j'| |E_q>, the node-node
+    Coulomb operator, diagonal in the position basis, seen from the product
+    eigenstates.  Same-node overlaps cancel each eigenstate's phase, so Hdec
+    is real to rounding."""
+    gen = np.random.default_rng(2304)
+    for _ in range(200):
+        pa, pb = random_params(gen), random_params(gen)
+        basis = dec.QubitEnergyBasis(sq.eigencoeffs(pa, 0.0), sq.eigencoeffs(pb, 0.0))
+        dist, k = random_distances(gen), gen.uniform(0.1, 2.0)
+        _, coulomb = _position_hamiltonian(pa, pb, dist, k)
+        kets = _energy_kets(basis)
+        hdec = dec.decoherence_matrix(basis, dist, k)
+        assert np.max(np.abs(hdec - kets.conj().T @ coulomb @ kets)) <= 1e-14
 
 
 def test_build_h0_resonant_structure():
@@ -163,6 +209,9 @@ def _former_build_h0_resonant(e1a, e2a, e1b, e2b, e12a, e12b, t):
 
 
 def test_build_h0_resonant_matches_its_former_body_bit_for_bit():
+    """Guards ``_former_build_h0_resonant``: qubit A on the high bit, E12B on
+    the B-transition entries and E12A on the A ones, signed zeros kept.
+    test_build_h0_resonant_structure states the layout entry by entry."""
     gen = np.random.default_rng(1517)
     zeros = (0.0, -0.0)
 
@@ -308,6 +357,9 @@ def _per_sample_density(rho0, h0, hdec, span, paper_factorized):
 
 @pytest.mark.parametrize("paper_factorized", [False, True])
 def test_evolve_density_sample_array_matches_per_sample(paper_factorized):
+    """Guards ``_per_sample_density``: the split's order U_off D and times
+    counted from t0.  test_paper_factorized_is_the_angle_form_to_first_order_in_hdec
+    pins the order by the paper's angle form."""
     hdec = dec.decoherence_matrix(random_basis(), random_distances(), 0.6)
     h0 = dec.build_h0_resonant(-1.0, 1.0, -0.7, 0.7, 0.0, 0.0, 0.0)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -375,6 +427,85 @@ def test_state_path_checks_both_hamiltonians():
                 dec._evolve(psi0, *bad, np.array([0.0, 1.0]), paper_factorized)
 
 
+def _mixed_density(gen):
+    """A full-rank density with eigenvalues 0.4, 0.3, 0.2, 0.1 in a random eigenbasis."""
+    q, _ = np.linalg.qr(gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4)))
+    return (q * [0.4, 0.3, 0.2, 0.1]) @ q.conj().T
+
+
+def _complex_generator(gen, diagonal_h0=False):
+    """H0 with complex resonant channels E12A and E12B (or none), and a
+    random complex Hermitian Hdec: H0 + Hdec is not real, so U(t)^T is not
+    U(t).  The model's own Hdec is real (see the Coulomb-operator test)."""
+    e12a, e12b = (0.0, 0.0) if diagonal_h0 else gen.normal(size=2) + 1j * gen.normal(size=2)
+    h0 = dec.build_h0_resonant(*gen.uniform(-2, 2, size=4), e12a, e12b, 0.0)
+    m = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
+    return h0, 0.25 * (m + m.conj().T)
+
+
+@pytest.mark.parametrize("paper_factorized", [False, True])
+def test_density_keeps_hermiticity_trace_and_spectrum(paper_factorized):
+    """rho(t) = U rho0 U^dag with U unitary, in both splits (the split is a
+    product of two unitaries): Hermitian, unit trace, and rho0's eigenvalues."""
+    gen = np.random.default_rng(2311)
+    spans = np.linspace(0.0, 12.0, 97)
+    for _ in range(5):
+        h0, hdec = _complex_generator(gen)
+        rho0 = _mixed_density(gen)
+        rho = dec.evolve_density_with_decoherence(rho0, h0, hdec, 0.0, spans, paper_factorized=paper_factorized)
+        assert np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2)))) <= 1e-12
+        assert np.max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)) <= 1e-12
+        assert np.max(np.abs(np.linalg.eigvalsh(rho) - np.linalg.eigvalsh(rho0))) <= 1e-12
+
+
+def test_a_density_that_commutes_with_the_hamiltonian_stays_fixed():
+    """The thermal state e^{-H} / Tr e^{-H} of H = H0 + Hdec commutes with
+    U(t), so the exact split leaves it fixed, degenerate H included."""
+    gen = np.random.default_rng(2312)
+    spans = np.linspace(-3.0, 12.0, 61)
+    for h0, hdec in [_complex_generator(gen) for _ in range(5)] + [_symmetric_h0_hdec()]:
+        energies, vectors = np.linalg.eigh(h0 + hdec)
+        weights = np.exp(-energies) / np.sum(np.exp(-energies))
+        rho0 = (vectors * weights) @ vectors.conj().T
+        rho = dec.evolve_density_with_decoherence(rho0, h0, hdec, 0.3, 0.3 + spans)
+        assert np.max(np.abs(rho - rho0)) <= 1e-12
+
+
+@pytest.mark.parametrize("paper_factorized", [False, True])
+def test_density_obeys_the_von_neumann_equation(paper_factorized):
+    """i d rho/dt = [H, rho] by central differences: at every sample in the
+    exact split, and at t0 in the paper's split, which is exact to first
+    order.  The split keeps only the diagonal of H0, so H0 is diagonal there."""
+    gen = np.random.default_rng(2313)
+    step = 1e-4
+    centers = np.array([0.0]) if paper_factorized else np.linspace(0.0, 6.0, 7)
+    ts = np.add.outer(centers, [-step, 0.0, step]).ravel()
+    for _ in range(5):
+        h0, hdec = _complex_generator(gen, diagonal_h0=paper_factorized)
+        h = h0 + hdec
+        rho0 = _mixed_density(gen)
+        rho = dec.evolve_density_with_decoherence(rho0, h0, hdec, 0.0, ts, paper_factorized=paper_factorized)
+        before, now, after = np.moveaxis(rho.reshape(-1, 3, 4, 4), 1, 0)
+        assert np.max(np.abs((after - before) / (2 * step) + 1j * (h @ now - now @ h))) <= 1e-6
+
+
+def test_paper_factorized_is_the_angle_form_to_first_order_in_hdec():
+    """The split is F D: the diagonal phase D first, then the off-diagonal
+    factor, which ``AngleDecomposition.reconstruct`` writes as F = 1 - i Theta.
+    Over a span where D's phases are of order one, the two differ only at
+    second order in Hdec; D F would differ at first order."""
+    gen = np.random.default_rng(2314)
+    h0 = dec.build_h0_resonant(-1.0, 1.0, -0.6, 0.7, 0.0, 0.0, 0.0)
+    hdec = dec.decoherence_matrix(random_basis(gen), random_distances(gen), 1.0)
+    rho0 = _mixed_density(gen)
+    devs = []
+    for scale in (2e-3, 1e-3):
+        split = dec.evolve_density_with_decoherence(rho0, h0, scale * hdec, 0.0, 2.5, paper_factorized=True)
+        angles = dec.angle_decomposition(h0, scale * hdec, 0.0, 2.5).reconstruct(rho0)
+        devs.append(np.max(np.abs(split - angles)))
+    assert devs[1] < devs[0] / 3.5
+
+
 # The bodies below are the channel split and the overlap rows as written
 # before the channel of entry (i, j) was read as i ^ j; each is a test oracle.
 _R2 = np.zeros((4, 4), dtype=bool)
@@ -425,6 +556,10 @@ def _oracle_basis(gen):
 
 
 def test_decoherence_matrix_matches_its_former_body_bit_for_bit():
+    """Guards ``_former_decoherence_matrix``: the overlap rows <E|x> and the
+    pairing of each node pair with its distance.
+    test_decoherence_matrix_is_the_position_coulomb_operator_in_the_energy_basis
+    checks the physics."""
     gen = np.random.default_rng(2022)
     for _ in range(2000):
         basis, dist, k = _oracle_basis(gen), random_distances(gen), gen.uniform(0.1, 2.0)
@@ -434,6 +569,9 @@ def test_decoherence_matrix_matches_its_former_body_bit_for_bit():
 
 
 def test_channel_split_matches_its_former_body_bit_for_bit():
+    """Guards ``_former_coulomb_node_term_energy_basis``: channel i ^ j of
+    entry (i, j).  test_a_qubit_held_in_one_node_cannot_flip pins r2 against
+    r3 by physics, and test_node_term_position_round_trip the term itself."""
     gen = np.random.default_rng(2023)
     for _ in range(2000):
         basis, distance, k = _oracle_basis(gen), gen.uniform(0.5, 4.0), gen.uniform(0.1, 2.0)

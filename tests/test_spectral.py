@@ -334,6 +334,26 @@ def test_mode_energy_conserved():
     assert np.max(np.abs(np.array(energies) - energies[0])) < 1e-10
 
 
+def test_mode_energy_of_a_stack_matches_each_state_from_one_h(monkeypatch):
+    basis = sp.harmonic_basis(3)
+    w = sp.interaction_matrix_elements(basis, basis, sp.CoulombKernel(e2=1.0, d_reg=0.1), 1.5)
+    q0 = _random_modes(3, np.random.default_rng(3301))
+    series = sp.evolve_modes(q0, basis, basis, w, 0.0, np.linspace(0.0, 3.0, 12))
+    single = [sp.mode_energy(q, basis, basis, w) for q in series]
+    assert all(type(e) is float for e in single)
+    build = sp.composite_hamiltonian
+    builds = []
+    monkeypatch.setattr(sp, "composite_hamiltonian", lambda *args: builds.append(args) or build(*args))
+    for stack in (series, series.reshape(3, 4, 3, 3), series[[0, -1]]):
+        builds.clear()
+        energies = sp.mode_energy(stack, basis, basis, w)
+        assert len(builds) == 1
+        assert energies.dtype == float and energies.shape == stack.shape[:-2]
+        ref = np.array([sp.mode_energy(q, basis, basis, w) for q in stack.reshape(-1, 3, 3)])
+        assert energies.tobytes() == ref.tobytes()
+    assert np.array(single).tobytes() == sp.mode_energy(series, basis, basis, w).tobytes()
+
+
 def test_reconstruct_wavefunction_norm():
     basis = sp.harmonic_basis(2)
     q = np.array([[1.0, 0.5], [0.25, 0.0]], dtype=complex)
@@ -487,6 +507,9 @@ def test_the_cli_spectral_kind_takes_the_exchange_split(monkeypatch):
         raise AssertionError("evolve_modes fell back to the single eigh")
 
     monkeypatch.setattr(sp, "propagate", single_eigh)
+    build = sp.composite_hamiltonian
+    builds = []
+    monkeypatch.setattr(sp, "composite_hamiltonian", lambda *args: builds.append(args) or build(*args))
     for basis in ({"kind": "harmonic", "n_levels": 4, "n_grid": 401}, {"kind": "box", "n_levels": 3, "n_grid": 401}):
         cfg = {
             "schema_version": 1,
@@ -499,6 +522,9 @@ def test_the_cli_spectral_kind_takes_the_exchange_split(monkeypatch):
                 "initial_modes": [[0, 1, 1.0, 0.0], [1, 0, 0.0, 0.5]],
             },
         }
+        builds.clear()
         _, summary = cli.run_scenario(cfg)
         assert abs(summary["final_norm"] - 1.0) <= 1e-12
         assert summary["energy_drift"] <= 1e-12
+        # one H for the evolution, one for both energies of energy_drift
+        assert len(builds) == 2

@@ -44,12 +44,12 @@ from . import single_qubit as sq
 from . import spectral as sp
 from . import two_qubit as tq
 from .errors import ConfigError, PosQubitError
-from .qcore import StateVector, eig_hermitian, evolve_steps, rk4_step_operators
+from .qcore import GAUSS_NODES, StateVector, eig_hermitian, evolve_steps, magnus4_step_operators
 
 CSV_HEADER = "# posqubit csv v1"
 SCHEMA_VERSION = 1
 
-MAX_STEPS = 100_000  # (t_max - t0) / dt, sample_stride, sweep points; 256 B per density sample
+MAX_STEPS = 100_000  # (t_max - t0) / dt, sample_stride, sweep points; a 16-level spectral sample peaks at 14 KiB
 MAX_LEVELS = 16  # spectral basis.n_levels; the mode space has MAX_LEVELS**2 entries
 MAX_GRID = 4001  # spectral basis.n_grid; W assembly holds about n_levels**2 x n_grid floats plus one fixed FFT block
 
@@ -302,7 +302,7 @@ def _run_single_qubit(time, initial, **qubit):
 
     def step_operators(lo, hi):
         starts = t[lo:hi]
-        return rk4_step_operators(*(sq.build_h2(params, ts) for ts in (starts, starts + 0.5 * dt, starts + dt)), dt)
+        return magnus4_step_operators(*(sq.build_h2(params, starts + c * dt) for c in GAUSS_NODES), dt)
 
     psi = evolve_steps(step_operators, n_steps, initial)[steps]
     co = sq.eigencoeffs(params, t[steps])  # the first sample is t0

@@ -173,16 +173,14 @@ def energy_to_position(op, basis):
 def _evolve(y0, h0, hdec, spans, paper_factorized):
     """Amplitudes at each of the 1-D ``spans`` under constant Hermitian
     H0 + Hdec, with ``y0`` broadcast as in ``qcore.propagate``: exact, or
-    with ``paper_factorized`` the first-order split, where the diagonal
-    phase D = e^{-i diag(H0 + Hdec) t} acts first, as the per-sample start
-    d o y0, and then Hdec - diag(Hdec)."""
-    h0 = require_hermitian(h0)
-    hdec = require_hermitian(hdec)
+    with ``paper_factorized`` the first-order split of H = H0 + Hdec, where
+    the diagonal phase D = e^{-i diag(H) t} acts first, as the per-sample
+    start d o y0, and then H - diag(H), which keeps H0's resonant entries."""
+    h = require_hermitian(h0) + require_hermitian(hdec)
     if not paper_factorized:
-        return propagate(h0 + hdec, y0, spans)
-    diag = np.real(np.diag(h0) + np.diag(hdec))
-    d = np.exp(-1j * np.multiply.outer(spans, diag) / HBAR)
-    return propagate(hdec - np.diag(np.diag(hdec)), y0 * d, spans)
+        return propagate(h, y0, spans)
+    d = np.exp(-1j * np.multiply.outer(spans, np.real(np.diag(h))) / HBAR)
+    return propagate(h - np.diag(np.diag(h)), y0 * d, spans)
 
 
 def evolve_density_with_decoherence(rho0, h0, hdec, t0, t, paper_factorized=False):
@@ -193,9 +191,9 @@ def evolve_density_with_decoherence(rho0, h0, hdec, t0, t, paper_factorized=Fals
     shape ``np.shape(t) + (4, 4)``.  The evolution is exact: the 4 basis
     states are propagated as one stack (``_evolve``, one diagonalization
     per call), which gives U(t) column by column, and rho(t) = U rho0 U^dag.
-    With ``paper_factorized`` the propagator is split into the off-diagonal
-    decoherence factor times the diagonal phase (first-order
-    factorization; exact when the two commute).
+    With ``paper_factorized`` the propagator is split into the factor of
+    the off-diagonal part of H0 + Hdec times the diagonal phase
+    (first-order factorization; exact when the two commute).
     """
     rho = validate_density(rho0, dim=4)
     spans = np.asarray(t, dtype=float) - t0
@@ -213,8 +211,8 @@ class AngleDecomposition:
     """First-order angle parameterization of the density evolution.
 
     alpha holds the four diagonal phase angles (phase factor
-    e^{i alpha_k}), theta the six upper-triangle decoherence angles
-    Theta_ij = Hdec_ij (t-t0)/hbar; entry (j,i) uses the conjugate.
+    e^{i alpha_k}), theta the six upper-triangle angles
+    Theta_ij = (H0 + Hdec)_ij (t-t0)/hbar; entry (j,i) uses the conjugate.
     """
 
     alpha: np.ndarray
@@ -233,12 +231,11 @@ class AngleDecomposition:
 
 def angle_decomposition(h0, hdec, t0, t):
     """Angles of the first-order factorized propagator for constant H0, Hdec."""
-    h0 = require_hermitian(h0)
-    hdec = require_hermitian(hdec)
+    h = require_hermitian(h0) + require_hermitian(hdec)
     span = (t - t0) / HBAR
-    alpha = -np.real(np.diag(h0) + np.diag(hdec)) * span
+    alpha = -np.real(np.diag(h)) * span
     theta = {}
     for i in range(4):
         for j in range(i + 1, 4):
-            theta[(i, j)] = hdec[i, j] * span
+            theta[(i, j)] = h[i, j] * span
     return AngleDecomposition(alpha=alpha, theta=theta)

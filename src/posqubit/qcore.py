@@ -8,11 +8,12 @@ assembles the Hamiltonian of N electrostatically coupled two-level
 bodies, one bit of the composite index per body, and
 ``body_populations`` reads every body's level populations off a stack of
 states; both read the one level table ``_levels``.  For
-time-dependent 2x2 and other small generators, whole grids of step
-operators (RK4 step matrices, closed-form SU(2) exponentials) are built in
-one broadcast and chained by ``evolve_steps`` with a pairwise prefix, in
-work linear in the number of steps.  Stacks of small matrices are
-multiplied as their d*d contiguous entry arrays.
+time-dependent 2x2 generators, whole grids of step operators
+(closed-form SU(2) exponentials, and fourth-order Magnus steps as
+products of two of them) are built in one broadcast and chained by
+``evolve_steps`` with a pairwise prefix, in work linear in the number of
+steps.  Stacks of small matrices are multiplied as their d*d contiguous
+entry arrays.
 The fixed-step RK4 loop ``evolve_rk4`` is left for generators given only
 as bare callables.
 Energies are expressed in a user-chosen unit and hbar = 1 internally, so
@@ -230,35 +231,27 @@ def su2_step_operators(h, dt):
     return np.exp(-1j * a0 * tau)[..., None, None] * u
 
 
-def rk4_step_operators(h_start, h_mid, h_end, dt):
-    """Matrices M with y(t + dt) = M y(t) for one ``rk4_step`` of i hbar dy/dt = H(t) y.
+GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)  # fractions of a step
+_MAGNUS_WEIGHTS = ((3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0)
 
-    The equation is linear, so an RK4 step is a polynomial in H at its stage
-    times t, t + dt/2 and t + dt.  The arguments are stacks (..., n, n) of H
-    at those times, and every step matrix is built in one broadcast over
-    entry arrays; the stack comes back as a (..., n, n) view of them.
+
+def magnus4_step_operators(h1, h2, dt):
+    """Fourth-order commutator-free Magnus steps of i hbar dy/dt = H(t) y, shape (..., 2, 2).
+
+    ``h1`` and ``h2`` are stacks of H at the Gauss nodes t + ``GAUSS_NODES`` * dt
+    of each step.  The step is exp(-i dt (a1 H1 + a2 H2)) exp(-i dt (a2 H1 + a1 H2)),
+    the right factor first, with a1, a2 = (3 -+ 2 sqrt(3)) / 12 (Blanes, Casas,
+    Oteo & Ros, Phys. Rep. 470 (2009); Alvermann & Fehske, J. Comput. Phys. 230
+    (2011) 5930).  Each factor is one ``su2_step_operators`` call, so every step
+    is unitary to rounding.
     """
-    shape = np.broadcast_shapes(h_start.shape, h_mid.shape, h_end.shape)
-    eye = np.eye(shape[-1]).reshape(shape[-2:] + (1,) * (len(shape) - 2))
-    k1, b2, b3 = (
-        np.multiply(-1j * dt / HBAR, np.moveaxis(np.broadcast_to(h, shape), (-2, -1), (0, 1)), order="C")
-        for h in (h_start, h_mid, h_end)
-    )
-    k2 = _entry_product(b2, eye + 0.5 * k1)
-    k3 = _entry_product(b2, eye + 0.5 * k2)
-    k4 = _entry_product(b3, eye + k3)
-    # eye + (k1 + 2 k2 + 2 k3 + k4) / 6 in place, the same roundings without fresh arrays
-    k2 *= 2.0
-    k2 += k1
-    k3 *= 2.0
-    k2 += k3
-    k2 += k4
-    k2 /= 6.0
-    k2 += eye
-    return np.moveaxis(k2, (0, 1), (-2, -1))
+    a1, a2 = _MAGNUS_WEIGHTS
+    first = _entries(su2_step_operators(a2 * h1 + a1 * h2, dt))
+    later = _entries(su2_step_operators(a1 * h1 + a2 * h2, dt))
+    return np.moveaxis(_entry_product(later, first), (0, 1), (-2, -1))
 
 
-STEP_CHUNK = 4096  # step matrices evolve_steps holds at once: about 4 MB of 2x2 RK4 work
+STEP_CHUNK = 4096  # steps evolve_steps holds at once; a 2x2 Magnus chunk with H at both nodes peaks at 1.9 MiB
 
 
 def _chain(m, y):

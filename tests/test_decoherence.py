@@ -319,37 +319,43 @@ def test_paper_factorized_short_time_agreement():
 
 
 def test_angle_decomposition_values():
+    """Theta holds the off-diagonal entries of H0 + Hdec, the resonant
+    channels E12A and E12B of H0 included."""
     basis = symmetric_basis()
     dist = dec.NodeDistances(1.0, 2.0, 3.0, 4.0)
     hdec = dec.decoherence_matrix(basis, dist, 1.0)
-    h0 = dec.build_h0_resonant(-1.0, 1.0, -1.0, 1.0, 0.0, 0.0, 0.0)
+    h0 = dec.build_h0_resonant(-1.0, 1.0, -1.0, 1.0, 0.3 + 0.2j, 0.1 - 0.25j, 0.0)
     span = 0.7
     ang = dec.angle_decomposition(h0, hdec, 0.0, span)
     assert np.max(np.abs(ang.alpha + np.real(np.diag(h0) + np.diag(hdec)) * span)) < 1e-14
+    assert len(ang.theta) == 6
     for (i, j), th in ang.theta.items():
-        assert abs(th - hdec[i, j] * span) < 1e-14
+        assert abs(th - (h0[i, j] + hdec[i, j]) * span) < 1e-14
 
 
 def test_angle_reconstruction_first_order():
+    """The angle form is exact to first order in the span, with and without
+    the resonant channels E12A and E12B in H0."""
     basis = random_basis()
     dist = random_distances()
     hdec = dec.decoherence_matrix(basis, dist, 0.4)
-    h0 = dec.build_h0_resonant(-1.0, 1.0, -0.6, 0.6, 0.0, 0.0, 0.0)
     rho0 = ms.pure_density(np.array([1.0, 1.0, 1.0, 1.0]) / 2.0)
-    devs = []
-    for span in (0.1, 0.05):
-        exact = dec.evolve_density_with_decoherence(rho0, h0, hdec, 0.0, span)
-        approx = dec.angle_decomposition(h0, hdec, 0.0, span).reconstruct(rho0)
-        devs.append(np.max(np.abs(exact - approx)))
-    assert devs[1] < devs[0] / 2.5
+    for e12a, e12b in ((0.0, 0.0), (0.3 + 0.2j, 0.1 - 0.25j)):
+        h0 = dec.build_h0_resonant(-1.0, 1.0, -0.6, 0.6, e12a, e12b, 0.0)
+        devs = []
+        for span in (0.1, 0.05):
+            exact = dec.evolve_density_with_decoherence(rho0, h0, hdec, 0.0, span)
+            approx = dec.angle_decomposition(h0, hdec, 0.0, span).reconstruct(rho0)
+            devs.append(np.max(np.abs(exact - approx)))
+        assert devs[1] < devs[0] / 2.5
 
 
 def _per_sample_density(rho0, h0, hdec, span, paper_factorized):
     """One sample of the per-sample propagator formula, as the oracle."""
     if paper_factorized:
-        diag = np.real(np.diag(h0) + np.diag(hdec))
-        off = hdec - np.diag(np.diag(hdec))
-        u = matexp_unitary(off, span) @ np.diag(np.exp(-1j * diag * span))
+        h = h0 + hdec
+        off = h - np.diag(np.diag(h))
+        u = matexp_unitary(off, span) @ np.diag(np.exp(-1j * np.real(np.diag(h)) * span))
     else:
         u = matexp_unitary(h0 + hdec, span)
     return u @ rho0 @ u.conj().T
@@ -433,11 +439,11 @@ def _mixed_density(gen):
     return (q * [0.4, 0.3, 0.2, 0.1]) @ q.conj().T
 
 
-def _complex_generator(gen, diagonal_h0=False):
-    """H0 with complex resonant channels E12A and E12B (or none), and a
-    random complex Hermitian Hdec: H0 + Hdec is not real, so U(t)^T is not
-    U(t).  The model's own Hdec is real (see the Coulomb-operator test)."""
-    e12a, e12b = (0.0, 0.0) if diagonal_h0 else gen.normal(size=2) + 1j * gen.normal(size=2)
+def _complex_generator(gen):
+    """H0 with complex resonant channels E12A and E12B, and a random complex
+    Hermitian Hdec: H0 + Hdec is not real, so U(t)^T is not U(t).  The
+    model's own Hdec is real (see the Coulomb-operator test)."""
+    e12a, e12b = gen.normal(size=2) + 1j * gen.normal(size=2)
     h0 = dec.build_h0_resonant(*gen.uniform(-2, 2, size=4), e12a, e12b, 0.0)
     m = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
     return h0, 0.25 * (m + m.conj().T)
@@ -473,15 +479,16 @@ def test_a_density_that_commutes_with_the_hamiltonian_stays_fixed():
 
 @pytest.mark.parametrize("paper_factorized", [False, True])
 def test_density_obeys_the_von_neumann_equation(paper_factorized):
-    """i d rho/dt = [H, rho] by central differences: at every sample in the
-    exact split, and at t0 in the paper's split, which is exact to first
-    order.  The split keeps only the diagonal of H0, so H0 is diagonal there."""
+    """i d rho/dt = [H, rho] by central differences, H = H0 + Hdec with
+    complex resonant channels E12A and E12B: at every sample in the exact
+    split, and at t0 in the paper's split, which is exact to first order
+    only if its second factor keeps H0's off-diagonal entries."""
     gen = np.random.default_rng(2313)
     step = 1e-4
     centers = np.array([0.0]) if paper_factorized else np.linspace(0.0, 6.0, 7)
     ts = np.add.outer(centers, [-step, 0.0, step]).ravel()
     for _ in range(5):
-        h0, hdec = _complex_generator(gen, diagonal_h0=paper_factorized)
+        h0, hdec = _complex_generator(gen)
         h = h0 + hdec
         rho0 = _mixed_density(gen)
         rho = dec.evolve_density_with_decoherence(rho0, h0, hdec, 0.0, ts, paper_factorized=paper_factorized)

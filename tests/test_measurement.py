@@ -69,6 +69,31 @@ def test_extract_one_body_zero_marginal():
         ms.extract_one_body(amps, ms.SUBSYSTEM_U)
 
 
+def test_extract_one_body_is_the_state_left_when_the_other_body_is_in_its_symmetric_state():
+    """The coherent one-body state is the other body projected on its
+    symmetric node state |+> = (|0> + |1>) / sqrt(2), normalized; it is
+    refused exactly when that projection's norm is below 1e-14."""
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    projections = {ms.SUBSYSTEM_U: np.kron(np.eye(2), plus), ms.SUBSYSTEM_L: np.kron(plus, np.eye(2))}
+    for _ in range(50):
+        amps = random_state4()
+        for sub, onto_plus in projections.items():
+            left = onto_plus @ amps
+            assert np.max(np.abs(ms.extract_one_body(amps, sub).amps - left / np.linalg.norm(left))) < 1e-15
+    one_body = np.array([0.6, 0.8j])
+    for weight, refused in ((0.8e-14, True), (1.2e-14, False)):
+        other = weight * plus + minus
+        for sub, amps in ((ms.SUBSYSTEM_U, np.kron(one_body, other)), (ms.SUBSYSTEM_L, np.kron(other, one_body))):
+            assert abs(np.linalg.norm(projections[sub] @ amps) - weight) < 1e-16
+            if refused:
+                with pytest.raises(ZeroMarginalError):
+                    ms.extract_one_body(amps, sub)
+            else:
+                # the |-> parts cancel to about 1e-17, a part in 1e3 of the projection
+                assert np.max(np.abs(ms.extract_one_body(amps, sub).amps - one_body)) < 1e-2
+
+
 def test_pure_density_and_validate():
     amps = random_state4()
     rho = ms.pure_density(amps)
@@ -198,6 +223,10 @@ def _random_oracle_state(gen):
 
 
 def test_grid_layout_functions_match_their_former_bodies_bit_for_bit():
+    """Guards the former index masks bit for bit: U on the high bit and the
+    left node on level 1 (test_measurement_reads_the_body_bits_of_build_hn
+    pins both by the layout), float probabilities, and the zero-outcome
+    thresholds and messages of project_position and extract_one_body."""
     gen = np.random.default_rng(2020)
     for _ in range(2000):
         state = _random_oracle_state(gen)
@@ -219,6 +248,8 @@ def test_grid_layout_functions_match_their_former_bodies_bit_for_bit():
 
 
 def test_measurement_probabilities_keep_overflowing_populations_as_their_former_body():
+    """Guards the overflow convention of the former sums: a population that
+    overflows reads inf, never NaN."""
     gen = np.random.default_rng(2122)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(500):
@@ -231,6 +262,8 @@ def test_measurement_probabilities_keep_overflowing_populations_as_their_former_
 
 
 def test_partial_trace_matches_its_former_body_bit_for_bit():
+    """Guards index = 2 i_A + i_B, keep "A" tracing out B, bit for bit;
+    test_partial_trace_product_state pins the order by physics."""
     gen = np.random.default_rng(2021)
     for _ in range(2000):
         rank = gen.integers(1, 5)

@@ -54,6 +54,10 @@ _BASES = {
 @pytest.mark.parametrize("offset", [0.0, 3.0])
 @pytest.mark.parametrize("kind", sorted(_BASES))
 def test_convolution_matches_dense_oracle(kind, offset, n_levels):
+    """Guards the FFT path against the dense N x N mesh of the definition:
+    Simpson weights, W over the composite index n * Mb + m, and the second
+    well's coordinates shifted by +well_offset.
+    test_far_wells_couple_as_point_multipoles pins the last two by physics."""
     basis = _BASES[kind](n_levels)
     kern = sp.CoulombKernel(e2=1.0, d_reg=0.2)
     w = sp.interaction_matrix_elements(basis, basis, kern, offset)
@@ -71,6 +75,8 @@ def test_convolution_matches_dense_oracle(kind, offset, n_levels):
 
 
 def test_unequal_grids_sharing_a_spacing_match_dense_oracle():
+    """Guards the lag origin of grids that share a spacing but not a start or
+    a size; test_far_wells_couple_as_point_multipoles pins it by physics."""
     # spacing 0.025 on both; sizes 801 and 241, origins -10 and -2.3
     wide = sp.harmonic_basis(3, half_width=10.0, n_grid=801)
     narrow = sp.box_basis(2, width=6.0, center=0.7, n_grid=241)
@@ -134,6 +140,9 @@ def _same_bytes(got, ref):
 @pytest.mark.parametrize("block", [None, 1, 2, 3])
 @pytest.mark.parametrize("n_levels", [1, 3, 7, 16])
 def test_streamed_contraction_matches_the_one_shot_body_bit_for_bit(monkeypatch, n_levels, block):
+    """Guards ``_one_shot_contract``: the block size of the streamed
+    convolution never changes a bit of W or g.  The dense-mesh tests check
+    the values."""
     if block is not None:
         monkeypatch.setattr(sp, "_CONTRACT_ROWS", block)
     # spacing 0.025 on all three; sizes 801 and 241, origins -10 and -2.3
@@ -293,6 +302,40 @@ def test_monopole_limit_far_separation():
     assert abs(g[0, 0] * dist - monopole) < 0.01 * monopole
 
 
+def _position_moments(basis, power):
+    """<psi_n| x^power |psi_s> on the basis' own grid, by Simpson quadrature."""
+    weights = sp._simpson_weights(basis.grid.size, basis.dx)
+    return (basis.functions * weights * basis.grid**power) @ basis.functions.T
+
+
+def test_far_wells_couple_as_point_multipoles():
+    """Far apart, the wells interact through the multipole expansion of the
+    kernel: with the second particle at y + D (D = well_offset) and
+    v = y - x, V = f(v) = e2 / sqrt((D + v)^2 + d^2) is to second order
+    f0 + f1 v + f2 v^2, and W is that operator over the composite index
+    n * Mb + m, the first well on the slow index.  This pins the sign of
+    well_offset, the grid origins and the index layout without the dense
+    mesh.  The two grids differ in start, size and level count."""
+    wide = sp.harmonic_basis(3, half_width=10.0, n_grid=801)
+    narrow = sp.box_basis(2, width=6.0, center=0.7, n_grid=241)
+    e2, d_reg = 0.8, 0.2
+    kernel = sp.CoulombKernel(e2=e2, d_reg=d_reg)
+    for basis_a, basis_b in ((wide, narrow), (narrow, wide)):
+        ia, ib = np.eye(basis_a.n_levels), np.eye(basis_b.n_levels)
+        x, x2 = _position_moments(basis_a, 1), _position_moments(basis_a, 2)
+        y, y2 = _position_moments(basis_b, 1), _position_moments(basis_b, 2)
+        v = np.kron(ia, y) - np.kron(x, ib)
+        v2 = np.kron(ia, y2) - 2.0 * np.kron(x, y) + np.kron(x2, ib)
+        for offset in (40.0, -40.0):
+            r2 = offset**2 + d_reg**2
+            f0, f1, f2 = r2**-0.5, -offset * r2**-1.5, (offset**2 - 0.5 * d_reg**2) * r2**-2.5
+            expected = e2 * (f0 * np.kron(ia, ib) + f1 * v + f2 * v2)
+            w = sp.interaction_matrix_elements(basis_a, basis_b, kernel, offset)
+            # the third-order remainder read 4.2e-6; the dipole term is 5.4e-4
+            # and the quadrupole term 6.9e-5
+            assert np.max(np.abs(w - expected)) < 1e-5
+
+
 def test_interaction_matrix_hermitian():
     basis = sp.harmonic_basis(3)
     kern = sp.CoulombKernel(e2=0.5, d_reg=0.1)
@@ -335,6 +378,8 @@ def test_mode_energy_conserved():
 
 
 def test_mode_energy_of_a_stack_matches_each_state_from_one_h(monkeypatch):
+    """Guards one H for a whole stack, byte for byte against one state at a
+    time; test_mode_energy_conserved checks the energy itself."""
     basis = sp.harmonic_basis(3)
     w = sp.interaction_matrix_elements(basis, basis, sp.CoulombKernel(e2=1.0, d_reg=0.1), 1.5)
     q0 = _random_modes(3, np.random.default_rng(3301))
@@ -373,6 +418,9 @@ def test_entanglement_entropy_limits():
 
 
 def test_entanglement_entropy_stack_matches_per_matrix_loop():
+    """Guards the batched Gram-matrix entropy against the per-matrix loop and
+    the Schmidt (SVD) weights that define it; test_entanglement_entropy_limits
+    checks a product state and a maximally entangled one."""
     stack = rng.normal(size=(5, 7, 4, 3)) + 1j * rng.normal(size=(5, 7, 4, 3))
     stack[0, 0] = np.outer([1.0, 2.0, 0.0, 1j], [1.0, 0.0, -1.0])  # rank 1: zero weights
     stack[0, 1] = 0.0

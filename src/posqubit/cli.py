@@ -49,9 +49,12 @@ from .qcore import GAUSS_NODES, StateVector, eig_hermitian, evolve_steps, magnus
 CSV_HEADER = "# posqubit csv v1"
 SCHEMA_VERSION = 1
 
-MAX_STEPS = 100_000  # (t_max - t0) / dt, sample_stride, sweep points; a 16-level spectral sample peaks at 14 KiB
+MAX_STEPS = 100_000  # (t_max - t0) / dt, sample_stride, sweep points; spectral samples also obey MAX_MODE_SAMPLES
 MAX_LEVELS = 16  # spectral basis.n_levels; the mode space has MAX_LEVELS**2 entries
 MAX_GRID = 4001  # spectral basis.n_grid; W assembly holds about n_levels**2 x n_grid floats plus one fixed FFT block
+# spectral samples x n_levels**2, about 56 B each: 4096 samples at 16 levels (n_grid 401)
+# peak at 57.7 MiB in run_scenario and 75.9 MiB with format_csv (tracemalloc)
+MAX_MODE_SAMPLES = 2**20
 
 _REQUIRED = object()
 
@@ -460,6 +463,8 @@ def _run_spectral(time, basis, kernel, well_offset, initial_modes):
     t0, dt, _, steps = time
     kind, fields = basis
     n_levels = fields["n_levels"]
+    if steps.size * n_levels**2 > MAX_MODE_SAMPLES:
+        _fail("time", f"{steps.size} samples of {n_levels}**2 modes exceed MAX_MODE_SAMPLES = {MAX_MODE_SAMPLES}")
     path = "parameters.initial_modes"
     q0 = np.zeros((n_levels, n_levels), dtype=complex)
     for n_idx, m_idx, amp in initial_modes:
@@ -471,10 +476,8 @@ def _run_spectral(time, basis, kernel, well_offset, initial_modes):
     w = sp.interaction_matrix_elements(basis, basis, sp.CoulombKernel(**kernel), well_offset)
     times = t0 + dt * steps
     series_q = sp.evolve_modes(q0, basis, basis, w, t0, times)
-    cols = {}
-    for n_idx in range(n_levels):
-        for m_idx in range(n_levels):
-            cols[f"p_mode_{n_idx}{m_idx}"] = np.abs(series_q[:, n_idx, m_idx]) ** 2
+    pops = np.abs(series_q) ** 2
+    cols = {f"p_mode_{n_idx}{m_idx}": pops[:, n_idx, m_idx] for n_idx in range(n_levels) for m_idx in range(n_levels)}
     cols["entropy"] = sp.entanglement_entropy(series_q)
     series = TimeSeries(times, cols)
     first, last = sp.mode_energy(series_q[[0, -1]], basis, basis, w)
@@ -514,8 +517,9 @@ def run_scenario(cfg, paper_factorized=False):
     if kind == "decoherence":
         params["paper_factorized"] = paper_factorized
     series, summary = _RUNNERS[kind](time, **params)
-    _, rows = series.as_rows()
-    if not (np.all(np.isfinite(rows)) and all(np.all(np.isfinite(v)) for v in summary.values())):
+    # one flat copy of the columns: checking each column on its own costs more at 257 columns
+    values = np.concatenate([series.t, *series.columns.values()])
+    if not (np.all(np.isfinite(values)) and all(np.all(np.isfinite(v)) for v in summary.values())):
         raise FloatingPointError("non-finite values in scenario output")
     return series, summary
 

@@ -16,9 +16,11 @@ the products are convolved in fixed blocks of rows, so only one block's
 transforms are held at a time, and one matrix product finishes the
 contraction.  The raw spectral coefficients g_{i,j} = <psi_i psi_j| V>
 use the same convolution.  When both wells share one basis of parity
-(-1)^n, exchanging the wells and reflecting both coordinates commutes
-with H, and ``evolve_modes`` diagonalizes H as its two exchange-parity
-blocks.
+(-1)^n, each product has a definite parity, so W is contracted in
+frequency space instead: one forward FFT per even/odd pair of products,
+three real matrix products and no inverse FFT.  Exchanging the wells
+and reflecting both coordinates then commutes with H, and
+``evolve_modes`` diagonalizes H as its two exchange-parity blocks.
 """
 
 from dataclasses import dataclass
@@ -157,7 +159,7 @@ def _fft_length(n):
         n += 1
 
 
-_CONTRACT_ROWS = 8  # rows of rows_b transformed at once: about 0.9 MiB of FFT buffers at n_grid 2401
+_CONTRACT_ROWS = 8  # buffer rows transformed at once: about 0.9 MiB of FFT buffers at n_grid 2401
 
 
 def _kernel_contract(rows_a, grid_a, rows_b, grid_b, kernel, well_offset):
@@ -226,16 +228,87 @@ def compute_gij(basis_a, basis_b, kernel, well_offset=0.0):
     return fine
 
 
-def _pair_products(basis):
-    """Simpson-weighted products psi_n psi_s for n <= s, and the (n, s) -> row index."""
-    n = basis.n_levels
+def _pair_index(n):
+    """Pairs (first, second) with first <= second, and the (n, s) -> pair row table."""
     first, second = np.triu_indices(n)
     index = np.zeros((n, n), dtype=int)
     index[first, second] = index[second, first] = np.arange(first.size)
+    return first, second, index
+
+
+def _pair_products(basis):
+    """Simpson-weighted products psi_n psi_s for n <= s, and the (n, s) -> row index."""
+    first, second, index = _pair_index(basis.n_levels)
     products = basis.functions[first]
     products *= basis.functions[second]
     products *= _simpson_weights(basis.grid.size, basis.dx)
     return products, index
+
+
+# relative defect up to which W takes parity-split spectra (basis parity) and
+# evolve_modes diagonalizes the exchange-parity blocks (max |XHX - H| / max |H|)
+EXCHANGE_TOL = 1e-12
+
+
+def _has_parity(functions):
+    """Whether every function n is (-1)^n-symmetric about the middle sample to EXCHANGE_TOL."""
+    signs = (-1.0) ** np.arange(functions.shape[0])
+    defect = np.abs(functions[:, ::-1] - signs[:, None] * functions).max()
+    return bool(defect <= EXCHANGE_TOL * np.abs(functions).max())
+
+
+def _parity_contract(basis, kernel, well_offset):
+    """The pair-product table of ``_kernel_contract`` for one basis of parity
+    (-1)^n, from parity-split spectra, and the (n, s) -> row index.
+
+    A product psi_n psi_s has parity (-1)^(n+s).  Placed with the middle
+    sample at index 0 of a zero-padded buffer of length n_fft >= 2N - 1,
+    an even row transforms to a real spectrum and an odd row to an
+    imaginary one, so each buffer row holds one even and one odd product
+    (built ``_CONTRACT_ROWS`` rows at a time) and one real FFT gives both.
+    With the kernel's lags placed circularly (lag l at l mod n_fft) and
+    transformed to K, the contraction is a sum over the half spectrum with
+    weights 1/n_fft at DC and Nyquist and 2/n_fft elsewhere: the even-even
+    and odd-odd blocks take Re K, the even-odd block -Im K, and the
+    odd-even block is its negative transpose.  No inverse FFT is taken.
+    """
+    size, mid = basis.grid.size, basis.grid.size // 2
+    first, second, index = _pair_index(basis.n_levels)
+    odd = (first + second) % 2 == 1
+    even_rows, odd_rows = np.flatnonzero(~odd), np.flatnonzero(odd)  # never fewer even than odd
+    dx = (basis.grid[-1] - basis.grid[0]) / (size - 1)
+    n_fft = _fft_length(2 * size - 1)
+    placed = np.zeros(n_fft)
+    placed[:size] = kernel(dx * np.arange(size) - well_offset)
+    placed[n_fft - size + 1 :] = kernel(dx * np.arange(1 - size, 0) - well_offset)
+    weights = np.full(n_fft // 2 + 1, 2.0 / n_fft)
+    weights[0] = 1.0 / n_fft
+    if n_fft % 2 == 0:
+        weights[-1] = 1.0 / n_fft
+    kernel_spectrum = np.fft.rfft(placed) * weights
+    simpson = _simpson_weights(size, basis.dx)
+    even_spectra = np.empty((even_rows.size, weights.size))
+    odd_spectra = np.empty((odd_rows.size, weights.size))
+    padded = np.zeros((min(_CONTRACT_ROWS, even_rows.size), n_fft))
+    for lo in range(0, even_rows.size, _CONTRACT_ROWS):
+        rows_e, rows_o = even_rows[lo : lo + _CONTRACT_ROWS], odd_rows[lo : lo + _CONTRACT_ROWS]
+        products = basis.functions[first[rows_e]] * basis.functions[second[rows_e]] * simpson
+        products[: rows_o.size] += basis.functions[first[rows_o]] * basis.functions[second[rows_o]] * simpson
+        block = padded[: rows_e.size]
+        block[:, : size - mid] = products[:, mid:]
+        block[:, n_fft - mid :] = products[:, :mid]
+        spectrum = np.fft.rfft(block)
+        even_spectra[lo : lo + rows_e.size] = spectrum.real
+        odd_spectra[lo : lo + rows_o.size] = spectrum.imag[: rows_o.size]
+    table = np.empty((first.size, first.size))
+    weighted = even_spectra * kernel_spectrum.real  # one weighted copy, reused by the three products
+    table[np.ix_(even_rows, even_rows)] = weighted @ even_spectra.T
+    mixed = np.multiply(even_spectra, kernel_spectrum.imag, out=weighted) @ odd_spectra.T
+    table[np.ix_(even_rows, odd_rows)] = -mixed
+    table[np.ix_(odd_rows, even_rows)] = mixed.T
+    weighted = np.multiply(odd_spectra, kernel_spectrum.real, out=weighted[: odd_rows.size])
+    table[np.ix_(odd_rows, odd_rows)] = weighted @ odd_spectra.T
+    return table, index
 
 
 def interaction_matrix_elements(basis_a, basis_b, kernel, well_offset=0.0):
@@ -244,16 +317,24 @@ def interaction_matrix_elements(basis_a, basis_b, kernel, well_offset=0.0):
     Returned as a K x K matrix over the composite index n * Mb + m with
     K = (levels of A) x (levels of B); real symmetric for real bases.
     Only the unique Simpson-weighted pair products psi_n psi_s (n <= s)
-    are convolved, in blocks of rows, and contracted (``_kernel_contract``);
-    the table is expanded by the n <-> s and m <-> e symmetries, so W is
-    exactly symmetric.  The products are built once when ``basis_b`` is
-    ``basis_a``.  Both grids must share one spacing (BasisMismatchError
-    otherwise; sizes and origins may differ): no dense N x N path is kept
-    for unequal spacings.
+    are contracted, and the table is expanded by the n <-> s and m <-> e
+    symmetries, so W is exactly symmetric.  When ``basis_b`` is
+    ``basis_a`` and its functions have parity (-1)^n about the middle
+    sample to ``EXCHANGE_TOL`` relative, the table comes from
+    parity-split spectra (``_parity_contract``): one forward FFT per
+    even/odd pair of products and no inverse FFT.  Otherwise the products
+    are convolved in blocks of rows and contracted (``_kernel_contract``),
+    built once when ``basis_b`` is ``basis_a``.  Both grids must share one
+    spacing (BasisMismatchError otherwise; sizes and origins may differ):
+    no dense N x N path is kept for unequal spacings.
     """
-    pa, index_a = _pair_products(basis_a)
-    pb, index_b = (pa, index_a) if basis_b is basis_a else _pair_products(basis_b)
-    table = _kernel_contract(pa, basis_a.grid, pb, basis_b.grid, kernel, well_offset)
+    if basis_b is basis_a and _has_parity(basis_a.functions):
+        table, index_a = _parity_contract(basis_a, kernel, well_offset)
+        index_b = index_a
+    else:
+        pa, index_a = _pair_products(basis_a)
+        pb, index_b = (pa, index_a) if basis_b is basis_a else _pair_products(basis_b)
+        table = _kernel_contract(pa, basis_a.grid, pb, basis_b.grid, kernel, well_offset)
     k = basis_a.n_levels * basis_b.n_levels
     return table[index_a[:, None, :, None], index_b[None, :, None, :]].reshape(k, k)
 
@@ -262,9 +343,6 @@ def composite_hamiltonian(basis_a, basis_b, w):
     """diag(E_n + E_m) + W over the composite index; real float64 for a real W."""
     diag = (basis_a.energies[:, None] + basis_b.energies[None, :]).ravel()
     return np.diag(diag) + w
-
-
-EXCHANGE_TOL = 1e-12  # max |XHX - H| / max |H| up to which evolve_modes diagonalizes the parity blocks
 
 
 def _exchange_eigen(h, n):

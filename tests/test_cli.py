@@ -349,6 +349,44 @@ def test_spectral_scenario():
     assert summary["energy_drift"] < 1e-10
 
 
+def test_spectral_sample_budget_exits_2_before_anything_large_is_allocated(tmp_path, capsys, monkeypatch):
+    """samples x n_levels**2 is capped by MAX_MODE_SAMPLES before the basis is
+    built: one sample over the cap at 16 levels exits 2 naming ``time``, with a
+    traced peak far below the 57.7 MiB that a point at the cap reaches."""
+    import tracemalloc
+
+    import posqubit.spectral as sp
+
+    class BasisBuilt(Exception):
+        pass
+
+    def built(*args, **kwargs):
+        raise BasisBuilt
+
+    at_cap = cli.MAX_MODE_SAMPLES // 16**2
+    cfg = spectral_cfg()
+    cfg["parameters"]["basis"] = {"kind": "harmonic", "n_levels": 16, "n_grid": cli.MAX_GRID}
+    for samples in (at_cap + 1, 10 * at_cap):
+        cfg["time"] = {"t_max": 0.01 * (samples - 1), "dt": 0.01}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"^time: .*MAX_MODE_SAMPLES"):
+                cli.run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (samples, peak)
+        path = tmp_path / "over.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config error: time: ")
+    # at the cap the check passes and the runner goes on to build the basis
+    monkeypatch.setattr(sp, "harmonic_basis", built)
+    cfg["time"] = {"t_max": 0.01 * (at_cap - 1), "dt": 0.01}
+    with pytest.raises(BasisBuilt):
+        cli.run_scenario(cfg)
+
+
 def test_format_csv_deterministic_and_parseable():
     cfg = base_single_qubit()
     out1 = cli.format_csv(*cli.run_scenario(cfg))

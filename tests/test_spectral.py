@@ -142,7 +142,8 @@ def _same_bytes(got, ref):
 def test_streamed_contraction_matches_the_one_shot_body_bit_for_bit(monkeypatch, n_levels, block):
     """Guards ``_one_shot_contract``: the block size of the streamed
     convolution never changes a bit of W or g.  The dense-mesh tests check
-    the values."""
+    the values.  W of (wide, wide) takes the parity path, so there the
+    streamed convolution is checked on the pair products themselves."""
     if block is not None:
         monkeypatch.setattr(sp, "_CONTRACT_ROWS", block)
     # spacing 0.025 on all three; sizes 801 and 241, origins -10 and -2.3
@@ -152,11 +153,99 @@ def test_streamed_contraction_matches_the_one_shot_body_bit_for_bit(monkeypatch,
     kern = sp.CoulombKernel(e2=0.8, d_reg=0.2)
     for a, b in ((wide, wide), (wide, twin), (wide, narrow), (narrow, wide)):
         for offset in (0.0, 3.0):
-            ref = _one_shot_w(a, b, kern, offset)
-            assert _same_bytes(sp.interaction_matrix_elements(a, b, kern, offset), ref)
+            if b is a:
+                pa, _ = sp._pair_products(a)
+                got = sp._kernel_contract(pa, a.grid, pa, a.grid, kern, offset)
+                assert _same_bytes(got, _one_shot_contract(pa, a.grid, pa, a.grid, kern, offset))
+            else:
+                ref = _one_shot_w(a, b, kern, offset)
+                assert _same_bytes(sp.interaction_matrix_elements(a, b, kern, offset), ref)
             for every in (1, 2):
                 got = sp._gij_on_stride(a, b, kern, offset, every)
                 assert _same_bytes(got, _one_shot_gij(a, b, kern, offset, every))
+
+
+# The parity path: one basis object of parity (-1)^n for both wells.
+
+_PARITY_GRID_BASES = {
+    "harmonic": lambda n, n_grid: sp.harmonic_basis(n, n_grid=n_grid),
+    "box": lambda n, n_grid: sp.box_basis(n, width=4.0, n_grid=n_grid),
+}
+
+
+@pytest.mark.parametrize("n_grid", [801, 1601, 2401])
+@pytest.mark.parametrize("kind", sorted(_PARITY_GRID_BASES))
+def test_parity_path_matches_the_general_path(kind, n_grid):
+    """W from parity-split spectra against the convolution path, which an
+    equal but distinct basis object takes; offsets of either sign make the
+    kernel spectrum complex, so the mixed blocks are nonzero."""
+    kern = sp.CoulombKernel(e2=1.0, d_reg=0.2)
+    for n_levels in (1, 2, 3, 16):
+        basis, twin = (_PARITY_GRID_BASES[kind](n_levels, n_grid) for _ in range(2))
+        assert sp._has_parity(basis.functions)
+        for offset in (-3.0, 0.0, 3.0):
+            w = sp.interaction_matrix_elements(basis, basis, kern, offset)
+            ref = sp.interaction_matrix_elements(basis, twin, kern, offset)
+            assert _rel_dev(w, ref) <= 1e-13, (n_levels, offset)
+            assert np.array_equal(w, w.T)
+
+
+@pytest.mark.parametrize("kind", sorted(_PARITY_GRID_BASES))
+def test_parity_path_is_bit_for_bit_the_same_for_every_block(monkeypatch, kind):
+    """The even/odd rows are transformed in blocks of ``_CONTRACT_ROWS``,
+    and the three products run over all rows at once."""
+    kern = sp.CoulombKernel(e2=0.8, d_reg=0.2)
+    for n_levels in (1, 3, 7, 16):
+        basis = _PARITY_GRID_BASES[kind](n_levels, 801)
+        ref = sp.interaction_matrix_elements(basis, basis, kern, 3.0)
+        for block in (1, 2, 3):
+            monkeypatch.setattr(sp, "_CONTRACT_ROWS", block)
+            assert _same_bytes(sp.interaction_matrix_elements(basis, basis, kern, 3.0), ref)
+        monkeypatch.undo()
+
+
+def test_broken_parity_falls_back_to_the_general_path_byte_for_byte(monkeypatch):
+    """An odd function made even, a defect just over EXCHANGE_TOL, and a
+    numeric basis of an asymmetric potential each take the convolution path,
+    bit for bit as the former one-shot body."""
+    kern = sp.CoulombKernel(e2=1.0, d_reg=0.2)
+    harmonic = sp.harmonic_basis(6, n_grid=801)
+    made_even = harmonic.functions.copy()
+    made_even[3, :400] *= -1.0
+    nudged = harmonic.functions.copy()
+    nudged[2, 100] += 1e-11 * np.abs(nudged).max()
+    bases = [sp.ConfinementBasis(harmonic.kind, harmonic.grid, f, harmonic.energies) for f in (made_even, nudged)]
+    bases.append(
+        sp.numeric_basis(lambda x: 0.5 * x * x + 0.3 * np.exp(-((x - 1.0) ** 2)), 6, -10.0, 10.0, n_grid=801)
+    )
+
+    def no_parity_path(*args):
+        raise AssertionError("a basis without parity took the parity path")
+
+    monkeypatch.setattr(sp, "_parity_contract", no_parity_path)
+    for basis in bases:
+        assert not sp._has_parity(basis.functions)
+        for offset in (0.0, 3.0):
+            ref = _one_shot_w(basis, basis, kern, offset)
+            assert _same_bytes(sp.interaction_matrix_elements(basis, basis, kern, offset), ref)
+
+
+def test_cli_bases_take_the_parity_path(monkeypatch):
+    from posqubit import cli
+
+    def convolution(*args):
+        raise AssertionError("W of a CLI basis took the convolution path")
+
+    monkeypatch.setattr(sp, "_kernel_contract", convolution)
+    for basis in ({"kind": "harmonic", "n_levels": 5, "n_grid": 801}, {"kind": "box", "n_levels": 4, "n_grid": 401}):
+        cfg = {
+            "schema_version": 1,
+            "kind": "spectral",
+            "time": {"t_max": 0.5, "dt": 0.01, "sample_stride": 10},
+            "parameters": {"basis": basis, "well_offset": 3.0, "initial_modes": [[0, 1, 1.0, 0.0]]},
+        }
+        _, summary = cli.run_scenario(cfg)
+        assert abs(summary["final_norm"] - 1.0) <= 1e-12
 
 
 def test_mismatched_spacings_rejected():
@@ -177,7 +266,9 @@ def test_w_assembly_memory_is_linear_in_the_grid():
 
     kern = sp.CoulombKernel(e2=1.0, d_reg=0.2)
     # (n_grid, a second equal basis object, bound in MiB): the traced peak read
-    # 5.95 / 9.91 / 8.44 MiB with one reused 8-row buffer, 6.25 / 10.41 / 8.74 MiB
+    # 5.00 / 8.14 / 8.44 MiB with the one basis on the parity path (its even and
+    # odd half spectra and one weighted copy), 5.95 / 9.91 / 8.44 MiB with one
+    # reused 8-row buffer on the convolution path, 6.25 / 10.41 / 8.74 MiB
     # with 16-row blocks padded by rfft, and 15.25 / 25.32 / 15.25 MiB while
     # every pair-product row was transformed at once
     for n_grid, distinct, bound_mib in ((2401, False, 8), (MAX_GRID, False, 13), (2401, True, 11)):

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    simulate --config FILE [--out FILE] [--format csv|json] [--paper-factorized]
+    simulate --config FILE [--out FILE] [--format csv|json]
     sweep    --config FILE --axis DOTTED.PATH --values LIST|START:STOP:NUM [--out FILE]
     eigens   --config FILE
 
@@ -57,6 +57,8 @@ MAX_GRID = 4001  # spectral basis.n_grid; W assembly holds about n_levels**2 x n
 MAX_MODE_SAMPLES = 2**20
 
 _REQUIRED = object()
+# a run that raises one of these fails: exit 3 (2 for a ConfigError), or a "failed" sweep row
+_RUN_FAILURES = (PosQubitError, ArithmeticError, ValueError)
 
 
 class TimeSeries:
@@ -119,6 +121,12 @@ def _float(value, path, gt=None, ge=None):
     if ge is not None and not x >= ge:
         _fail(path, f"must be >= {ge}, got {x}")
     return x
+
+
+def _bool(value, path):
+    if not isinstance(value, bool):
+        _fail(path, f"expected true or false, got {value!r:.40}")
+    return value
 
 
 def _int(value, path, low, high):
@@ -268,6 +276,7 @@ _PARAMETERS = {
         **{f"d{ij}": (_POSITIVE, _REQUIRED) for ij in dec.NODE_PAIRS},
         "coulomb_k": (_float, 1.0),
         "initial": _state(4),
+        "paper_factorized": (_bool, False),
     },
     "spectral": {
         "basis": (partial(_kind_fields, kinds=_BASES, default="harmonic"), {}),
@@ -416,7 +425,7 @@ def _run_cnot(time, geometry, vs2, t2, initial_control, initial_target, **hoppin
     return series, summary
 
 
-def _run_decoherence(time, qubitA, qubitB, coulomb_k, initial, paper_factorized=False, **distances):
+def _run_decoherence(time, qubitA, qubitB, coulomb_k, initial, paper_factorized, **distances):
     dist = dec.NodeDistances(**distances)
     t0, dt, _, steps = time
     ts = t0 + dt * steps
@@ -512,10 +521,8 @@ def _read_scenario(cfg):
     return kind, _time_block(**out["time"]), params
 
 
-def run_scenario(cfg, paper_factorized=False):
+def run_scenario(cfg):
     kind, time, params = _read_scenario(cfg)
-    if kind == "decoherence":
-        params["paper_factorized"] = paper_factorized
     series, summary = _RUNNERS[kind](time, **params)
     # one flat copy of the columns: checking each column on its own costs more at 257 columns
     values = np.concatenate([series.t, *series.columns.values()])
@@ -577,22 +584,22 @@ def _set_path(cfg, path, value):
     node = cfg
     for part in parents:
         node = node.get(part) if isinstance(node, dict) else None
-    if not (isinstance(node, dict) and isinstance(node.get(leaf), (int, float))):
+    if not (isinstance(node, dict) and type(node.get(leaf)) in (int, float)):  # a bool is not numeric here
         raise ConfigError(f"{path}: sweep axis must name a numeric field of the scenario")
     node[leaf] = value
 
 
-def sweep(cfg, axis, values, paper_factorized=False):
+def sweep(cfg, axis, values):
     rows = []
     for value in values:
         local = json.loads(json.dumps(cfg))  # copy.deepcopy overflows the stack sooner
         _set_path(local, axis, value)
         row = {"value": value}
         try:
-            _, summary = run_scenario(local, paper_factorized=paper_factorized)
+            _, summary = run_scenario(local)
             row["status"] = "ok"
             row.update(summary)
-        except (PosQubitError, ArithmeticError, ValueError) as exc:
+        except _RUN_FAILURES as exc:
             row["status"] = "failed"
             row["error"] = str(exc)
         rows.append(row)
@@ -609,7 +616,7 @@ def _emit(text, out_path):
 
 def _cmd_simulate(args):
     cfg = _load_config(args.config)
-    series, summary = run_scenario(cfg, paper_factorized=args.paper_factorized)
+    series, summary = run_scenario(cfg)
     if args.format == "json":
         _emit(format_json(series, summary), args.out)
     else:
@@ -619,9 +626,7 @@ def _cmd_simulate(args):
 
 def _cmd_sweep(args):
     cfg = _load_config(args.config)
-    rows = sweep(
-        cfg, args.axis, _parse_values(args.values), paper_factorized=args.paper_factorized
-    )
+    rows = sweep(cfg, args.axis, _parse_values(args.values))
     text = json.dumps({"axis": args.axis, "rows": rows}, indent=2, sort_keys=True) + "\n"
     _emit(text, args.out)
     return 0
@@ -663,7 +668,6 @@ def main(argv=None):
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out")
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sim.add_argument("--paper-factorized", action="store_true")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="sweep one scalar parameter")
@@ -671,7 +675,6 @@ def main(argv=None):
     p_sweep.add_argument("--axis", required=True)
     p_sweep.add_argument("--values", required=True)
     p_sweep.add_argument("--out")
-    p_sweep.add_argument("--paper-factorized", action="store_true")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_eig = sub.add_parser("eigens", help="closed-form vs numeric eigenvalues")
@@ -684,7 +687,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (PosQubitError, ArithmeticError, ValueError) as exc:
+    except _RUN_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

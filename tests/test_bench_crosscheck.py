@@ -81,9 +81,11 @@ KINDS = [
 def test_traced_counts_equal_cprofile_counts(worker, kind, generator, paper_factorized):
     cfg = getattr(worker.workloads, generator)(random.Random(f"crosscheck:{kind}"))
     assert cfg["kind"] == kind
+    if paper_factorized:
+        cfg["parameters"]["paper_factorized"] = True
 
     def run():
-        cli.format_csv(*cli.run_scenario(cfg, paper_factorized=paper_factorized))
+        cli.format_csv(*cli.run_scenario(cfg))
 
     traced, mismatched = _traced_and_profiled(worker, run)
     assert mismatched == {}

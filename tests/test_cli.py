@@ -467,7 +467,8 @@ def test_decoherence_run_diagonalizes_once(monkeypatch):
     cfg["time"] = {"t_max": 20.0, "dt": 0.01, "sample_stride": 1}
     for paper_factorized in (False, True):
         calls.clear()
-        series, _ = cli.run_scenario(cfg, paper_factorized=paper_factorized)
+        cfg["parameters"]["paper_factorized"] = paper_factorized
+        series, _ = cli.run_scenario(cfg)
         assert len(series.t) == 2001 and calls == ["hdec", (4, 4)]
 
 
@@ -487,7 +488,7 @@ def test_decoherence_run_propagates_amplitudes_not_densities(monkeypatch):
     monkeypatch.setattr(dec, "evolve_density_with_decoherence", refuse)
     for paper_factorized in (False, True):
         calls.clear()
-        series, _ = cli.run_scenario(decoherence_cfg(), paper_factorized=paper_factorized)
+        series, _ = cli.run_scenario(replaced(decoherence_cfg(), "parameters.paper_factorized", paper_factorized))
         # with the split, every sample starts from its own D(t) psi0
         start = (len(series.t), 4) if paper_factorized else (4,)
         assert calls == [start]
@@ -560,7 +561,8 @@ def test_decoherence_columns_match_density_and_expm_oracles(paper_factorized):
     gen = np.random.default_rng(1717)
     cfgs = [symmetric_decoherence_cfg()] + [random_decoherence_cfg(gen) for _ in range(12)]
     for index, cfg in enumerate(cfgs):
-        series, summary = cli.run_scenario(cfg, paper_factorized=paper_factorized)
+        cfg["parameters"]["paper_factorized"] = paper_factorized
+        series, summary = cli.run_scenario(cfg)
         h, *oracles = _decoherence_oracles(cfg, series.t, paper_factorized)
         if index == 0:
             assert np.min(np.diff(np.linalg.eigvalsh(h))) < 1e-12
@@ -707,6 +709,7 @@ def test_main_exit_codes(tmp_path, capsys):
         (spectral_cfg(), "parameters.basis.n_grid", 400, 2),
         (cnot_cfg(), "parameters.initial_target", [[1.0, 0.0]], 2),
         (decoherence_cfg(), "parameters.initial", [[0.0, 0.0]] * 4, 2),
+        *[(decoherence_cfg(), "parameters.paper_factorized", value, 2) for value in (0, 1, "true", None)],
         (rabi_cfg(), "parameters.e1", 1e308, 3),
         (rabi_cfg(), "parameters.e12", dict(sinusoid, amplitude=1e8), 0),
         (rabi_cfg(), "parameters.e12", dict(sinusoid, omega=1e16), 3),
@@ -1039,6 +1042,41 @@ def test_sweep_over_a_field_the_kind_does_not_accept_has_no_ok_row():
     rows = cli.sweep(replaced(swap_cfg(), "parameters.vss", 0.1), "parameters.vss", [0.1, 0.2])
     assert [row["status"] for row in rows] == ["failed"] * 2
     assert "parameters.vss: unknown field" in rows[0]["error"]
+
+
+def test_the_decoherence_split_is_a_field_of_its_schema_only(tmp_path, capsys):
+    """``parameters.paper_factorized`` is read like every other field, so
+    the other kinds reject it; no command-line flag sets it."""
+    cfg_path = tmp_path / "cfg.json"
+    argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]
+    path = "parameters.paper_factorized"
+    for kind in _KINDS:
+        if kind != "decoherence":
+            cfg_path.write_text(json.dumps(replaced(complete_cfg(kind), path, True)))
+            assert cli.main(argv) == 2, kind
+            assert f"config error: {path}: unknown field" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv + ["--paper-factorized"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+
+
+def test_a_sweep_reads_the_split_from_its_config_and_cannot_sweep_it(tmp_path, capsys):
+    split = replaced(decoherence_cfg(), "parameters.paper_factorized", True)
+    rows = cli.sweep(split, "parameters.d12", [1.2, 2.0])
+    exact = cli.sweep(decoherence_cfg(), "parameters.d12", [1.2, 2.0])
+    for row, exact_row, d12 in zip(rows, exact, (1.2, 2.0)):
+        assert row["status"] == "ok" and row != exact_row
+        assert {k: v for k, v in row.items() if k not in ("status", "value")} == cli.run_scenario(
+            replaced(split, "parameters.d12", d12)
+        )[1]
+    # a boolean is not a numeric axis, though bool is a subclass of int
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(split))
+    argv = ["sweep", "--config", str(cfg_path), "--axis", "parameters.paper_factorized", "--values", "0,1"]
+    assert cli.main(argv + ["--out", str(tmp_path / "sweep.json")]) == 2
+    assert "config error: parameters.paper_factorized: sweep axis must name a numeric field" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.json").exists()
 
 
 @pytest.mark.parametrize("value", [["swap"], {"kind": "swap"}, None, 1])

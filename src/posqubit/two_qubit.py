@@ -7,9 +7,10 @@ Basis ordering for all 4x4 operations (BasisOrder4):
 
 where |1,0> means the electron sits on the left node (node 1) of its
 double dot and |0,1> on the right node (node 2): the upper system is
-the high bit, and a bit is 1 on node 1.  The module builds the Coulomb
-couplings from device geometry, assembles the 4x4 Hamiltonian as the
-N = 2 case of ``qcore.build_hn``, gives the closed-form symmetric
+the high bit, and a bit is 1 on node 1.  The module places each
+geometry's nodes in the plane and takes every Coulomb coupling as
+k / |r_i - r_j| between two of them, assembles the 4x4 Hamiltonian as
+the N = 2 case of ``qcore.build_hn``, gives the closed-form symmetric
 eigensystem, tests factorizability, evolves the two-body state, reads
 its node occupancies off ``qcore.body_populations``, and implements the
 mean-field one-way coupling of a third double dot (controlled-NOT
@@ -73,27 +74,31 @@ class CoulombCouplings:
     ec21: float
 
 
+def _nodes(geom, kind):
+    """(x, y) of the control's nodes U1, U2, L1, L2 in layout ``kind``, U2 at the
+    origin and span = a + b: the pairs side by side d1 apart (parallel), on one
+    line d apart (collinear), or U on the y axis and L on the line y = -d2
+    (perpendicular)."""
+    a, b, d1, span = geom.a, geom.b, geom.d1, geom.a + geom.b
+    if kind == PARALLEL:
+        return (-span, 0.0), (0.0, 0.0), (-span, d1), (0.0, d1)
+    if kind == COLLINEAR:
+        return (-span, 0.0), (0.0, 0.0), (geom.d, 0.0), (geom.d + span, 0.0)
+    return (0.0, span), (0.0, 0.0), (d1 + 0.5 * b, -geom.d2), (d1 + a + 1.5 * b, -geom.d2)
+
+
+def _coulomb(k, r, s):
+    """Coulomb energy k / |r - s| of two nodes (x, y)."""
+    return k / np.hypot(r[0] - s[0], r[1] - s[1])
+
+
 def coulomb_couplings(geom):
-    """Node-pair Coulomb couplings for the three supported geometries."""
+    """Node-pair Coulomb couplings E_c(i, j') = k / |U_i - L_j| of the nodes
+    of ``geom.kind``."""
+    u1, u2, l1, l2 = _nodes(geom, geom.kind)
     k = geom.coulomb_k
-    if geom.kind == PARALLEL:
-        near = k / geom.d1
-        far = k / np.hypot(geom.d1, geom.a + geom.b)
-        return CoulombCouplings(ec11=near, ec22=near, ec12=far, ec21=far)
-    if geom.kind == COLLINEAR:
-        span = geom.a + geom.b
-        return CoulombCouplings(
-            ec11=k / (geom.d + span),
-            ec22=k / (geom.d + span),
-            ec12=k / (geom.d + 2.0 * span),
-            ec21=k / geom.d,
-        )
-    a, b, d1, d2 = geom.a, geom.b, geom.d1, geom.d2
     return CoulombCouplings(
-        ec22=k / np.hypot(d1 + a + 1.5 * b, d2),
-        ec21=k / np.hypot(d1 + 0.5 * b, d2),
-        ec12=k / np.hypot(d1 + 1.5 * b + a, d2 + b + a),
-        ec11=k / np.hypot(d1 + 0.5 * b, d2 + b + a),
+        ec11=_coulomb(k, u1, l1), ec22=_coulomb(k, u2, l2), ec12=_coulomb(k, u1, l2), ec21=_coulomb(k, u2, l1)
     )
 
 
@@ -113,7 +118,7 @@ class SwapParams:
             raise ValueError("hopping magnitudes must be nonnegative")
 
 
-def build_h4(params, asymmetric_site_energies=None):
+def build_h4(params):
     """4x4 two-body Hamiltonian in BasisOrder4, ``qcore.build_hn`` of the
     upper (U) and lower (L) double dots, bit 1 on node 1.
 
@@ -122,13 +127,9 @@ def build_h4(params, asymmetric_site_energies=None):
     t_u the upper system on (0,2), (1,3); the anti-diagonal couplings
     (both electrons hopping at once) are zero.
     """
-    cc = params.couplings
-    if asymmetric_site_energies is None:
-        ep1 = ep2 = ep1p = ep2p = params.vs
-    else:
-        ep1, ep2, ep1p, ep2p = asymmetric_site_energies
-    upper = ((ep2, params.t_u), (params.t_u, ep1))
-    lower = ((ep2p, params.t_l), (params.t_l, ep1p))
+    cc, vs = params.couplings, params.vs
+    upper = ((vs, params.t_u), (params.t_u, vs))
+    lower = ((vs, params.t_l), (params.t_l, vs))
     return build_hn((upper, lower), {(0, 1): ((cc.ec22, cc.ec21), (cc.ec12, cc.ec11))})
 
 
@@ -210,39 +211,27 @@ def cnot_meanfield_h2(geom, occupancies, vs2, t2):
     by the occupancy-weighted Coulomb field of the four control nodes.
 
     ``occupancies`` is (p1, p2, p1', p2') for nodes 1, 2, 1', 2' of the
-    control, or a stack (..., 4) of them, which gives (..., 2, 2); the
-    target sits a distance d3 down the control axis with transverse offset
-    d32 = d3 - d2 for the primed pair.
+    control, or a stack (..., 4) of them, which gives (..., 2, 2).  The
+    control sits in the perpendicular layout of ``_nodes`` whatever
+    ``geom.kind`` says, and the target nodes lie on its U axis, d3 and
+    d3 + a + b beyond U2.
     """
     occ = np.asarray(occupancies, dtype=float)
     if occ.size and occ.min() < -1e-12:
         raise OccupancyNotNormalizedError("occupancies must be nonnegative")
-    p1, p2, p1p, p2p = np.moveaxis(occ, -1, 0)
+    p = np.moveaxis(occ, -1, 0)
     k = geom.coulomb_k
     if k != 0.0:
         # each control pair must hold one electron (sum 1) or be absent (sum 0)
-        for total in (p1 + p2, p1p + p2p):
+        for total in (p[0] + p[1], p[2] + p[3]):
             bad = (abs(total - 1.0) > 1e-9) & (abs(total) > 1e-9)
             if bad.any():
                 raise OccupancyNotNormalizedError(
                     f"occupancies must sum to 1 (or 0 if absent), got {total[bad].flat[0]}"
                 )
-    a, b, d1, d3 = geom.a, geom.b, geom.d1, geom.d3
-    d32 = geom.d3 - geom.d2
-    span = a + b
-    diag1 = (
-        vs2
-        + k * p1 / (d3 + span)
-        + k * p2 / d3
-        + k * p1p / np.hypot(d32, d1 + 0.5 * b)
-        + k * p2p / np.hypot(d32, d1 + a + 1.5 * b)
-    )
-    diag2 = (
-        vs2
-        + k * p1 / (d3 + 2.0 * span)
-        + k * p2 / (d3 + span)
-        + k * p1p / np.hypot(d32, d1 + 0.5 * b)
-        + k * p2p / np.hypot(d32 + span, d1 + a + 1.5 * b)
+    diag1, diag2 = (
+        vs2 + sum(pn * _coulomb(k, node, (0.0, -depth)) for pn, node in zip(p, _nodes(geom, PERPENDICULAR)))
+        for depth in (geom.d3, geom.d3 + geom.a + geom.b)
     )
     return stack2x2(diag1, t2, t2, diag2)
 

@@ -270,6 +270,59 @@ def test_swap_scenario_geometry_block():
         cli.run_scenario(cfg)
 
 
+@st.composite
+def _swap_configs(draw):
+    """A swap scenario with any hoppings, equal ones among them, and any initial
+    state, its couplings four ec* numbers or a parallel geometry, whose
+    layout is U-L symmetric."""
+    cfg = swap_cfg()
+    params = cfg["parameters"]
+    t_u = draw(st.floats(0.0, 1.0))
+    params.update(vs=draw(st.floats(-2.0, 2.0)), t_u=t_u, t_l=draw(st.just(t_u) | st.floats(0.0, 1.0)))
+    ec = ("ec11", "ec22", "ec12", "ec21")
+    if draw(st.booleans()):
+        params.update({key: draw(st.floats(-2.0, 2.0)) for key in ec})
+    else:
+        for key in ec:
+            del params[key]
+        lengths = {key: draw(st.floats(0.1, 5.0)) for key in ("a", "b", "d1")}
+        params["geometry"] = {"kind": "parallel", "coulomb_k": draw(st.floats(0.0, 3.0)), **lengths}
+    initial = draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2), min_size=4, max_size=4))
+    assume(sum(re * re + im * im for re, im in initial) > 1e-2)
+    params["initial"] = initial
+    return cfg
+
+
+def _exchanged(cfg):
+    """``cfg`` with its double dots U and L exchanged: t_u <-> t_l,
+    ec12 <-> ec21 and the initial amplitudes 1 <-> 2."""
+    cfg = copy.deepcopy(cfg)
+    params = cfg["parameters"]
+    params["t_u"], params["t_l"] = params["t_l"], params["t_u"]
+    if "ec12" in params:
+        params["ec12"], params["ec21"] = params["ec21"], params["ec12"]
+    initial = params["initial"]
+    initial[1], initial[2] = initial[2], initial[1]
+    return cfg
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(cfg=_swap_configs())
+def test_swap_is_covariant_under_exchanging_the_double_dots(cfg):
+    """Exchanging U and L trades p_1 and p_2 and leaves the other columns and
+    the summary as they are."""
+    series, summary = cli.run_scenario(cfg)
+    exchanged, exchanged_summary = cli.run_scenario(_exchanged(cfg))
+    np.testing.assert_array_equal(series.t, exchanged.t)
+    relabel = {"p_1": "p_2", "p_2": "p_1"}
+    assert list(exchanged.columns) == list(series.columns)
+    for name, column in series.columns.items():
+        assert np.max(np.abs(column - exchanged.columns[relabel.get(name, name)])) <= 1e-12, name
+    assert list(exchanged_summary) == list(summary)
+    for key, value in summary.items():
+        assert np.max(np.abs(np.subtract(value, exchanged_summary[key]))) <= 1e-12, key
+
+
 def cnot_cfg():
     return {
         "schema_version": 1,

@@ -48,6 +48,84 @@ def test_perpendicular_couplings_decrease_with_distance():
         assert getattr(c2, name) < getattr(c1, name)
 
 
+KINDS = (tq.PARALLEL, tq.COLLINEAR, tq.PERPENDICULAR)
+
+
+def _random_geometries(gen, n):
+    """``n`` geometries, the kinds in turn, every length in [0.1, 5]."""
+    for i in range(n):
+        lengths = dict(zip(("a", "b", "d", "d1", "d2", "d3"), gen.uniform(0.1, 5.0, size=6).tolist()))
+        yield tq.DotGeometry(kind=KINDS[i % 3], coulomb_k=float(gen.uniform(0.1, 3.0)), **lengths)
+
+
+def _former_couplings(g):
+    """(ec11, ec22, ec12, ec21) as coulomb_couplings wrote them before the node
+    table, one formula set per layout: a test oracle."""
+    k, a, b, d1, d2, span = g.coulomb_k, g.a, g.b, g.d1, g.d2, g.a + g.b
+    if g.kind == tq.PARALLEL:
+        near, far = k / d1, k / np.hypot(d1, span)
+        return near, near, far, far
+    if g.kind == tq.COLLINEAR:
+        return k / (g.d + span), k / (g.d + span), k / (g.d + 2.0 * span), k / g.d
+    return (
+        k / np.hypot(d1 + 0.5 * b, d2 + b + a),
+        k / np.hypot(d1 + a + 1.5 * b, d2),
+        k / np.hypot(d1 + 1.5 * b + a, d2 + b + a),
+        k / np.hypot(d1 + 0.5 * b, d2),
+    )
+
+
+def _former_target_distances(g):
+    """Distances from the control nodes (1, 2, 1', 2') to target nodes 1 and 2 as
+    cnot_meanfield_h2 wrote them before the node table: a test oracle.  The
+    eighth, L1 to target node 2, is None: the former hypot(d3 - d2, d1 + b/2)
+    copied the target node 1 term and fits no rigid placement."""
+    a, b, d1, d3, d32, span = g.a, g.b, g.d1, g.d3, g.d3 - g.d2, g.a + g.b
+    return (
+        (d3 + span, d3, np.hypot(d32, d1 + 0.5 * b), np.hypot(d32, d1 + a + 1.5 * b)),
+        (d3 + 2.0 * span, d3 + span, None, np.hypot(d32 + span, d1 + a + 1.5 * b)),
+    )
+
+
+def _target_terms(g):
+    """k / |node - T| for the control nodes (rows) and the target nodes
+    (columns): the mean-field diagonal with one control node occupied."""
+    return np.array([tq.cnot_meanfield_h2(g, np.eye(4)[n], 0.0, 0.0).diagonal().real for n in range(4)])
+
+
+def test_node_table_reproduces_the_former_couplings_and_target_distances():
+    gen = np.random.default_rng(2727)
+    for g in _random_geometries(gen, 3000):
+        cc = tq.coulomb_couplings(g)
+        couplings = np.array([cc.ec11, cc.ec22, cc.ec12, cc.ec21])
+        assert np.max(np.abs(couplings / _former_couplings(g) - 1.0)) <= 2e-15
+        terms, former = _target_terms(g), _former_target_distances(g)
+        for row, column in np.ndindex(4, 2):
+            if former[column][row] is not None:
+                assert abs(terms[row, column] * former[column][row] / g.coulomb_k - 1.0) <= 2e-15
+        # the diag1 row of a mixed occupancy against the former sum
+        occ = np.concatenate([gen.dirichlet((1.0, 1.0)), gen.dirichlet((1.0, 1.0))])
+        vs2, t2 = gen.uniform(-3.0, 3.0), gen.uniform(0.0, 1.0)
+        h = tq.cnot_meanfield_h2(g, occ, vs2, t2)
+        fields = [g.coulomb_k * p / dist for p, dist in zip(occ, former[0])]
+        assert abs(h[0, 0].real - (vs2 + sum(fields))) <= 2e-15 * (abs(vs2) + sum(fields))
+        assert h[0, 1] == h[1, 0] == t2
+
+
+def test_target_node_2_sits_at_its_node_distance_from_l1():
+    """The corrected diag2 p1p term: k / hypot(d3 - d2 + a + b, d1 + b/2)."""
+    gen = np.random.default_rng(2728)
+    for g in _random_geometries(gen, 300):
+        terms = _target_terms(g)
+        l1_t2 = np.hypot(g.d3 - g.d2 + g.a + g.b, g.d1 + 0.5 * g.b)
+        assert abs(terms[2, 1] * l1_t2 / g.coulomb_k - 1.0) <= 2e-15
+        # L1 and L2 share one row of the layout, so each target node is as
+        # far across from both: the squared distances less the x offsets agree
+        xs = np.array([g.d1 + 0.5 * g.b, g.d1 + g.a + 1.5 * g.b])
+        across = (g.coulomb_k / terms[2:]) ** 2 - xs[:, None] ** 2
+        assert np.allclose(across[0], across[1], rtol=1e-12, atol=1e-12)
+
+
 def test_build_h4_structure():
     cc = tq.CoulombCouplings(ec11=1.0, ec22=2.0, ec12=3.0, ec21=4.0)
     p = tq.SwapParams(vs=0.5, t_u=0.2, t_l=0.3, couplings=cc)
@@ -59,26 +137,14 @@ def test_build_h4_structure():
     assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
-def test_build_h4_asymmetric_site_energies():
-    p = tq.SwapParams(vs=0.0, t_u=0.1, t_l=0.1)
-    h = tq.build_h4(p, asymmetric_site_energies=(1.0, 2.0, 3.0, 4.0))
-    # index 0 = |0,1>_U |0,1>_L occupies nodes 2 and 2'
-    assert h[0, 0].real == 2.0 + 4.0
-    assert h[3, 3].real == 1.0 + 3.0
-
-
-def _former_build_h4(params, asymmetric_site_energies=None):
+def _former_build_h4(params):
     """build_h4 as written before it called qcore.build_hn, one entry at a time."""
-    cc = params.couplings
-    if asymmetric_site_energies is None:
-        ep1 = ep2 = ep1p = ep2p = params.vs
-    else:
-        ep1, ep2, ep1p, ep2p = asymmetric_site_energies
+    cc, vs = params.couplings, params.vs
     h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = ep2 + ep2p + cc.ec22
-    h[1, 1] = ep2 + ep1p + cc.ec21
-    h[2, 2] = ep1 + ep2p + cc.ec12
-    h[3, 3] = ep1 + ep1p + cc.ec11
+    h[0, 0] = vs + vs + cc.ec22
+    h[1, 1] = vs + vs + cc.ec21
+    h[2, 2] = vs + vs + cc.ec12
+    h[3, 3] = vs + vs + cc.ec11
     h[0, 1] = h[1, 0] = h[2, 3] = h[3, 2] = params.t_l
     h[0, 2] = h[2, 0] = h[1, 3] = h[3, 1] = params.t_u
     return h
@@ -92,19 +158,17 @@ def test_build_h4_matches_its_former_body_bit_for_bit():
         # one value in five a signed zero, so all-zero sums of either sign occur
         return zeros[gen.integers(2)] if gen.random() < 0.2 else float(gen.uniform(low, high))
 
-    kinds = (tq.PARALLEL, tq.COLLINEAR, tq.PERPENDICULAR)
-    cases = [(tq.SwapParams(vs=-0.0, t_u=-0.0, t_l=-0.0, couplings=tq.CoulombCouplings(-0.0, -0.0, -0.0, -0.0)), None)]
+    cases = [tq.SwapParams(vs=-0.0, t_u=-0.0, t_l=-0.0, couplings=tq.CoulombCouplings(-0.0, -0.0, -0.0, -0.0))]
     for i in range(3000):
         lengths = dict(zip(("a", "b", "d", "d1", "d2", "d3"), gen.uniform(0.1, 5.0, size=6).tolist()))
-        g = tq.DotGeometry(kind=kinds[i % 3], coulomb_k=value(0.0, 3.0), **lengths)
+        g = tq.DotGeometry(kind=KINDS[i % 3], coulomb_k=value(0.0, 3.0), **lengths)
         p = tq.SwapParams(vs=value(-3.0, 3.0), t_u=value(0.0, 1.0), t_l=value(0.0, 1.0), couplings=tq.coulomb_couplings(g))
-        asym = tuple(value(-3.0, 3.0) for _ in range(4)) if i % 2 else None
-        cases.append((p, asym))
-    for p, asym in cases:
-        new, old = tq.build_h4(p, asym), _former_build_h4(p, asym)
+        cases.append(p)
+    for p in cases:
+        new, old = tq.build_h4(p), _former_build_h4(p)
         assert new.dtype == old.dtype and new.shape == old.shape
         assert new.tobytes() == old.tobytes()
-    assert np.signbit(tq.build_h4(cases[0][0]).diagonal().real).all()
+    assert np.signbit(tq.build_h4(cases[0]).diagonal().real).all()
 
 
 def test_symmetric_eigensystem_vs_numeric():

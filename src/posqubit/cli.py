@@ -43,7 +43,6 @@ from . import signals
 from . import single_qubit as sq
 from . import spectral as sp
 from . import two_qubit as tq
-from ._g17 import format_rows
 from .errors import ConfigError, PosQubitError
 from .qcore import GAUSS_NODES, StateVector, eig_hermitian, evolve_steps, magnus4_step_operators
 
@@ -54,7 +53,7 @@ MAX_STEPS = 100_000  # (t_max - t0) / dt, sample_stride, sweep points; spectral 
 MAX_LEVELS = 16  # spectral basis.n_levels; the mode space has MAX_LEVELS**2 entries
 MAX_GRID = 4001  # spectral basis.n_grid; W assembly holds about n_levels**2 x n_grid floats plus one fixed FFT block
 # spectral samples x n_levels**2, about 56 B each: 4096 samples at 16 levels (n_grid 401)
-# peak at 57.7 MiB in run_scenario and 60.9 MiB with format_csv (tracemalloc)
+# peak at 57.7 MiB in run_scenario, and with format_csv too (tracemalloc)
 MAX_MODE_SAMPLES = 2**20
 
 _REQUIRED = object()
@@ -63,14 +62,15 @@ _RUN_FAILURES = (PosQubitError, ArithmeticError, ValueError)
 
 
 class TimeSeries:
-    def __init__(self, t, columns):
-        self.t = t
-        self.columns = columns  # name -> real array
+    """A run's samples as one C-ordered float table of shape (samples, 1 + k):
+    the times ``t``, then the k real ``columns``.  ``t`` and each column are
+    views of ``table``, named by ``names``."""
 
-    def as_rows(self):
-        names = ["t"] + list(self.columns)
-        cols = [self.t] + [self.columns[k] for k in self.columns]
-        return names, np.column_stack(cols)
+    def __init__(self, t, columns):
+        self.names = ["t", *columns]
+        self.table = np.column_stack([t, *columns.values()])
+        self.t = self.table[:, 0]
+        self.columns = {name: self.table[:, i] for i, name in enumerate(self.names[1:], 1)}
 
 
 def _fail(path, message):
@@ -320,36 +320,31 @@ def _run_single_qubit(time, initial, **qubit):
     psi = evolve_steps(step_operators, n_steps, initial)[steps]
     co = sq.eigencoeffs(params, t[steps])  # the first sample is t0
     c_en = np.einsum("nij,nj->ni", co.basis_matrix().conj(), psi)
-    series = TimeSeries(
-        t[steps],
-        {
-            "p_x1": np.abs(psi[:, 0]) ** 2,
-            "p_x2": np.abs(psi[:, 1]) ** 2,
-            "p_E1": np.abs(c_en[:, 0]) ** 2,
-            "p_E2": np.abs(c_en[:, 1]) ** 2,
-            "phase_x1": np.angle(psi[:, 0]),
-            "phase_x2": np.angle(psi[:, 1]),
-        },
-    )
+    columns = {
+        "p_x1": np.abs(psi[:, 0]) ** 2,
+        "p_x2": np.abs(psi[:, 1]) ** 2,
+        "p_E1": np.abs(c_en[:, 0]) ** 2,
+        "p_E2": np.abs(c_en[:, 1]) ** 2,
+        "phase_x1": np.angle(psi[:, 0]),
+        "phase_x2": np.angle(psi[:, 1]),
+    }
     summary = {
         "E1": float(co.e1[0]),
         "E2": float(co.e2[0]),
-        "angular_frequency_p_x1": extract_frequency(series.t, series.columns["p_x1"]),
+        "angular_frequency_p_x1": extract_frequency(t[steps], columns["p_x1"]),
         "final_norm": float(np.linalg.norm(psi[-1])),
     }
-    return series, summary
+    return columns, summary
 
 
 def _run_rabi(time, e1, e2, e12, initial):
     t0, dt, _, steps = time
-    ts = t0 + dt * steps
-    u = np.concatenate([np.eye(2)[None], sq.rabi_evolution_matrix(e1, e2, e12, t0, ts[1:])])
+    u = np.concatenate([np.eye(2)[None], sq.rabi_evolution_matrix(e1, e2, e12, t0, t0 + dt * steps[1:])])
     psi = u @ initial
     defect = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2)), axis=(-2, -1))
     pe1, pe2 = np.abs(psi[:, 0]) ** 2, np.abs(psi[:, 1]) ** 2
-    series = TimeSeries(ts, {"p_E1": pe1, "p_E2": pe2, "unitarity_defect": defect})
     summary = {"max_unitarity_defect": float(np.max(defect)), "final_norm": float(np.sqrt(pe1[-1] + pe2[-1]))}
-    return series, summary
+    return {"p_E1": pe1, "p_E2": pe2, "unitarity_defect": defect}, summary
 
 
 def _swap_params(vs, t_u, t_l, geometry, **ec):
@@ -369,27 +364,23 @@ def _symmetric_eigensystem(params):
 
 def _run_swap(time, initial, **coupled):
     params = _swap_params(**coupled)
-    t0, dt, _, steps = time
-    ts = t0 + dt * steps
+    _, dt, _, steps = time
     psi0 = StateVector(initial)
     h4 = tq.build_h4(params)
-    amps = np.empty((ts.size, 4), dtype=complex)
-    ent = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        psi = tq.evolve4(h4, psi0, t0, t) if t > t0 else psi0
+    amps = np.empty((steps.size, 4), dtype=complex)
+    ent = np.empty(steps.size)
+    for i, span in enumerate(dt * steps):
+        psi = tq.evolve4(h4, psi0, 0.0, span) if span > 0 else psi0
         amps[i] = psi.amps
         ent[i] = tq.is_factorizable(psi)[1]
     pops = np.abs(amps) ** 2
-    series = TimeSeries(
-        ts,
-        {
-            "p_0": pops[:, 0],
-            "p_1": pops[:, 1],
-            "p_2": pops[:, 2],
-            "p_3": pops[:, 3],
-            "entanglement_2tau": ent,
-        },
-    )
+    columns = {
+        "p_0": pops[:, 0],
+        "p_1": pops[:, 1],
+        "p_2": pops[:, 2],
+        "p_3": pops[:, 3],
+        "entanglement_2tau": ent,
+    }
     numeric, _ = eig_hermitian(h4)
     summary = {
         "eigenenergies": [float(x) for x in numeric],
@@ -400,36 +391,32 @@ def _run_swap(time, initial, **coupled):
     if closed is not None:
         summary["closed_form_eigenenergies"] = [float(x) for x in closed.sorted_energies]
         summary["gap_E1_E2"] = float(abs(closed.energies[0] - closed.energies[1]))
-    return series, summary
+    return columns, summary
 
 
 def _run_cnot(time, geometry, vs2, t2, initial_control, initial_target, **hopping):
     params = _swap_params(geometry=geometry, **hopping)
-    t0, dt, n_steps, steps = time
+    _, dt, n_steps, steps = time
     # no cnot Hamiltonian depends on t; counting from 0 keeps n_steps exact for any t0
     run = tq.cnot_coupled_run(params, initial_control, vs2, t2, initial_target, geometry, 0.0, dt * n_steps, dt)
-    series = TimeSeries(
-        t0 + dt * steps,
-        {
-            "p_control_0": np.abs(run.control[steps, 0]) ** 2,
-            "p_control_3": np.abs(run.control[steps, 3]) ** 2,
-            "occ_p1": run.occupancies[steps, 0],
-            "occ_p2": run.occupancies[steps, 1],
-            "p_target_1": np.abs(run.target[steps, 0]) ** 2,
-            "p_target_2": np.abs(run.target[steps, 1]) ** 2,
-        },
-    )
+    columns = {
+        "p_control_0": np.abs(run.control[steps, 0]) ** 2,
+        "p_control_3": np.abs(run.control[steps, 3]) ** 2,
+        "occ_p1": run.occupancies[steps, 0],
+        "occ_p2": run.occupancies[steps, 1],
+        "p_target_1": np.abs(run.target[steps, 0]) ** 2,
+        "p_target_2": np.abs(run.target[steps, 1]) ** 2,
+    }
     summary = {
         "final_control_norm": float(np.linalg.norm(run.control[-1])),
         "final_target_norm": float(np.linalg.norm(run.target[-1])),
     }
-    return series, summary
+    return columns, summary
 
 
 def _run_decoherence(time, qubitA, qubitB, coulomb_k, initial, paper_factorized, **distances):
     dist = dec.NodeDistances(**distances)
-    t0, dt, _, steps = time
-    ts = t0 + dt * steps
+    _, dt, _, steps = time
     coeffs_a = sq.eigencoeffs(sq.QubitParams(**qubitA), 0.0)
     coeffs_b = sq.eigencoeffs(sq.QubitParams(**qubitB), 0.0)
     basis = dec.QubitEnergyBasis(coeffs_a, coeffs_b)
@@ -439,22 +426,19 @@ def _run_decoherence(time, qubitA, qubitB, coulomb_k, initial, paper_factorized,
     )
     # the pure state psi psi^dag stays pure: its 4 amplitudes carry every column
     ms.validate_density(ms.pure_density(initial), dim=4)
-    psi = dec._evolve(initial, h0, hdec, ts - t0, paper_factorized)
+    psi = dec._evolve(initial, h0, hdec, dt * steps, paper_factorized)
     pops = np.abs(psi) ** 2
     rho_01 = psi[:, 0] * psi[:, 1].conj()
     purity = pops.sum(axis=1) ** 2  # Tr rho^2 = (psi^dag psi)^2
-    series = TimeSeries(
-        ts,
-        {
-            "p_E1A_E1B": pops[:, 0],
-            "p_E1A_E2B": pops[:, 1],
-            "p_E2A_E1B": pops[:, 2],
-            "p_E2A_E2B": pops[:, 3],
-            "re_rho_01": rho_01.real,
-            "im_rho_01": rho_01.imag,
-            "purity": purity,
-        },
-    )
+    columns = {
+        "p_E1A_E1B": pops[:, 0],
+        "p_E1A_E2B": pops[:, 1],
+        "p_E2A_E1B": pops[:, 2],
+        "p_E2A_E2B": pops[:, 3],
+        "re_rho_01": rho_01.real,
+        "im_rho_01": rho_01.imag,
+        "purity": purity,
+    }
     sc = dec.symmetric_case(dist, coulomb_k)
     summary = {
         "renormalized_energies": [
@@ -466,11 +450,11 @@ def _run_decoherence(time, qubitA, qubitB, coulomb_k, initial, paper_factorized,
         "symmetric_EAB_r1": sc.eab_r1,
         "min_purity": float(purity.min()),
     }
-    return series, summary
+    return columns, summary
 
 
 def _run_spectral(time, basis, kernel, well_offset, initial_modes):
-    t0, dt, _, steps = time
+    _, dt, _, steps = time
     kind, fields = basis
     n_levels = fields["n_levels"]
     if steps.size * n_levels**2 > MAX_MODE_SAMPLES:
@@ -484,19 +468,17 @@ def _run_spectral(time, basis, kernel, well_offset, initial_modes):
     q0 = _normalized(q0, path)
     basis = (sp.harmonic_basis if kind == "harmonic" else sp.box_basis)(**fields)
     w = sp.interaction_matrix_elements(basis, basis, sp.CoulombKernel(**kernel), well_offset)
-    times = t0 + dt * steps
-    series_q = sp.evolve_modes(q0, basis, basis, w, t0, times)
+    series_q = sp.evolve_modes(q0, basis, basis, w, 0.0, dt * steps)
     pops = np.abs(series_q) ** 2
     cols = {f"p_mode_{n_idx}{m_idx}": pops[:, n_idx, m_idx] for n_idx in range(n_levels) for m_idx in range(n_levels)}
     cols["entropy"] = sp.entanglement_entropy(series_q)
-    series = TimeSeries(times, cols)
     first, last = sp.mode_energy(series_q[[0, -1]], basis, basis, w)
     summary = {
         "final_norm": float(np.sqrt(np.sum(np.abs(series_q[-1]) ** 2))),
         "final_entropy": float(cols["entropy"][-1]),
         "energy_drift": float(abs(last - first)),
     }
-    return series, summary
+    return cols, summary
 
 
 _RUNNERS = {
@@ -523,11 +505,13 @@ def _read_scenario(cfg):
 
 
 def run_scenario(cfg):
+    """(series, summary) of the scenario ``cfg``: the runner of its kind gives
+    the columns, sampled at t0 + dt * steps of its time grid."""
     kind, time, params = _read_scenario(cfg)
-    series, summary = _RUNNERS[kind](time, **params)
-    # one flat copy of the columns: checking each column on its own costs more at 257 columns
-    values = np.concatenate([series.t, *series.columns.values()])
-    if not (np.all(np.isfinite(values)) and all(np.all(np.isfinite(v)) for v in summary.values())):
+    columns, summary = _RUNNERS[kind](time, **params)
+    t0, dt, _, steps = time
+    series = TimeSeries(t0 + dt * steps, columns)
+    if not (np.isfinite(series.table).all() and all(np.all(np.isfinite(v)) for v in summary.values())):
         raise FloatingPointError("non-finite values in scenario output")
     return series, summary
 
@@ -537,12 +521,13 @@ def format_csv(series, summary):
     summary key in sorted order, the column names, then one line per sample.
     Each value is the bytes of C's ``'%.17g'``, values are joined by ',' and
     every line ends in '\\n'."""
-    names, rows = series.as_rows()
+    from ._g17 import format_rows  # only simulate formats CSV; sweep and eigens never build its tables
+
     lines = [CSV_HEADER]
     for key in sorted(summary):
         lines.append(f"# {key} = {json.dumps(summary[key])}")
-    lines.append(",".join(names))
-    return "\n".join(lines) + "\n" + format_rows(rows)
+    lines.append(",".join(series.names))
+    return "\n".join(lines) + "\n" + format_rows(series.table)
 
 
 def format_json(series, summary):

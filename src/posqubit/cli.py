@@ -33,7 +33,7 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -53,7 +53,7 @@ MAX_STEPS = 100_000  # (t_max - t0) / dt, sample_stride, sweep points; spectral 
 MAX_LEVELS = 16  # spectral basis.n_levels; the mode space has MAX_LEVELS**2 entries
 MAX_GRID = 4001  # spectral basis.n_grid; W assembly holds about n_levels**2 x n_grid floats plus one fixed FFT block
 # spectral samples x n_levels**2, about 56 B each: 4096 samples at 16 levels (n_grid 401)
-# peak at 57.7 MiB in run_scenario, and with format_csv too (tracemalloc)
+# peak at 57.6 MiB in run_scenario, and with format_csv too (tracemalloc)
 MAX_MODE_SAMPLES = 2**20
 
 _REQUIRED = object()
@@ -62,15 +62,23 @@ _RUN_FAILURES = (PosQubitError, ArithmeticError, ValueError)
 
 
 class TimeSeries:
-    """A run's samples as one C-ordered float table of shape (samples, 1 + k):
-    the times ``t``, then the k real ``columns``.  ``t`` and each column are
-    views of ``table``, named by ``names``."""
+    """A run's samples: the times ``t``, then the k real ``columns``, named by
+    ``names``.  ``table`` is their C-ordered float table of shape
+    (samples, 1 + k), formed on first read; from then on ``t`` and each
+    column are views of it, so the runner's arrays are released.  Only the
+    CSV formatter reads it, so a sweep point builds none."""
 
     def __init__(self, t, columns):
         self.names = ["t", *columns]
-        self.table = np.column_stack([t, *columns.values()])
-        self.t = self.table[:, 0]
-        self.columns = {name: self.table[:, i] for i, name in enumerate(self.names[1:], 1)}
+        self.t = t
+        self.columns = columns
+
+    @cached_property
+    def table(self):
+        table = np.column_stack([self.t, *self.columns.values()])
+        self.t = table[:, 0]
+        self.columns = {name: table[:, i] for i, name in enumerate(self.names[1:], 1)}
+        return table
 
 
 def _fail(path, message):
@@ -426,7 +434,7 @@ def _run_decoherence(time, qubitA, qubitB, coulomb_k, initial, paper_factorized,
     )
     # the pure state psi psi^dag stays pure: its 4 amplitudes carry every column
     ms.validate_density(ms.pure_density(initial), dim=4)
-    psi = dec._evolve(initial, h0, hdec, dt * steps, paper_factorized)
+    psi = dec._evolve(initial, h0, hdec, dt, steps, paper_factorized)
     pops = np.abs(psi) ** 2
     rho_01 = psi[:, 0] * psi[:, 1].conj()
     purity = pops.sum(axis=1) ** 2  # Tr rho^2 = (psi^dag psi)^2
@@ -468,7 +476,7 @@ def _run_spectral(time, basis, kernel, well_offset, initial_modes):
     q0 = _normalized(q0, path)
     basis = (sp.harmonic_basis if kind == "harmonic" else sp.box_basis)(**fields)
     w = sp.interaction_matrix_elements(basis, basis, sp.CoulombKernel(**kernel), well_offset)
-    series_q = sp.evolve_modes(q0, basis, basis, w, 0.0, dt * steps)
+    series_q = sp.evolve_modes(q0, basis, basis, w, dt, steps)
     pops = np.abs(series_q) ** 2
     cols = {f"p_mode_{n_idx}{m_idx}": pops[:, n_idx, m_idx] for n_idx in range(n_levels) for m_idx in range(n_levels)}
     cols["entropy"] = sp.entanglement_entropy(series_q)
@@ -510,10 +518,11 @@ def run_scenario(cfg):
     kind, time, params = _read_scenario(cfg)
     columns, summary = _RUNNERS[kind](time, **params)
     t0, dt, _, steps = time
-    series = TimeSeries(t0 + dt * steps, columns)
-    if not (np.isfinite(series.table).all() and all(np.all(np.isfinite(v)) for v in summary.values())):
+    # one flat copy: an isfinite per column costs more than the copy at 257 short columns
+    finite = np.isfinite(np.concatenate(list(columns.values()))).all()
+    if not (finite and all(np.isfinite(v).all() for v in summary.values())):
         raise FloatingPointError("non-finite values in scenario output")
-    return series, summary
+    return TimeSeries(t0 + dt * steps, columns), summary
 
 
 def format_csv(series, summary):

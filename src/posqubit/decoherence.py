@@ -28,7 +28,7 @@ import numpy as np
 
 from . import signals
 from .measurement import validate_density
-from .qcore import HBAR, build_hn, propagate, require_hermitian
+from .qcore import HBAR, build_hn, propagate, propagate_eigen, require_hermitian
 
 NODE_PAIRS = ("11", "22", "12", "21")
 # node index (0 or 1) of qubit A and of qubit B in each pair of NODE_PAIRS
@@ -170,17 +170,20 @@ def energy_to_position(op, basis):
     return m @ op @ m.conj().T
 
 
-def _evolve(y0, h0, hdec, spans, paper_factorized):
-    """Amplitudes at each of the 1-D ``spans`` under constant Hermitian
-    H0 + Hdec, with ``y0`` broadcast as in ``qcore.propagate``: exact, or
-    with ``paper_factorized`` the first-order split of H = H0 + Hdec, where
-    the diagonal phase D = e^{-i diag(H) t} acts first, as the per-sample
-    start d o y0, and then H - diag(H), which keeps H0's resonant entries."""
+def _evolve(y0, h0, hdec, dt, steps, paper_factorized):
+    """Amplitudes at the times ``dt * steps`` under constant Hermitian
+    H0 + Hdec, with ``y0`` broadcast and ``steps`` read as in
+    ``qcore.propagate``: exact, or with ``paper_factorized`` the first-order
+    split of H = H0 + Hdec, where the diagonal phase D = e^{-i diag(H) t}
+    acts first, as the per-sample start d o y0, and then H - diag(H), which
+    keeps H0's resonant entries.  D o y0 is y0 propagated under diag(H),
+    whose eigenvectors are the identity, on the same phase tables."""
     h = require_hermitian(h0) + require_hermitian(hdec)
     if not paper_factorized:
-        return propagate(h, y0, spans)
-    d = np.exp(-1j * np.multiply.outer(spans, np.real(np.diag(h))) / HBAR)
-    return propagate(h - np.diag(np.diag(h)), y0 * d, spans)
+        return propagate(h, y0, dt, steps)
+    diagonal = np.real(np.diag(h))
+    starts = propagate_eigen(diagonal, np.eye(len(diagonal)), y0, dt, steps)
+    return propagate(h - np.diag(np.diag(h)), starts, dt, steps)
 
 
 def evolve_density_with_decoherence(rho0, h0, hdec, t0, t, paper_factorized=False):
@@ -198,7 +201,7 @@ def evolve_density_with_decoherence(rho0, h0, hdec, t0, t, paper_factorized=Fals
     rho = validate_density(rho0, dim=4)
     spans = np.asarray(t, dtype=float) - t0
     # columns[j, s] = U(t_s) e_j, so U(t_s) is columns[:, s] transposed
-    columns = _evolve(np.eye(4)[:, None], h0, hdec, spans.reshape(-1), paper_factorized)
+    columns = _evolve(np.eye(4)[:, None], h0, hdec, 1.0, spans.reshape(-1), paper_factorized)
     u = np.moveaxis(columns, 0, -1)
     out = u @ rho
     np.conjugate(columns, out=columns)  # u is now U*, and its swapped axes U^dag

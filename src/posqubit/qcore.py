@@ -3,7 +3,8 @@
 Dense complex matrices of fixed small dimension (2x2, 4x4, ...) with a
 deterministic eigenvector phase convention, unitary propagation through
 exact exponentiation, and exact sampled propagation under a constant
-Hamiltonian, given as a matrix or as its eigendecomposition.  ``build_hn``
+Hamiltonian, given as a matrix or as its eigendecomposition, at the times
+dt * k of a sample grid, whose phases come from two short tables.  ``build_hn``
 assembles the Hamiltonian of N electrostatically coupled two-level
 bodies, one bit of the composite index per body, and
 ``body_populations`` reads every body's level populations off a stack of
@@ -101,31 +102,80 @@ def matexp_unitary(h, dt):
     return (vectors * phases) @ vectors.conj().T
 
 
-def propagate(h, y0, times):
-    """Exact evolution of states under a constant Hermitian ``h`` at every time in ``times``.
+def propagate(h, y0, dt, steps):
+    """Exact evolution of states under a constant Hermitian ``h`` at the times ``dt * steps``.
 
     ``h`` is checked and diagonalized once, h = V diag(E) V^dag (a real
     ``eigh`` when ``h`` is real floating, see ``require_hermitian``; states
     then take real products with V), and all samples V e^{-iEt} V^dag y0
     are formed in one broadcast.  Times count from the moment ``y0`` holds.
+    ``steps`` is a scalar or a 1-D array; its dtype picks how the phases
+    e^{-iEt} are formed (``_grid_phases``): integer steps from two short
+    tables, any other from one exponential per sample and level.
     ``y0`` broadcasts against (n_times, n): one state (n,) gives
     (n_times, n), one state per sample (n_times, n) the same, and a stack
     (k, 1, n) of k states gives (k, n_times, n), so the basis states
     ``np.eye(n)[:, None]`` give the columns of U(t).
     """
     h = require_hermitian(h)
-    return propagate_eigen(*np.linalg.eigh(h), y0, times)
+    return propagate_eigen(*np.linalg.eigh(h), y0, dt, steps)
 
 
-def propagate_eigen(energies, vectors, y0, times):
+def _grid_phases(energies, dt, steps):
+    """e^{-i E dt k / hbar} for every k in ``steps`` and every E, shape np.shape(steps) + (n,).
+
+    Steps of any dtype but integer take one exponential per sample and
+    level at the times dt * steps.  Integer steps are written, with
+    g = gcd(steps) and b = isqrt(k_max / g) + 1, as k = g (b q + r),
+    0 <= r < b, and their phases are the products of two tables: the
+    coarse e^{-iE dt g b q} and the fine e^{-iE dt g r}.  That takes about
+    2 sqrt(k_max / g) exponentials per level, each of a time rounded once
+    as in the direct form, and one complex product per sample and level,
+    so every phase is within a few eps (1 + |E| t) of the exponential.
+    When the k / g are 0, 1, 2, ..., as on a runner's sample grid, the
+    products are an outer product written in place, with no gathers.
+    Integer steps too sparse for the tables to be shorter than the samples
+    take the direct form.
+    """
+    steps = np.asarray(steps)
+    energies = np.asarray(energies)
+    if steps.dtype.kind in "iu" and steps.size:
+        m = steps.astype(np.int64).ravel()
+        g = int(np.gcd.reduce(m)) or 1  # all steps 0
+        m //= g
+        lo, hi = int(m.min()), int(m.max())
+        b = math.isqrt(hi - lo) + 1
+        q = np.arange(lo // b, hi // b + 1)
+        if b + q.size < m.size:
+            coarse = _phases(energies, dt * (g * b * q))
+            fine = _phases(energies, dt * (g * np.arange(b)))
+            if np.array_equal(m, np.arange(m.size)):
+                out = np.empty((m.size, energies.size), dtype=complex)
+                full, rest = divmod(m.size, b)
+                np.multiply(coarse[:full, None], fine, out=out[: full * b].reshape(full, b, -1))
+                if rest:
+                    np.multiply(coarse[full], fine[:rest], out=out[full * b :])
+            else:
+                quotient, r = np.divmod(m, b)
+                out = coarse[quotient - q[0]]
+                out *= fine[r]
+            return out.reshape(steps.shape + energies.shape)
+    return _phases(energies, dt * steps)
+
+
+def _phases(energies, times):
+    """e^{-i E t / hbar}, shape np.shape(times) + (n,): one exponential per time and level."""
+    return np.exp(-1j * np.multiply.outer(times, energies) / HBAR)
+
+
+def propagate_eigen(energies, vectors, y0, dt, steps):
     """``propagate`` from a given eigendecomposition h = V diag(E) V^dag.
 
     ``vectors`` holds orthonormal eigenvectors in columns, in the order of
     ``energies``, which need not ascend; real vectors take real products.
     The arguments and the result are those of ``propagate``.
     """
-    times = np.asarray(times, dtype=float)
-    phases = np.exp(-1j * np.multiply.outer(times, energies) / HBAR)
+    phases = _grid_phases(energies, dt, steps)
     y0 = np.asarray(y0, dtype=complex)
     vh = vectors.conj().T
     coeffs = phases * (y0 @ vh.T)

@@ -378,24 +378,24 @@ def _exchange_eigen(h, n):
     return np.concatenate([e_plus, e_minus]), vectors
 
 
-def evolve_modes(q0, basis_a, basis_b, w, t0, t):
-    """Exact evolution of the coupled mode equations from ``q0`` at ``t0``.
+def evolve_modes(q0, basis_a, basis_b, w, dt, steps):
+    """Exact evolution of the coupled mode equations from ``q0`` at the
+    times ``dt * steps``, counted from the moment ``q0`` holds.
 
     The composite Hamiltonian is constant, so it is diagonalized once and
-    every sample is exact (``qcore.propagate_eigen``).  When both wells
-    share one basis object and H keeps the well-exchange symmetry, H is
-    diagonalized as its two exchange-parity blocks (``_exchange_eigen``);
-    otherwise as one matrix (``qcore.propagate``).  ``t`` is a scalar or a
-    1-D array of sample times; the mode amplitudes have shape
-    ``np.shape(t) + (levels_A, levels_B)``.
+    every sample is exact (``qcore.propagate_eigen``, whose phase tables
+    integer ``steps`` take).  When both wells share one basis object and H
+    keeps the well-exchange symmetry, H is diagonalized as its two
+    exchange-parity blocks (``_exchange_eigen``); otherwise as one matrix
+    (``qcore.propagate``).  ``steps`` is a scalar or a 1-D array; the mode
+    amplitudes have shape ``np.shape(steps) + (levels_A, levels_B)``.
     """
     na, nb = basis_a.n_levels, basis_b.n_levels
-    spans = np.asarray(t, dtype=float) - t0
     h = composite_hamiltonian(basis_a, basis_b, w)
     y0 = np.asarray(q0, dtype=complex).reshape(na * nb)
     eigen = _exchange_eigen(require_hermitian(h), na) if basis_b is basis_a else None
-    series = propagate(h, y0, spans) if eigen is None else propagate_eigen(*eigen, y0, spans)
-    return series.reshape(spans.shape + (na, nb))
+    series = propagate(h, y0, dt, steps) if eigen is None else propagate_eigen(*eigen, y0, dt, steps)
+    return series.reshape(np.shape(steps) + (na, nb))
 
 
 def mode_energy(q, basis_a, basis_b, w):

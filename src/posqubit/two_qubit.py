@@ -256,12 +256,12 @@ def cnot_coupled_run(swap_params, control0, vs2, t2, target0, geom, t0, t, dt):
     Hamiltonians, chained by ``evolve_steps``.  Both norms are conserved to
     rounding.
     """
-    elapsed = dt * np.arange(int(round((t - t0) / dt)) + 1)
-    control = propagate(build_h4(swap_params), as_amplitudes(control0), elapsed)
+    steps = np.arange(int(round((t - t0) / dt)) + 1)
+    control = propagate(build_h4(swap_params), as_amplitudes(control0), dt, steps)
     occ = swap_occupancies(control)
     target = evolve_steps(
         lambda lo, hi: su2_step_operators(cnot_meanfield_h2(geom, occ[lo:hi], vs2, t2), dt),
-        len(elapsed) - 1,
+        len(steps) - 1,
         as_amplitudes(target0),
     )
-    return CnotRun(t=t0 + elapsed, control=control, target=target, occupancies=occ)
+    return CnotRun(t=t0 + dt * steps, control=control, target=target, occupancies=occ)

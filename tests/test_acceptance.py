@@ -255,7 +255,7 @@ def test_criterion_10_spectral_galerkin():
     basis1 = sp.harmonic_basis(1)
     w1 = sp.interaction_matrix_elements(basis1, basis1, kern)
     q0 = np.array([[1.0]], dtype=complex)
-    final = sp.evolve_modes(q0, basis1, basis1, w1, 0.0, 10.0)
+    final = sp.evolve_modes(q0, basis1, basis1, w1, 1.0, 10.0)
     h1 = sp.composite_hamiltonian(basis1, basis1, w1)
     exact = matexp_unitary(h1, 10.0) @ q0.reshape(1)
     single_dev = abs(final[0, 0] - exact[0])
@@ -266,7 +266,7 @@ def test_criterion_10_spectral_galerkin():
     w = sp.interaction_matrix_elements(basis, basis, kern)
     q0 = np.zeros((2, 2), dtype=complex)
     q0[0, 0] = 1.0
-    series = sp.evolve_modes(q0, basis, basis, w, 0.0, np.linspace(0.0, 10.0, 11))
+    series = sp.evolve_modes(q0, basis, basis, w, 1.0, np.linspace(0.0, 10.0, 11))
     norms = np.linalg.norm(series.reshape(series.shape[0], -1), axis=1)
     norm_drift = float(np.max(np.abs(norms - 1.0)))
     energies = np.array([sp.mode_energy(q, basis, basis, w) for q in series])
@@ -287,7 +287,7 @@ def test_criterion_11_entanglement_entropy():
     w = sp.interaction_matrix_elements(basis, basis, kern)
     q0 = np.zeros((2, 2), dtype=complex)
     q0[0, 1] = 1.0
-    final = sp.evolve_modes(q0, basis, basis, w, 0.0, 1.0)
+    final = sp.evolve_modes(q0, basis, basis, w, 1.0, 1.0)
     growth = sp.entanglement_entropy(final)
     balanced = np.diag([1.0, 1.0]).astype(complex) / np.sqrt(2.0)
     ln2_dev = abs(sp.entanglement_entropy(balanced) - np.log(2.0))

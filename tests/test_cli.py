@@ -2,6 +2,7 @@ import ast
 import copy
 import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -373,6 +374,58 @@ def test_decoherence_is_covariant_under_exchanging_the_qubits(paper_factorized, 
         assert np.max(np.abs(np.subtract(value, exchanged_summary[key]))) <= 1e-12, key
 
 
+@pytest.mark.parametrize("paper_factorized", [False, True])
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(cfg=_decoherence_configs())
+def test_uncoupled_decoherence_is_two_independent_qubits(paper_factorized, cfg):
+    """At coulomb_k = 0 the pair is two independent qubits: over all 2001
+    samples the energy populations keep their initial values and
+    rho_01 = psi_0 psi_1^* turns at E2B - E1B, qubit B's own gap, read off
+    its 2x2 Hamiltonian.  Every sample's phase comes from the tables of the
+    integer sample grid, so this pins them end to end."""
+    params = cfg["parameters"]
+    params.update(coulomb_k=0.0, paper_factorized=paper_factorized)
+    cfg["time"] = {"t_max": 20.0, "dt": 0.01}
+    series, _ = cli.run_scenario(cfg)
+    assert len(series.t) == 2001
+    psi0 = np.array([complex(re, im) for re, im in params["initial"]])
+    psi0 /= np.linalg.norm(psi0)
+    for j, name in enumerate(("p_E1A_E1B", "p_E1A_E2B", "p_E2A_E1B", "p_E2A_E2B")):
+        assert np.max(np.abs(series.columns[name] - abs(psi0[j]) ** 2)) <= 1e-12, name
+    e1b, e2b = np.linalg.eigvalsh(sq.build_h2(sq.QubitParams(**params["qubitB"]), 0.0))
+    rho_01 = psi0[0] * psi0[1].conj() * np.exp(1j * (e2b - e1b) * series.t / qcore.HBAR)
+    assert np.max(np.abs(series.columns["re_rho_01"] - rho_01.real)) <= 1e-12
+    assert np.max(np.abs(series.columns["im_rho_01"] - rho_01.imag)) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(cfg=_swap_configs(), coupling=st.floats(-2.0, 2.0), t_u=st.floats(0.05, 1.0))
+def test_swap_with_a_frozen_lower_pair_moves_u_as_a_single_qubit(cfg, coupling, t_u):
+    """With t_l = 0 and one coupling for all four node pairs, H4 is
+    (H_U + const) x I, H_U = [[vs, t_u], [t_u, vs]]: each lower node's slice
+    psi0[:, l] moves as a single-qubit run from it, weighted by its norm,
+    and 2 tau = 2 |det psi| stays at its start, as U's step is unitary."""
+    params = cfg["parameters"]
+    params.pop("geometry", None)
+    params.update(t_u=t_u, t_l=0.0, **dict.fromkeys(("ec11", "ec22", "ec12", "ec21"), coupling))
+    series, _ = cli.run_scenario(cfg)
+    psi0 = np.array([complex(re, im) for re, im in params["initial"]]).reshape(2, 2)
+    psi0 /= np.linalg.norm(psi0)
+    for lower in (0, 1):
+        weight = np.sum(np.abs(psi0[:, lower]) ** 2)
+        if weight < 1e-6:
+            continue
+        single = base_single_qubit(time=cfg["time"])
+        single["parameters"].update(ep1=params["vs"], ep2=params["vs"], ts_mag=t_u)
+        single["parameters"]["initial"] = [[a.real, a.imag] for a in psi0[:, lower]]
+        qubit, _ = cli.run_scenario(single)
+        np.testing.assert_array_equal(qubit.t, series.t)
+        assert np.max(np.abs(series.columns[f"p_{lower}"] - weight * qubit.columns["p_x1"])) <= 1e-12
+        assert np.max(np.abs(series.columns[f"p_{2 + lower}"] - weight * qubit.columns["p_x2"])) <= 1e-12
+    tau = 2 * abs(np.linalg.det(psi0))
+    assert np.max(np.abs(series.columns["entanglement_2tau"] - tau)) <= 1e-12
+
+
 def _spectral_relabelled(cfg, grid_reflected):
     """``cfg`` with its wells exchanged, q0 -> q0^T, and either its
     coordinates reflected too, q0 -> (-1)^(n+m) q0^T, or its well_offset negated."""
@@ -705,6 +758,35 @@ def test_format_csv_sets_off_no_garbage_collection():
     assert text.count("\n") == 3 + 2001 and collections == []
 
 
+def test_run_scenario_builds_no_table_and_checks_every_value(monkeypatch):
+    """A run that is never formatted, such as a sweep point, builds no
+    table; the first read forms it, C-ordered, with t and every column as
+    views of it.  A non-finite value in any column or in the summary still
+    fails the run."""
+    series, summary = cli.run_scenario(decoherence_cfg())
+    assert "table" not in vars(series)
+    t, columns = series.t.copy(), {name: column.copy() for name, column in series.columns.items()}
+    table = series.table
+    assert table.flags.c_contiguous and table.shape == (len(t), 1 + len(columns))
+    assert np.shares_memory(series.t, table) and np.array_equal(series.t, t)
+    for name, column in columns.items():
+        assert np.shares_memory(series.columns[name], table) and np.array_equal(series.columns[name], column)
+    runner = cli._RUNNERS["decoherence"]
+    for where in [*columns, *summary]:
+
+        def poisoned(*args, where=where, **kwargs):
+            cols, summ = runner(*args, **kwargs)
+            if where in cols:
+                cols[where] = np.where(np.arange(len(t)) == len(t) // 2, np.inf, cols[where])
+            else:
+                summ[where] = np.full(np.shape(summ[where]), np.nan).tolist()
+            return cols, summ
+
+        monkeypatch.setitem(cli._RUNNERS, "decoherence", poisoned)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            cli.run_scenario(decoherence_cfg())
+
+
 def test_format_csv_memory_is_bounded_by_its_blocks():
     """The galerkin stepping point's shape, 201 samples of t plus 256 mode
     populations, most of them tiny: 1.12 MiB of text.  Formatted in blocks
@@ -746,13 +828,42 @@ def test_decoherence_run_diagonalizes_once(monkeypatch):
         assert len(series.t) == 2001 and calls == ["hdec", (4, 4)]
 
 
+@pytest.mark.parametrize("paper_factorized", [False, True])
+def test_decoherence_point_exponentials_grow_as_the_root_of_its_samples(monkeypatch, paper_factorized):
+    """The runner passes its integer sample grid, so the phases of 4 levels
+    take 4 x (b + k_max / b) exponentials, b about sqrt(k_max), once per
+    propagation (twice with the split): 362 values at 2001 samples and 718
+    at 8001 (722 and 1434 split), where one per sample and level takes
+    8004 and 32004."""
+    exp = np.exp
+    values = []
+
+    def counting(x, *args, **kwargs):
+        values.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    cfg = replaced(complete_cfg("decoherence"), "parameters.paper_factorized", paper_factorized)
+    counts = []
+    for t_max in (20.0, 80.0):
+        cfg["time"] = {"t_max": t_max, "dt": 0.01}
+        values.clear()
+        series, _ = cli.run_scenario(cfg)
+        counts.append((len(series.t), sum(values)))
+    (small, at_small), (large, at_large) = counts
+    assert (small, large) == (2001, 8001)
+    propagations = 2 if paper_factorized else 1
+    assert at_small <= propagations * 4 * 2 * (math.isqrt(2000) + 1) + 2
+    assert at_large <= 2.05 * at_small
+
+
 def test_decoherence_run_propagates_amplitudes_not_densities(monkeypatch):
     propagate = qcore.propagate
     calls = []
 
-    def recording(h, y0, times):
+    def recording(h, y0, dt, steps):
         calls.append(np.shape(y0))
-        return propagate(h, y0, times)
+        return propagate(h, y0, dt, steps)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a decoherence point took the density path")

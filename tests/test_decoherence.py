@@ -409,7 +409,7 @@ def test_state_path_matches_density_path(paper_factorized):
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi0 = amps / np.linalg.norm(amps)
         rho0 = ms.pure_density(psi0)
-        psi = dec._evolve(psi0, h0, hdec, spans, paper_factorized)
+        psi = dec._evolve(psi0, h0, hdec, 1.0, spans, paper_factorized)
         assert psi.shape == (61, 4)
         states = psi[:, :, None] * psi[:, None, :].conj()
         density = dec.evolve_density_with_decoherence(rho0, h0, hdec, 0.0, spans, paper_factorized=paper_factorized)
@@ -430,7 +430,7 @@ def test_state_path_checks_both_hamiltonians():
     for paper_factorized in (False, True):
         for bad in ((h0, skewed), (skewed, hdec), (infinite, hdec)):
             with pytest.raises(NonHermitianError):
-                dec._evolve(psi0, *bad, np.array([0.0, 1.0]), paper_factorized)
+                dec._evolve(psi0, *bad, 1.0, np.array([0.0, 1.0]), paper_factorized)
 
 
 def _mixed_density(gen):

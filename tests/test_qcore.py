@@ -334,7 +334,7 @@ def test_propagate_matches_expm_at_every_sample():
         psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi0 /= np.linalg.norm(psi0)
         rho0 = np.outer(psi0, psi0.conj())
-        states = propagate(h, psi0, times)
+        states = propagate(h, psi0, 1.0, times)
         # a density evolves as U rho0 U^dag from the propagated basis states
         densities = dec.evolve_density_with_decoherence(rho0, h, 0 * h, 0.0, times)
         assert states.shape == (5, 4) and densities.shape == (5, 4, 4)
@@ -344,15 +344,15 @@ def test_propagate_matches_expm_at_every_sample():
             assert np.max(np.abs(rho - u @ rho0 @ u.conj().T)) <= 1e-12
     # a real matrix takes the real eigh; the complex copy of it, the complex one
     psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
-    real_states = propagate(real_symmetric, psi0, times)
-    assert np.max(np.abs(real_states - propagate(real_symmetric.astype(complex), psi0, times))) <= 1e-12
+    real_states = propagate(real_symmetric, psi0, 1.0, times)
+    assert np.max(np.abs(real_states - propagate(real_symmetric.astype(complex), psi0, 1.0, times))) <= 1e-12
     # and with one initial state per sample
     local = np.random.default_rng(5)  # leaves the module's generator to the other tests
     psi0s = local.normal(size=(5, 4)) + 1j * local.normal(size=(5, 4))
-    for t, psi, start in zip(times, propagate(real_symmetric, psi0s, times), psi0s):
+    for t, psi, start in zip(times, propagate(real_symmetric, psi0s, 1.0, times), psi0s):
         assert np.max(np.abs(psi - sla.expm(-1j * real_symmetric * t / HBAR) @ start)) <= 1e-12
     with pytest.raises(NonHermitianError):
-        propagate(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2), times)
+        propagate(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2), 1.0, times)
 
 
 def _former_propagate(h, y0, times):
@@ -384,7 +384,7 @@ def test_propagate_matches_its_former_body_bit_for_bit(n):
         h = 0.5 * (m + m.conj().T) if trial % 2 else 0.5 * (m.real + m.real.T)
         psi = local.normal(size=(len(times), n)) + 1j * local.normal(size=(len(times), n))
         for y0, ts in [(psi[0], times), (psi, times), (psi[0].real, times[3]), (psi[0].tolist(), times[:1])]:
-            got = propagate(h, y0, ts)
+            got = propagate(h, y0, 1.0, ts)
             ref = _former_propagate(h, y0, ts)
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
@@ -399,10 +399,80 @@ def test_a_stack_of_starts_equals_separate_propagate_calls_byte_for_byte(n, real
     h = 0.5 * (m.real + m.real.T) if real else 0.5 * (m + m.conj().T)
     starts = local.normal(size=(3, n)) + 1j * local.normal(size=(3, n))
     for stack in (starts, np.eye(n)):
-        out = propagate(h, stack[:, None], times)
+        out = propagate(h, stack[:, None], 1.0, times)
         assert out.shape == (len(stack), len(times), n) and out.dtype == complex
         for got, start in zip(out, stack):
-            assert got.tobytes() == propagate(h, start, times).tobytes()
+            assert got.tobytes() == propagate(h, start, 1.0, times).tobytes()
+
+
+def _step_grids():
+    """Integer sample grids: contiguous and a stride with gcd > 1 (the
+    tables' outer product), a last step off the stride and unsorted,
+    negative steps (both gathered), a single sample (too few for tables)
+    and k_max at MAX_STEPS."""
+    from posqubit.cli import MAX_STEPS
+
+    return {
+        "contiguous": np.arange(2001),
+        "gcd 10": np.arange(0, 2001, 10),
+        "off the stride": np.append(np.arange(0, 2000, 3), 2000),
+        "unsorted, negative": np.random.default_rng(140).permutation(np.arange(-600, 1400))[:900],
+        "single": np.array([0]),
+        "MAX_STEPS, gcd 8": np.arange(0, MAX_STEPS + 1, 8),
+        "MAX_STEPS off the stride": np.append(np.arange(0, MAX_STEPS, 7), MAX_STEPS),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 48])
+@pytest.mark.parametrize("real", [False, True])
+def test_integer_steps_match_the_former_body_and_expm(n, real):
+    """Integer steps take the phase tables of ``_grid_phases``; the former
+    body at the float times dt * steps is their oracle, elementwise within
+    4 eps (1 + max|E| t_max), and so are the phases themselves against one
+    exponential per sample.  expm checks the first samples of each grid."""
+    import scipy.linalg as sla
+
+    local = np.random.default_rng(130 + n)  # leaves the module's generator to the other tests
+    m = local.normal(size=(n, n)) + 1j * local.normal(size=(n, n))
+    h = 0.5 * (m.real + m.real.T) if real else 0.5 * (m + m.conj().T)
+    energies = np.linalg.eigvalsh(h)
+    y0 = local.normal(size=n) + 1j * local.normal(size=n)
+    y0 /= np.linalg.norm(y0)
+    eps = np.finfo(float).eps
+    for name, steps in _step_grids().items():
+        for dt in (0.01, 0.37):
+            times = dt * steps
+            bound = 4 * eps * (1 + np.max(np.abs(energies)) * np.max(np.abs(times)))
+            phases = qcore._grid_phases(energies, dt, steps)
+            assert phases.shape == (steps.size, n)
+            assert np.max(np.abs(phases - np.exp(-1j * np.multiply.outer(times, energies) / HBAR))) <= bound, name
+            got = propagate(h, y0, dt, steps)
+            assert got.shape == (steps.size, n) and got.dtype == complex
+            assert np.max(np.abs(got - _former_propagate(h, y0, times))) <= bound, name
+            for t, psi in list(zip(times, got))[:3]:
+                assert np.max(np.abs(psi - sla.expm(-1j * h * t / HBAR) @ y0)) <= 1e-12 * (1 + abs(t)), name
+
+
+def test_integer_steps_form_square_root_many_exponentials(monkeypatch):
+    """The tables take b + k_max / (g b) exponentials per level, b about
+    sqrt(k_max / g): 90 rows for 2001 contiguous samples, not 2001."""
+    exp = np.exp
+    rows = []
+
+    def counting(x, *args, **kwargs):
+        rows.append(np.shape(x)[0] if np.ndim(x) else 1)
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    energies = np.array([-1.5, 0.2, 0.9])
+    for steps, expected in ((np.arange(2001), 45 + 45), (np.arange(0, 8001, 4), 45 + 45), (np.arange(8001), 90 + 89)):
+        rows.clear()
+        phases = qcore._grid_phases(energies, 0.01, steps)
+        assert phases.shape == (steps.size, 3) and sum(rows) == expected
+    # too sparse for the tables: one exponential per sample
+    rows.clear()
+    qcore._grid_phases(energies, 0.01, np.array([0, 1, 10**9]))
+    assert rows == [3]
 
 
 def _density_by_broadcast(h, rho0, times):

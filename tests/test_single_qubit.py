@@ -363,5 +363,5 @@ def test_analytic_c1c2_is_the_hadamard_gate_at_a_quarter_period():
             c1, c2 = sq.analytic_c1c2(*c0, ep, ts, 0.0, 0.0, 0.0, t)
             assert abs(abs(c1) ** 2 - 0.5) < 1e-15 and abs(abs(c2) ** 2 - 0.5) < 1e-15
             h = sq.build_h2(sq.QubitParams(ep1=ep, ep2=ep, ts_mag=ts), 0.0)
-            exact = propagate(h, np.array(c0, dtype=complex), [t])[0]
+            exact = propagate(h, np.array(c0, dtype=complex), 1.0, [t])[0]
             assert np.max(np.abs(exact - [c1, c2])) < 1e-14

@@ -452,7 +452,7 @@ def test_evolve_modes_matches_matrix_exponential():
     h = sp.composite_hamiltonian(basis, basis, w)
     q0 = np.zeros((2, 2), dtype=complex)
     q0[0, 0] = 1.0
-    series = sp.evolve_modes(q0, basis, basis, w, 0.0, np.linspace(0.0, 2.0, 21))
+    series = sp.evolve_modes(q0, basis, basis, w, 1.0, np.linspace(0.0, 2.0, 21))
     final = series[-1].reshape(-1)
     exact = matexp_unitary(h, 2.0) @ q0.reshape(-1)
     assert np.max(np.abs(final - exact)) < 1e-9
@@ -465,7 +465,7 @@ def test_mode_energy_conserved():
     kern = sp.CoulombKernel(e2=1.0, d_reg=0.1)
     w = sp.interaction_matrix_elements(basis, basis, kern)
     q0 = np.array([[0.8, 0.0], [0.0, 0.6]], dtype=complex)
-    series = sp.evolve_modes(q0, basis, basis, w, 0.0, np.linspace(0.0, 3.0, 11))
+    series = sp.evolve_modes(q0, basis, basis, w, 1.0, np.linspace(0.0, 3.0, 11))
     energies = [sp.mode_energy(q, basis, basis, w) for q in series]
     assert np.max(np.abs(np.array(energies) - energies[0])) < 1e-10
 
@@ -476,7 +476,7 @@ def test_mode_energy_of_a_stack_matches_each_state_from_one_h(monkeypatch):
     basis = sp.harmonic_basis(3)
     w = sp.interaction_matrix_elements(basis, basis, sp.CoulombKernel(e2=1.0, d_reg=0.1), 1.5)
     q0 = _random_modes(3, np.random.default_rng(3301))
-    series = sp.evolve_modes(q0, basis, basis, w, 0.0, np.linspace(0.0, 3.0, 12))
+    series = sp.evolve_modes(q0, basis, basis, w, 1.0, np.linspace(0.0, 3.0, 12))
     single = [sp.mode_energy(q, basis, basis, w) for q in series]
     assert all(type(e) is float for e in single)
     build = sp.composite_hamiltonian
@@ -539,7 +539,7 @@ def test_interaction_drives_entanglement():
     w = sp.interaction_matrix_elements(basis, basis, kern)
     q0 = np.zeros((2, 2), dtype=complex)
     q0[0, 1] = 1.0
-    final = sp.evolve_modes(q0, basis, basis, w, 0.0, 1.0)
+    final = sp.evolve_modes(q0, basis, basis, w, 1.0, 1.0)
     assert sp.entanglement_entropy(final) > 1e-6
 
 
@@ -573,7 +573,7 @@ def _former_evolve_modes(q0, basis_a, basis_b, w, t0, t):
     na, nb = basis_a.n_levels, basis_b.n_levels
     spans = np.asarray(t, dtype=float) - t0
     h = sp.composite_hamiltonian(basis_a, basis_b, w)
-    series = propagate(h, np.asarray(q0, dtype=complex).reshape(na * nb), spans)
+    series = propagate(h, np.asarray(q0, dtype=complex).reshape(na * nb), 1.0, spans)
     return series.reshape(spans.shape + (na, nb))
 
 
@@ -610,12 +610,12 @@ def test_exchange_blocks_match_the_single_eigh_and_expm(kind, n_levels):
         assert np.max(np.abs(vectors.T @ vectors - np.eye(k))) <= 1e-14
         assert _rel_dev((vectors * energies) @ vectors.T, h) <= 1e-13
         q0 = _random_modes(n_levels, gen)
-        got = sp.evolve_modes(q0, basis, basis, w, 0.7, 0.7 + times)
+        got = sp.evolve_modes(q0, basis, basis, w, 1.0, times)
         assert got.shape == (times.size, n_levels, n_levels)
         assert np.max(np.abs(got - _former_evolve_modes(q0, basis, basis, w, 0.7, 0.7 + times))) <= 1e-12
         for t, q in zip(times, got):
             assert np.max(np.abs(q.reshape(k) - expm(-1j * h * t) @ q0.reshape(k))) <= 1e-12
-        single = sp.evolve_modes(q0, basis, basis, w, 0.7, 2.0)
+        single = sp.evolve_modes(q0, basis, basis, w, 1.0, 1.3)
         assert single.shape == (n_levels, n_levels)
         assert np.max(np.abs(single - _former_evolve_modes(q0, basis, basis, w, 0.7, 2.0))) <= 1e-12
 
@@ -634,7 +634,7 @@ def test_broken_exchange_symmetry_falls_back_to_one_eigh_byte_for_byte():
         h = sp.composite_hamiltonian(basis_a, basis_b, w)
         assert (sp._exchange_eigen(h, 6) is not None) == symmetric
         q0 = _random_modes(6, gen)
-        got = sp.evolve_modes(q0, basis_a, basis_b, w, 0.0, times)
+        got = sp.evolve_modes(q0, basis_a, basis_b, w, 1.0, times)
         ref = _former_evolve_modes(q0, basis_a, basis_b, w, 0.0, times)
         assert _same_bytes(got, ref)
     defect = np.linalg.norm(_exchange(6) @ h @ _exchange(6) - h) / np.linalg.norm(h)

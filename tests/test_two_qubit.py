@@ -507,7 +507,7 @@ def test_cnot_meanfield_matches_the_exact_three_body_run_with_the_control_frozen
         for node_state in range(4):
             control0 = np.eye(4, dtype=complex)[node_state]
             run = tq.cnot_coupled_run(p, control0, vs2, t2, target0, g, 0.0, n_steps * dt, dt)
-            exact = propagate(h8, np.kron(control0, target0), run.t).reshape(-1, 4, 2)
+            exact = propagate(h8, np.kron(control0, target0), 1.0, run.t).reshape(-1, 4, 2)
             # the target's density matrix: populations and coherence
             rho_exact = np.einsum("nci,ncj->nij", exact, exact.conj())
             rho_mf = run.target[:, :, None] * run.target[:, None, :].conj()

@@ -110,8 +110,9 @@ def propagate(h, y0, dt, steps):
     then take real products with V), and all samples V e^{-iEt} V^dag y0
     are formed in one broadcast.  Times count from the moment ``y0`` holds.
     ``steps`` is a scalar or a 1-D array; its dtype picks how the phases
-    e^{-iEt} are formed (``_grid_phases``): integer steps from two short
-    tables, any other from one exponential per sample and level.
+    e^{-iEt} are formed (``_grid_phases``): integer steps 0, g, 2g, ...
+    from two short tables, any other from one exponential per sample and
+    level.
     ``y0`` broadcasts against (n_times, n): one state (n,) gives
     (n_times, n), one state per sample (n_times, n) the same, and a stack
     (k, 1, n) of k states gives (k, n_times, n), so the basis states
@@ -124,41 +125,33 @@ def propagate(h, y0, dt, steps):
 def _grid_phases(energies, dt, steps):
     """e^{-i E dt k / hbar} for every k in ``steps`` and every E, shape np.shape(steps) + (n,).
 
-    Steps of any dtype but integer take one exponential per sample and
-    level at the times dt * steps.  Integer steps are written, with
-    g = gcd(steps) and b = isqrt(k_max / g) + 1, as k = g (b q + r),
-    0 <= r < b, and their phases are the products of two tables: the
-    coarse e^{-iE dt g b q} and the fine e^{-iE dt g r}.  That takes about
-    2 sqrt(k_max / g) exponentials per level, each of a time rounded once
-    as in the direct form, and one complex product per sample and level,
-    so every phase is within a few eps (1 + |E| t) of the exponential.
-    When the k / g are 0, 1, 2, ..., as on a runner's sample grid, the
-    products are an outer product written in place, with no gathers.
-    Integer steps too sparse for the tables to be shorter than the samples
-    take the direct form.
+    Integer steps that are a runner's sample grid, k = g j for
+    j = 0, 1, 2, ..., are written, with b = isqrt(j_max) + 1, as
+    j = b q + r, 0 <= r < b, and their phases are the products of two
+    tables: the coarse e^{-iE dt g b q} and the fine e^{-iE dt g r}.  That
+    takes about 2 sqrt(j_max) exponentials per level, each of a time
+    rounded once as in the direct form, and one complex product per sample
+    and level, written in place as an outer product, so every phase is
+    within a few eps (1 + |E| t) of the exponential.  Steps of any other
+    dtype or layout, and grids too short for the tables to save
+    exponentials, take one exponential per sample and level at the times
+    dt * steps.
     """
     steps = np.asarray(steps)
     energies = np.asarray(energies)
     if steps.dtype.kind in "iu" and steps.size:
         m = steps.astype(np.int64).ravel()
         g = int(np.gcd.reduce(m)) or 1  # all steps 0
-        m //= g
-        lo, hi = int(m.min()), int(m.max())
-        b = math.isqrt(hi - lo) + 1
-        q = np.arange(lo // b, hi // b + 1)
-        if b + q.size < m.size:
+        b = math.isqrt(m.size - 1) + 1
+        q = np.arange((m.size - 1) // b + 1)
+        if b + q.size < m.size and np.array_equal(m, g * np.arange(m.size)):
             coarse = _phases(energies, dt * (g * b * q))
             fine = _phases(energies, dt * (g * np.arange(b)))
-            if np.array_equal(m, np.arange(m.size)):
-                out = np.empty((m.size, energies.size), dtype=complex)
-                full, rest = divmod(m.size, b)
-                np.multiply(coarse[:full, None], fine, out=out[: full * b].reshape(full, b, -1))
-                if rest:
-                    np.multiply(coarse[full], fine[:rest], out=out[full * b :])
-            else:
-                quotient, r = np.divmod(m, b)
-                out = coarse[quotient - q[0]]
-                out *= fine[r]
+            out = np.empty((m.size, energies.size), dtype=complex)
+            full, rest = divmod(m.size, b)
+            np.multiply(coarse[:full, None], fine, out=out[: full * b].reshape(full, b, -1))
+            if rest:
+                np.multiply(coarse[full], fine[:rest], out=out[full * b :])
             return out.reshape(steps.shape + energies.shape)
     return _phases(energies, dt * steps)
 

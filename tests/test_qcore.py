@@ -408,8 +408,8 @@ def test_a_stack_of_starts_equals_separate_propagate_calls_byte_for_byte(n, real
 def _step_grids():
     """Integer sample grids: contiguous and a stride with gcd > 1 (the
     tables' outer product), a last step off the stride and unsorted,
-    negative steps (both gathered), a single sample (too few for tables)
-    and k_max at MAX_STEPS."""
+    negative steps (both the direct form), a single sample (too few for
+    tables) and k_max at MAX_STEPS."""
     from posqubit.cli import MAX_STEPS
 
     return {
@@ -469,10 +469,11 @@ def test_integer_steps_form_square_root_many_exponentials(monkeypatch):
         rows.clear()
         phases = qcore._grid_phases(energies, 0.01, steps)
         assert phases.shape == (steps.size, 3) and sum(rows) == expected
-    # too sparse for the tables: one exponential per sample
-    rows.clear()
-    qcore._grid_phases(energies, 0.01, np.array([0, 1, 10**9]))
-    assert rows == [3]
+    # not 0, g, 2g, ...: one exponential per sample
+    for steps in (np.array([0, 1, 10**9]), np.append(np.arange(0, 2000, 10), 2001), np.arange(1, 2001)):
+        rows.clear()
+        qcore._grid_phases(energies, 0.01, steps)
+        assert rows == [steps.size]
 
 
 def _density_by_broadcast(h, rho0, times):

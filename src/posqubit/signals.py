@@ -3,14 +3,17 @@
 A signal is a plain callable t -> value.  The factories' signals also
 take an array of times and return an array of the same shape, so a
 whole time grid is evaluated in one call; a scalar time still gives a
-scalar.  ``as_signal`` promotes bare numbers so APIs accept either.
-``integrate`` takes definite integrals by adaptive Gauss-Kronrod 7/15
-quadrature, calling the signal at scalar times only: 15 calls for a
-smooth interval, which one panel resolves.
+scalar: a Python float from a real table, and from a sinusoid of real
+parameters at a float time, as scalar arithmetic on Python floats costs
+about half what it costs on NumPy scalars.  ``as_signal`` promotes bare
+numbers so APIs accept either.  ``integrate`` takes definite integrals
+by adaptive Gauss-Kronrod 7/15 quadrature, calling the signal at scalar
+times only: 15 calls for a smooth interval, which one panel resolves.
 """
 
 import math
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -19,6 +22,7 @@ from .errors import QuadratureNotConvergedError, SignalDomainError
 _EPS = np.finfo(float).eps
 MAX_SPLITS = 30_000  # panel splits per integral, about a second of work
 INTEGRATE_TOL = 1e-10  # absolute error goal of ``integrate``
+_FLOAT64 = (float, np.float64)  # scalar times whose products with a real are float64
 
 
 def constant(value):
@@ -31,9 +35,21 @@ def constant(value):
 
 
 def sinusoid(amplitude, omega, phase=0.0, offset=0.0):
-    """offset + amplitude * sin(omega * t + phase)."""
+    """offset + amplitude * sin(omega * t + phase).
+
+    With real parameters (ints and floats, NumPy float64 included), a
+    float time (Python or NumPy float64) takes ``math.sin`` and gives a
+    Python float of the same value as ``np.sin``; any other parameter or
+    time, and an infinite argument, takes ``np.sin`` as an array does.
+    """
+    real = all(isinstance(p, (int, float)) for p in (amplitude, omega, phase, offset))
 
     def sig(t):
+        if real and t.__class__ in _FLOAT64:
+            try:
+                return offset + amplitude * math.sin(omega * t + phase)
+            except ValueError:  # sin of an infinity: np.sin warns and reads NaN
+                pass
         return offset + amplitude * np.sin(omega * t + phase)
 
     return sig
@@ -114,13 +130,15 @@ _WEIGHTS = _WK + _WK[-2::-1]
 
 def _gk15(f, a, b):
     """Kronrod 15-point estimate of the integral of ``f`` over [a, b], its
-    distance |K15 - G7| from the embedded Gauss 7-point estimate, and
-    max |f| over the 15 nodes.  ``f`` is called at scalar times only."""
+    distance |K15 - G7| from the embedded Gauss 7-point estimate, and the
+    15 node values.  ``f`` is called at scalar times only."""
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     v = [f(c + h * x) for x in _NODES]
-    kronrod = sum(map(mul, _WEIGHTS, v))
+    # left to right, not by sum(), which from Python 3.12 compensates Python
+    # floats but not NumPy scalars: so the bits depend on neither
+    kronrod = reduce(add, map(mul, _WEIGHTS, v), 0.0)
     gauss = _WG[0] * (v[1] + v[13]) + _WG[1] * (v[3] + v[11]) + _WG[2] * (v[5] + v[9]) + _WG[3] * v[7]
-    return h * kronrod, abs(h * (kronrod - gauss)), max(map(abs, v))
+    return h * kronrod, abs(h * (kronrod - gauss)), v
 
 
 def _adaptive(f, a, b, whole, err, tol, depth, budget):
@@ -147,9 +165,10 @@ def integrate(signal, t0, t1):
     estimate |K15 - G7| meets the goal; otherwise it is bisected, each half
     with half the goal, down to 40 levels.  The goal is INTEGRATE_TOL,
     absolute, raised to the rounding floor of a large integrand,
-    64 eps (t1 - t0) max|f| over the first panel's nodes.  A NaN error
-    estimate ends a panel's splitting and makes the result NaN; more than
-    MAX_SPLITS splits, as for an integrand the panels cannot resolve,
+    64 eps (t1 - t0) max|f| over the first panel's nodes, formed only when
+    the first panel misses INTEGRATE_TOL, as no goal lies below it.  A NaN
+    error estimate ends a panel's splitting and makes the result NaN; more
+    than MAX_SPLITS splits, as for an integrand the panels cannot resolve,
     raise QuadratureNotConvergedError.  The signal is called at scalar
     times only.
     """
@@ -161,6 +180,8 @@ def integrate(signal, t0, t1):
         t0, t1 = t1, t0
         sign = -1.0
     a, b = float(t0), float(t1)  # node arithmetic in Python floats costs less than in NumPy scalars
-    whole, err, f_max = _gk15(signal, a, b)
-    tol = max(INTEGRATE_TOL, 64.0 * _EPS * (b - a) * f_max)
+    whole, err, v = _gk15(signal, a, b)
+    if err <= INTEGRATE_TOL:  # False for a NaN estimate, which _adaptive returns
+        return sign * whole
+    tol = max(INTEGRATE_TOL, 64.0 * _EPS * (b - a) * max(map(abs, v)))
     return sign * _adaptive(signal, a, b, whole, err, tol, 40, [MAX_SPLITS])

@@ -172,9 +172,9 @@ def rabi_evolution_matrix(e1, e2, e12, t0, t):
     operator exactly.  An array of increasing times gives one matrix per
     time, shape (n, 2, 2): the integrals are taken once per interval
     between consecutive times and summed, so the cost is linear in the
-    number of times.
+    number of times.  The interval edges are walked as Python floats.
     """
-    edges = np.concatenate([[t0], np.ravel(t)])
+    edges = np.concatenate([[t0], np.ravel(t)]).tolist()
     parts = [[signals.integrate(f, a, b) for f in (e1, e2, e12)] for a, b in zip(edges[:-1], edges[1:])]
     i1, i2, i12 = np.cumsum(np.reshape(parts, (-1, 3)), axis=0).T
     u = su2_step_operators(stack2x2(i1.real, i12, np.conj(i12), i2.real), 1.0)
@@ -292,19 +292,3 @@ def greens_response(ep, ts_mag, f1, t0, t, *, u1_0=1.0, u2_0=1.0):
     u1, u2 = u1u2_evolve(ep, ts_mag, f1, u1_0, u2_0, t0, t)
     return u1 * np.conj(u2)
 
-
-def greens_operator_residual(ep, ts_mag, f1, t0, t, fd_step=1e-3):
-    """Finite-difference check of the propagator's governing relation.
-
-    Applies O = i hbar d/dt - Ep - f1(t) to G by the fourth-order central
-    difference (-g(t+2h) + 8g(t+h) - 8g(t-h) + g(t-2h)) / 12h and compares
-    against the closed-form action (2|ts| - Ep - f1(t)) G that follows from
-    the two branch solutions; returns the absolute residual, near rounding
-    (about 1e-12) at the default h = 1e-3.
-    """
-    f1 = signals.as_signal(f1)
-    g_m2, g_m1, g_0, g_p1, g_p2 = (greens_response(ep, ts_mag, f1, t0, t + k * fd_step) for k in (-2, -1, 0, 1, 2))
-    dg = (8.0 * (g_p1 - g_m1) - (g_p2 - g_m2)) / (12.0 * fd_step)
-    applied = 1j * HBAR * dg - (ep + f1(t)) * g_0
-    expected = (2.0 * ts_mag - ep - f1(t)) * g_0
-    return abs(applied - expected)

@@ -377,7 +377,7 @@ def _run_swap(time, initial, **coupled):
     h4 = tq.build_h4(params)
     amps = np.empty((steps.size, 4), dtype=complex)
     ent = np.empty(steps.size)
-    for i, span in enumerate(dt * steps):
+    for i, span in enumerate((dt * steps).tolist()):
         psi = tq.evolve4(h4, psi0, 0.0, span) if span > 0 else psi0
         amps[i] = psi.amps
         ent[i] = tq.is_factorizable(psi)[1]

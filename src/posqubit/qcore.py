@@ -73,7 +73,12 @@ def fix_phase(vec):
     top = max(mags) - 1e-15
     # no magnitude compares above a NaN or an infinite top, so both take
     # index 0; Python's max skips a NaN that is not first, hence the sum
-    idx = 0 if math.isnan(sum(mags)) else next((i for i, m in enumerate(mags) if m > top), 0)
+    idx = 0
+    if not math.isnan(sum(mags)):
+        for i, m in enumerate(mags):
+            if m > top:
+                idx = i
+                break
     pivot = vec[idx]
     size = abs(pivot)
     if size == 0.0:
@@ -92,7 +97,10 @@ def eig_hermitian(h):
     h = require_hermitian(h)
     energies, vectors = np.linalg.eigh(h)
     # C order: a BLAS product downstream may round differently on the transposed layout
-    return energies, np.array([fix_phase(column) for column in vectors.T]).T.copy()
+    fixed = np.empty(vectors.shape, dtype=complex)
+    for j in range(vectors.shape[1]):
+        fixed[:, j] = fix_phase(vectors[:, j])
+    return energies, fixed
 
 
 def matexp_unitary(h, dt):
@@ -141,7 +149,7 @@ def _grid_phases(energies, dt, steps):
     energies = np.asarray(energies)
     if steps.dtype.kind in "iu" and steps.size:
         m = steps.astype(np.int64).ravel()
-        g = int(np.gcd.reduce(m)) or 1  # all steps 0
+        g = max(int(m[1]), 1) if m.size > 1 else 1  # the spacing, if m is a grid 0, g, 2g, ...
         b = math.isqrt(m.size - 1) + 1
         q = np.arange((m.size - 1) // b + 1)
         if b + q.size < m.size and np.array_equal(m, g * np.arange(m.size)):

@@ -25,6 +25,7 @@ import posqubit.qcore as qcore
 import posqubit.signals as signals
 import posqubit.single_qubit as sq
 import posqubit.spectral as sp
+import posqubit.two_qubit as tq
 from posqubit.errors import ConfigError
 from posqubit.qcore import evolve_rk4
 
@@ -1298,6 +1299,53 @@ def test_constant_h_kinds_do_not_depend_on_t0(name, shift):
     for key, column in series.columns.items():
         np.testing.assert_array_equal(moved.columns[key], column, err_msg=key)
     assert moved_summary == summary
+
+
+def _swap_by_the_former_loop(cfg):
+    """Columns and summary of a swap scenario from its former per-sample loop,
+    on the eigensystem oracle of tests/test_qcore.py: U = (V e^{-iEt}) V^dag,
+    psi = U psi0 and 2 tau = 2 |a0 a3 - a1 a2| in NumPy scalars, one sample
+    at a time at the elapsed spans dt * k."""
+    from test_qcore import _eig_hermitian_oracle
+
+    _, (_, dt, _, steps), params = cli._read_scenario(cfg)
+    psi0 = params.pop("initial")
+    energies, vectors = _eig_hermitian_oracle(tq.build_h4(cli._swap_params(**params)))
+    amps = np.empty((steps.size, 4), dtype=complex)
+    ent = np.empty(steps.size)
+    for i, span in enumerate(dt * steps):
+        u = (vectors * np.exp((-1j * span / qcore.HBAR) * energies)) @ vectors.conj().T
+        psi = u @ psi0 if span > 0 else psi0
+        amps[i] = psi
+        ent[i] = 2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2])
+    pops = np.abs(amps) ** 2
+    columns = {f"p_{k}": pops[:, k] for k in range(4)}
+    columns["entanglement_2tau"] = ent
+    summary = {
+        "eigenenergies": [float(x) for x in energies],
+        "final_norm": float(np.sqrt(pops[-1].sum())),
+        "max_entanglement_2tau": float(ent.max()),
+    }
+    return columns, summary
+
+
+@pytest.mark.parametrize("t0", [0.0, 1.3])
+@pytest.mark.parametrize("name", ["swap ec", "swap symmetric ec", "swap geometry"])
+def test_swap_columns_match_the_former_per_sample_loop(name, t0):
+    """The swap runner gives its former loop's column bytes and summary, on an
+    ec* config, a symmetric one (tied eigenvector components, so the pivot
+    rule shows) and a geometry config, counted from t0 = 0 and from 1.3."""
+    cfg = {**_constant_h_configs(), "swap symmetric ec": swap_cfg()}[name]
+    cfg = replaced(cfg, "time.t0", t0)
+    cfg["time"].update(t_max=t0 + 2.0, dt=0.01, sample_stride=3)
+    series, summary = cli.run_scenario(cfg)
+    columns, expected = _swap_by_the_former_loop(cfg)
+    assert list(series.columns) == list(columns)
+    for key, column in columns.items():
+        assert series.columns[key].tobytes() == column.tobytes(), key
+    # a symmetric structure adds its closed-form keys, which no loop forms
+    assert set(summary) - set(expected) <= {"closed_form_eigenenergies", "gap_E1_E2"}
+    assert {key: summary[key] for key in expected} == expected
 
 
 def _field_paths(node, prefix=""):

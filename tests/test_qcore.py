@@ -476,6 +476,47 @@ def test_integer_steps_form_square_root_many_exponentials(monkeypatch):
         assert rows == [steps.size]
 
 
+def test_the_tables_apply_where_the_gcd_of_the_steps_found_a_grid(monkeypatch):
+    """The grid spacing is read off the second step.  The tables apply to the
+    same grids as under the former rule, where g was the gcd of the steps:
+    a grid 0, g, 2g, ... with g > 0, long enough to save exponentials.
+    0, -g, -2g, ..., grids off 0, all-zero steps and near-grids keep the
+    direct form, one exponential per sample."""
+    exp = np.exp
+    calls = []
+
+    def counting(x, *args, **kwargs):
+        calls.append(np.shape(x)[0] if np.ndim(x) else 1)
+        return exp(x, *args, **kwargs)
+
+    def former_takes_tables(m):
+        g = int(np.gcd.reduce(m)) or 1
+        b = math.isqrt(m.size - 1) + 1
+        return b + (m.size - 1) // b + 1 < m.size and np.array_equal(m, g * np.arange(m.size))
+
+    monkeypatch.setattr(np, "exp", counting)
+    energies = np.array([-1.5, 0.2, 0.9])
+    grids = list(_step_grids().values()) + [
+        -np.arange(2001),
+        -np.arange(0, 2001, 10),
+        np.arange(1, 2002),
+        np.arange(5, 2005, 5),
+        np.zeros(50, dtype=int),
+        np.append([0, 0], np.arange(1, 100)),
+        np.append(np.arange(0, 300, 3), 301),
+        np.array([0, 6, 12, 18, 24, 27]),
+        np.arange(0, 40, 4),
+        np.arange(0, 4, 2),
+        np.arange(2),
+        np.arange(0, 2001, 7).astype(np.uint16),
+        np.arange(0, 2001, 7).reshape(-1, 11),
+    ]
+    for steps in grids:
+        calls.clear()
+        qcore._grid_phases(energies, 0.01, steps)
+        assert (calls != [steps.size]) == former_takes_tables(steps.astype(np.int64).ravel()), steps[:4]
+
+
 def _density_by_broadcast(h, rho0, times):
     """The back-rotation V rho_E V^dag with rho_E = V^dag rho0 V o e^{-i(E_j - E_k)t},
     as (n_times, n, n) broadcast matrix products, one per sample."""

@@ -22,7 +22,8 @@ values.  A reader (``_float``, ``_int``, ``_signal``, ``_amplitudes``,
 ``_geometry``, ...) checks type, bounds and shape; a bad value, a missing
 required field and a key the schema lacks each raise ConfigError naming
 the dotted path.  Sizes are capped (MAX_*) before anything is allocated.
-The README lists every field.
+The README lists every field.  A sweep reads its config through the
+schema once, at its first value, and then only the swept field per value.
 
 Outputs are deterministic: identical configs produce identical bytes
 (modulo the versioned header line).  Exit codes: 0 success, 2 config
@@ -33,7 +34,7 @@ import argparse
 import json
 import math
 import sys
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -503,19 +504,52 @@ def _read_scenario(cfg):
     """(kind, time grid, parameters) of ``cfg``, every field read through its kind's schema."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
-    kind, out = _kind_fields(cfg, "", _SCHEMAS)
+    return _scenario(*_kind_fields(cfg, "", _SCHEMAS), cfg)
+
+
+def _scenario(kind, out, cfg, time=None):
+    """(kind, time grid, parameters) of the fields ``out`` read from ``cfg``;
+    ``time`` is the grid when it is already built."""
     params = out["parameters"]
     if kind == "swap" and params["geometry"] is not None:
         for key in _EC:
             if key in cfg["parameters"]:
                 _fail(f"parameters.{key}", "not allowed with geometry")
-    return kind, _time_block(**out["time"]), params
+    return kind, time or _time_block(**out["time"]), params
 
 
-def run_scenario(cfg):
-    """(series, summary) of the scenario ``cfg``: the runner of its kind gives
-    the columns, sampled at t0 + dt * steps of its time grid."""
-    kind, time, params = _read_scenario(cfg)
+def _sweep_reader(cfg, keys):
+    """A function that reads each config equal to ``cfg`` but at the key path
+    ``keys`` as ``_read_scenario`` does.  Its swept field is the first
+    (reader, default) leaf of the kind's schema on the path.  ``cfg`` is read
+    here once without that field; the function reads only the field, and
+    builds the time grid again only when the field lies under ``time``.
+    When this read fails, the function is ``_read_scenario`` itself, as the
+    first field in schema order to fail may be the swept one."""
+    kind = cfg.get("kind")
+    node = _SCHEMAS.get(kind) if isinstance(kind, str) else None
+    depth = 0
+    while isinstance(node, dict) and depth < len(keys):
+        node, depth = node.get(keys[depth]), depth + 1
+    if not isinstance(node, tuple):  # no schema holds the path, so every read fails
+        return _read_scenario
+    leaf, reader = keys[:depth], node[0]
+    try:
+        _, out = _kind_fields(cfg, "", {kind: _replace(_SCHEMAS[kind], leaf, (lambda raw, path: None, None))})
+        time = None if leaf[0] == "time" else _time_block(**out["time"])
+    except ConfigError:
+        return _read_scenario
+
+    def read(local):
+        field = reader(reduce(dict.__getitem__, leaf, local), ".".join(leaf))
+        return _scenario(kind, _replace(out, leaf, field), local, time)
+
+    return read
+
+
+def _run(kind, time, params):
+    """(series, summary) of a read scenario: the runner of ``kind`` gives the
+    columns, sampled at t0 + dt * steps of the time grid ``time``."""
     columns, summary = _RUNNERS[kind](time, **params)
     t0, dt, _, steps = time
     # one flat copy: an isfinite per column costs more than the copy at 257 short columns
@@ -523,6 +557,11 @@ def run_scenario(cfg):
     if not (finite and all(np.isfinite(v).all() for v in summary.values())):
         raise FloatingPointError("non-finite values in scenario output")
     return TimeSeries(t0 + dt * steps, columns), summary
+
+
+def run_scenario(cfg):
+    """(series, summary) of the scenario ``cfg``, read through its kind's schema."""
+    return _run(*_read_scenario(cfg))
 
 
 def format_csv(series, summary):
@@ -575,24 +614,47 @@ def _parse_values(spec):
     return list(np.linspace(nums[0], nums[1], int(nums[2])))
 
 
+def _replace(tree, keys, value):
+    """``tree`` with ``value`` at the key path ``keys``: a new dict for each
+    dict on the path, every other object shared.  A loop, not a recursion,
+    as a loaded JSON document can nest deeper than Python's stack allows."""
+    nodes = [tree]
+    for key in keys[:-1]:
+        nodes.append(nodes[-1][key])
+    for node, key in zip(nodes[::-1], keys[::-1]):
+        value = {**node, key: value}
+    return value
+
+
 def _set_path(cfg, path, value):
-    *parents, leaf = path.split(".")
+    """``cfg`` with its numeric field at the dotted ``path`` set to ``value``,
+    copying only the dicts on the path."""
+    *parents, leaf = keys = path.split(".")
     node = cfg
     for part in parents:
         node = node.get(part) if isinstance(node, dict) else None
     if not (isinstance(node, dict) and type(node.get(leaf)) in (int, float)):  # a bool is not numeric here
         raise ConfigError(f"{path}: sweep axis must name a numeric field of the scenario")
-    node[leaf] = value
+    return _replace(cfg, keys, value)
 
 
 def sweep(cfg, axis, values):
-    rows = []
+    """One row per value: the scenario ``cfg`` with its numeric field at the
+    dotted ``axis`` set to the value, as {"value", "status": "ok", **summary},
+    or {"value", "status": "failed", "error"} when its read or run fails.
+
+    ``cfg`` is a JSON document, left unmodified.  Values are pulled one at a
+    time, each after the previous point is done.  The config is read through
+    its kind's schema once, at the first value, and the swept field once per
+    value (``_sweep_reader``).  A bad axis raises ConfigError at the first
+    value."""
+    rows, read = [], None
     for value in values:
-        local = json.loads(json.dumps(cfg))  # copy.deepcopy overflows the stack sooner
-        _set_path(local, axis, value)
+        local = _set_path(cfg, axis, value)
+        read = read or _sweep_reader(cfg, axis.split("."))
         row = {"value": value}
         try:
-            _, summary = run_scenario(local)
+            _, summary = _run(*read(local))
             row["status"] = "ok"
             row.update(summary)
         except _RUN_FAILURES as exc:

@@ -539,6 +539,34 @@ def test_single_qubit_populations_ignore_a_common_level_shift(case):
     assert abs(shifted_summary["final_norm"] - summary["final_norm"]) <= 1e-12
 
 
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    ep=st.floats(-1.0, 1.0),
+    ts=st.floats(0.1, 1.5),
+    t0=st.floats(-3.0, 3.0),
+    amps=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(lambda a: np.linalg.norm(a) > 0.1),
+    stride=st.sampled_from([1, 7]),
+)
+def test_undriven_symmetric_wells_follow_the_hadamard_closed_form(ep, ts, t0, amps, stride):
+    """Undriven symmetric wells (ep1 = ep2 = ep, alpha = 0) evolve by the
+    paper's closed form ``analytic_c1c2``: at every sample the node
+    populations are |c1|^2 and |c2|^2 and the phases arg c1 and arg c2,
+    compared as e^{i(phi - phi')} across the cut at +-pi; from a node
+    state, p_x1 oscillates at 2 |ts|."""
+    c0 = np.array([complex(*amps[:2]), complex(*amps[2:])]) / np.linalg.norm(amps)
+    cfg = base_single_qubit(time={"t0": t0, "t_max": t0 + 20.0, "dt": 0.01, "sample_stride": stride})
+    cfg["parameters"].update(ep1=ep, ep2=ep, ts_mag=ts, initial=[[c.real, c.imag] for c in c0])
+    series, _ = cli.run_scenario(cfg)
+    c1, c2 = np.array([sq.analytic_c1c2(*c0, ep, ts, 0.0, 0.0, t0, t) for t in series.t.tolist()]).T
+    for node, c in (("x1", c1), ("x2", c2)):
+        assert np.max(np.abs(series.columns[f"p_{node}"] - np.abs(c) ** 2)) <= 1e-11, node
+        assert np.max(np.abs(np.exp(1j * (series.columns[f"phase_{node}"] - np.angle(c))) - 1.0)) <= 1e-11, node
+    cfg["parameters"]["initial"] = [[1.0, 0.0], [0.0, 0.0]]
+    _, summary = cli.run_scenario(cfg)
+    if 20.0 * ts >= 2.0 * np.pi:  # two periods of p_x1 = cos^2(|ts| t) in the span
+        assert abs(summary["angular_frequency_p_x1"] - 2.0 * ts) <= 1e-4 * 2.0 * ts
+
+
 def cnot_cfg():
     return {
         "schema_version": 1,
@@ -1590,8 +1618,8 @@ def test_sweep_pulls_each_value_after_the_previous_point(monkeypatch):
     """Values are taken one at a time, so a caller can time each point by
     when the next value is asked for."""
     events = []
-    run = cli.run_scenario
-    monkeypatch.setattr(cli, "run_scenario", lambda cfg, **kw: events.append("run") or run(cfg, **kw))
+    run = cli._run
+    monkeypatch.setattr(cli, "_run", lambda *read: events.append("run") or run(*read))
 
     def values():
         for value in (0.4, 0.6):
@@ -1600,6 +1628,92 @@ def test_sweep_pulls_each_value_after_the_previous_point(monkeypatch):
 
     assert [row["status"] for row in cli.sweep(base_single_qubit(), "parameters.ts_mag", values())] == ["ok", "ok"]
     assert events == ["pull", "run", "pull", "run"]
+
+
+def _sweep_by_the_former_loop(cfg, axis, values):
+    """The sweep as it read every point: a JSON copy of the whole config per
+    value, with the value set, read and run by ``run_scenario``."""
+    rows = []
+    for value in values:
+        local = cli._set_path(json.loads(json.dumps(cfg)), axis, value)
+        row = {"value": value}
+        try:
+            _, summary = cli.run_scenario(local)
+            row["status"] = "ok"
+            row.update(summary)
+        except cli._RUN_FAILURES as exc:
+            row["status"] = "failed"
+            row["error"] = str(exc)
+        rows.append(row)
+    return rows
+
+
+def _sweep_cases():
+    sinusoid = replaced(base_single_qubit(), "parameters.ep1", _SIGNAL_OBJECTS["sinusoid"])
+    spectral = replaced(spectral_cfg(), "parameters.basis.n_grid", 401)
+    swap_geometry = replaced(swap_cfg(), "parameters.geometry", {"kind": "parallel", "a": 1.0, "b": 1.0, "d1": 2.0})
+    return {
+        "decoherence d12": (decoherence_cfg(), "parameters.d12", [1.2, -1.0, 2.0]),
+        "decoherence nested leaf": (decoherence_cfg(), "parameters.qubitA.ts_mag", [0.8, 1.3]),
+        "signal object leaf": (sinusoid, "parameters.ep1.amplitude", [0.3, 0.05]),
+        "numerical failure": (base_single_qubit(), "parameters.ts_mag", [0.5, 0.0, 1.0]),
+        "time.t_max": (base_single_qubit(), "time.t_max", [3.0, -1.0, 5.0]),
+        "time.dt": (base_single_qubit(), "time.dt", [0.02, 0.03, 0.01]),
+        "time.sample_stride": (replaced(base_single_qubit(), "time.t_max", 20.0), "time.sample_stride", [50, 0, 1]),
+        "geometry object leaf": (cnot_cfg(), "parameters.geometry.d", [2.5, 1.5]),
+        "basis object leaf": (spectral, "parameters.basis.n_grid", [401, 400, 401]),
+        "swap t_u": (swap_cfg(), "parameters.t_u", [0.3, 0.5]),
+        "swap ec11 next to a geometry": (swap_geometry, "parameters.ec11", [0.1, 5.0]),
+        "invalid field before the axis": (replaced(decoherence_cfg(), "parameters.d11", -1.0), "parameters.d12", [1.0, -1.0]),
+        "invalid field after the axis": (replaced(decoherence_cfg(), "parameters.d21", -1.0), "parameters.d12", [1.0, -1.0]),
+        "axis the kind lacks": (replaced(swap_cfg(), "parameters.vss", 0.1), "parameters.vss", [0.1, 0.2]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_sweep_cases()))
+def test_sweep_rows_equal_the_rows_of_each_whole_config(monkeypatch, name):
+    """A sweep reads its config once and then only the swept field per
+    value; each row stays that of reading the value's whole config, its
+    error text included, the caller's config is left as it was, and each
+    value is pulled only after the previous point has run."""
+    cfg, axis, values = _sweep_cases()[name]
+    before = json.dumps(cfg, sort_keys=True)
+    events = []
+    run = cli._run
+    monkeypatch.setattr(cli, "_run", lambda *read: events.append("run") or run(*read))
+
+    def pulled(sweep):
+        events.clear()
+        rows = sweep(cfg, axis, (events.append("pull") or value for value in values))
+        return json.dumps(rows, sort_keys=True), list(events)
+
+    expected, expected_events = pulled(_sweep_by_the_former_loop)
+    assert pulled(cli.sweep) == (expected, expected_events)
+    assert json.dumps(cfg, sort_keys=True) == before
+    if name == "invalid field after the axis":
+        assert ["parameters.d21" in row["error"] for row in json.loads(expected)] == [True, False]
+
+
+def test_a_sweep_over_a_bad_axis_fails_at_its_first_value():
+    """The axis is checked at the first value, so an empty value list gives
+    no rows and an error."""
+    assert cli.sweep(base_single_qubit(), "parameters.nope", []) == []
+    with pytest.raises(ConfigError, match="parameters.nope: sweep axis must name a numeric field"):
+        cli.sweep(base_single_qubit(), "parameters.nope", iter([1.0]))
+
+
+def test_a_sweep_copies_an_axis_nested_deeper_than_the_stack():
+    """JSON documents can nest deeper than Python's recursion limit (the
+    decoder's own limit is separate from Python 3.12 on), so the axis path
+    is copied in a loop."""
+    depth = sys.getrecursionlimit() + 100
+    node = 1.0
+    for _ in range(depth):
+        node = {"a": node}
+    cfg = base_single_qubit()
+    cfg["parameters"]["x"] = node
+    (row,) = cli.sweep(cfg, "parameters.x" + ".a" * depth, [2.0])
+    assert row["status"] == "failed" and row["error"].startswith("parameters.x: unknown field")
 
 
 def _readme_field_reference():

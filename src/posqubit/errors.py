@@ -9,10 +9,6 @@ class NonHermitianError(PosQubitError):
     """A matrix expected to be Hermitian is not, beyond tolerance."""
 
 
-class NonHermitianDriveError(PosQubitError):
-    """A drive signal expected to be real-valued produced a complex value."""
-
-
 class DegenerateSpectrumError(PosQubitError):
     """Eigenvectors are not unique because the spectrum is degenerate."""
 
@@ -25,16 +21,8 @@ class SignalDomainError(PosQubitError):
     """A tabulated signal was evaluated outside its sampled domain."""
 
 
-class SingularExtractionError(PosQubitError):
-    """Coefficient geometry makes an algebraic inversion ill-conditioned."""
-
-
 class ZeroProbabilityError(PosQubitError):
     """A projective outcome with (numerically) zero probability was requested."""
-
-
-class ZeroMarginalError(PosQubitError):
-    """A one-body amplitude extraction hit a zero-norm marginal."""
 
 
 class InvalidDensityError(PosQubitError):

@@ -1,4 +1,4 @@
-"""Position measurements, one-body extraction and partial traces.
+"""Position measurements, density-matrix validation and partial traces.
 
 Operates on two-body states in BasisOrder4 (see two_qubit) and on 2x2 /
 4x4 density matrices.  A BasisOrder4 state is read as the (2, 2) grid of
@@ -6,9 +6,7 @@ Operates on two-body states in BasisOrder4 (see two_qubit) and on 2x2 /
 is the left node; outcome probabilities are ``qcore.body_populations``
 of U or L.  Strong position measurement keeps one level of one
 axis and renormalizes by the square root of the outcome probability
-(Born rule); the coherent one-body extraction keeps the 1/sqrt(2)-weighted
-amplitude sums as a distinct, documented operation and partial_trace
-provides the faithful reduced state.
+(Born rule); partial_trace provides the reduced state of one qubit.
 """
 
 from dataclasses import dataclass
@@ -16,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidDensityError, NonHermitianError, ZeroMarginalError, ZeroProbabilityError
+from .errors import InvalidDensityError, NonHermitianError, ZeroProbabilityError
 from .qcore import StateVector, as_amplitudes, body_populations, require_hermitian
 
 SUBSYSTEM_U = "U"
@@ -60,24 +58,6 @@ def measurement_probabilities(state, subsystem):
     """(left, right) outcome probabilities for one subsystem; they sum to 1."""
     levels = body_populations(state, 2)[_GRID[subsystem]]
     return float(levels[_GRID[LEFT]]), float(levels[_GRID[RIGHT]])
-
-
-def extract_one_body(state, subsystem):
-    """Coherent one-body amplitudes of one subsystem.
-
-    The amplitude for each node is the 1/sqrt(2)-weighted coherent sum of
-    the two consistent two-body amplitudes (the grid summed over the other
-    axis), renormalized to unit norm.
-    For factorizable states this recovers the true factor up to a global
-    phase; for strongly entangled states it is a coherent marginal, not a
-    faithful reduced state (use partial_trace for that).
-    Ordering of the result is (|0,1>, |1,0>) i.e. (right node, left node).
-    """
-    pair = np.sum(_grid(state), axis=1 - _GRID[subsystem]) / np.sqrt(2.0)
-    norm = np.linalg.norm(pair)
-    if norm < 1e-14:
-        raise ZeroMarginalError(f"both coherent sums vanish for subsystem {subsystem}")
-    return StateVector(pair / norm)
 
 
 def pure_density(state):

@@ -27,14 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatchError, NonHermitianError
+from .errors import NonHermitianError
 
 HBAR = 1.0
 
 HERMITICITY_TOL = 1e-12
-
-POSITION = "position"
-ENERGY = "energy"
 
 
 def require_hermitian(h, tol=HERMITICITY_TOL):
@@ -371,35 +368,14 @@ def evolve_rk4(h_of_t, psi0, t0, t1, dt):
 
 @dataclass
 class StateVector:
-    """Complex amplitude vector tagged with the basis it is written in."""
+    """Complex amplitude vector of one state."""
 
     amps: np.ndarray
-    basis: str = POSITION
 
     def __post_init__(self):
         self.amps = np.asarray(self.amps, dtype=complex)
         if self.amps.ndim != 1:
             raise ValueError("state amplitudes must be a 1-D vector")
-        if self.basis not in (POSITION, ENERGY):
-            raise BasisMismatchError(f"unknown basis tag {self.basis!r}")
-
-    @property
-    def dim(self):
-        return self.amps.shape[0]
-
-    def norm(self):
-        return float(np.linalg.norm(self.amps))
-
-    def normalized(self):
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.amps / n, self.basis)
-
-    def require_basis(self, basis):
-        if self.basis != basis:
-            raise BasisMismatchError(f"expected {basis!r} basis, got {self.basis!r}")
-        return self
 
 
 def as_amplitudes(state):

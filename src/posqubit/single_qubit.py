@@ -7,13 +7,11 @@ Hamiltonian
          [|ts| e^{-i alpha},  Ep2(t)          ]]
 
 in the position basis (|x1>, |x2>).  The module provides the closed-form
-eigenstructure, adiabatic and driven evolution, the Rabi-style evolution
-matrix assembled from energy integrals, the effective position-basis
-Hamiltonian produced by a resonant E12 channel, the inversion that
-recovers E12 from the effective hopping terms, the microwave-driven
-renormalized Hamiltonian and the u1/u2 propagator formalism.  Every
-propagator here is a closed form: the Rabi matrix through
-``qcore.su2_step_operators`` and u1/u2 as exact phases; nothing steps.
+eigenstructure, the Hadamard closed form of driven symmetric wells, the
+Rabi-style evolution matrix assembled from energy integrals and the
+u1/u2 propagator formalism.  Every propagator here is a closed form: the
+Rabi matrix through ``qcore.su2_step_operators`` and u1/u2 as exact
+phases; nothing steps.
 """
 
 from dataclasses import dataclass
@@ -21,12 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import signals
-from .errors import (
-    DegenerateSpectrumError,
-    NonHermitianDriveError,
-    SingularExtractionError,
-)
-from .qcore import ENERGY, HBAR, StateVector, eig_hermitian, stack2x2, su2_step_operators
+from .errors import DegenerateSpectrumError
+from .qcore import HBAR, stack2x2, su2_step_operators
 
 
 @dataclass
@@ -125,29 +119,6 @@ def eigencoeffs(params, t):
     return EigenCoeffs(*fields)
 
 
-def evolve_adiabatic(params, state, t0, t):
-    """Diagonal-phase evolution of an energy-basis state.
-
-    Each amplitude acquires exp(-(i/hbar) * integral of E_k); populations
-    are exactly preserved.
-    """
-    state.require_basis(ENERGY)
-    if state.dim != 2:
-        raise ValueError("evolve_adiabatic acts on two-component states")
-
-    def energy(which):
-        def sig(tp):
-            co = eigencoeffs(params, tp)
-            return co.e1 if which == 1 else co.e2
-
-        return sig
-
-    ph1 = signals.integrate(energy(1), t0, t) / HBAR
-    ph2 = signals.integrate(energy(2), t0, t) / HBAR
-    amps = state.amps * np.array([np.exp(-1j * ph1), np.exp(-1j * ph2)])
-    return StateVector(amps, ENERGY)
-
-
 def analytic_c1c2(c1_0, c2_0, ep, ts_mag, v1, v2, t0, t):
     """Closed-form position amplitudes for symmetric wells under weak,
     node-diagonal drive potentials V1, V2."""
@@ -181,89 +152,6 @@ def rabi_evolution_matrix(e1, e2, e12, t0, t):
     return u if np.ndim(t) else u[0]
 
 
-@dataclass
-class EffectiveHamiltonianTerms:
-    """Position-basis effective terms generated by a resonant E12 channel."""
-
-    ep1_eff: float
-    ep2_eff: float
-    ts12_eff: complex
-    ts21_eff: complex
-
-
-def effective_hamiltonian(coeffs0, e1, e2, e12, t, t0=0.0):
-    """Effective position-basis Hamiltonian terms at time t.
-
-    ``coeffs0`` are the eigencoefficients frozen at t0; E1, E2 and the
-    complex channel E12 are signals evaluated at t.  The E12 channel is
-    modulated by the gap phase e^{i (E2-E1)(t-t0)/hbar}.
-    """
-    e1v = signals.as_signal(e1)(t)
-    e2v = signals.as_signal(e2)(t)
-    e12v = signals.as_signal(e12)(t)
-    a, b, c, d = coeffs0.a, coeffs0.b, coeffs0.c, coeffs0.d
-    mod = e12v * np.exp(1j * (e2v - e1v) * (t - t0) / HBAR)
-
-    ep1_eff = abs(a) ** 2 * e1v + abs(c) ** 2 * e2v + 2.0 * np.real(a * np.conj(c) * mod)
-    ep2_eff = abs(b) ** 2 * e1v + abs(d) ** 2 * e2v + 2.0 * np.real(b * np.conj(d) * mod)
-    ts21_eff = a * np.conj(b) * e1v + c * np.conj(d) * e2v + mod * a * np.conj(d)
-    ts12_eff = np.conj(ts21_eff)
-    return EffectiveHamiltonianTerms(ep1_eff, ep2_eff, ts12_eff, ts21_eff)
-
-
-def extract_e12(ts12, ts21, coeffs, e1, e2):
-    """Invert the effective hopping terms for the resonant channel E12.
-
-    Valid at zero gap phase (t = t0).  The inversion divides by the
-    ground-state coefficient a and by d, and is rejected when
-    Re(a)*Im(a) or d is numerically zero.
-    """
-    a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-    if abs(np.real(a) * np.imag(a)) < 1e-12 or abs(d) < 1e-12:
-        raise SingularExtractionError(
-            "extraction requires Re(a)*Im(a) != 0 and d != 0"
-        )
-    re_part = (np.real(ts21 + ts12) / 2.0 - np.real(a) * b * e1 - np.real(c) * d * e2) / d
-    im_part = (
-        np.real((ts21 - ts12) / 2j) - np.imag(a) * b * e1 - np.imag(c) * d * e2
-    ) / d
-    return (re_part + 1j * im_part) / a
-
-
-def microwave_h2(ep, ts_mag, f1, f2, t):
-    """Renormalized 2x2 Hamiltonian of two symmetric dots under a
-    microwave drive: diagonal Ep +/- (f1+f2)/2, off-diagonal |ts| - (f1-f2)/2."""
-    f1v = signals.as_signal(f1)(t)
-    f2v = signals.as_signal(f2)(t)
-    if abs(np.imag(complex(f1v))) > 1e-12 or abs(np.imag(complex(f2v))) > 1e-12:
-        raise NonHermitianDriveError("drive signals must be real-valued")
-    f1v, f2v = np.real(f1v), np.real(f2v)
-    plus = 0.5 * (f1v + f2v)
-    minus = 0.5 * (f1v - f2v)
-    off = ts_mag - minus
-    return np.array([[ep + plus, off], [off, ep - plus]], dtype=complex)
-
-
-@dataclass
-class MicrowaveEigens:
-    """Exact eigenvalues of the driven Hamiltonian next to the quoted
-    closed form Ep +/- sqrt(|ts|^2 - |ts|(f1-f2)), which drops a
-    (f1-f2)^2/4 term."""
-
-    exact: np.ndarray
-    approx: np.ndarray
-    discrepancy: float
-
-
-def microwave_eigenvalues(ep, ts_mag, f1v, f2v):
-    h = microwave_h2(ep, ts_mag, f1v, f2v, 0.0)
-    exact, _ = eig_hermitian(h)
-    root = np.sqrt(complex(ts_mag * ts_mag - ts_mag * (f1v - f2v)))
-    approx = np.array([ep - root, ep + root])
-    disc = float(np.max(np.abs(exact - approx)))
-    return MicrowaveEigens(exact, approx, disc)
-
-
 def u1u2_evolve(ep, ts_mag, f1, u1_0, u2_0, t0, t):
     """Propagator amplitudes u1, u2 at time t, in closed form.
 
@@ -279,16 +167,3 @@ def u1u2_evolve(ep, ts_mag, f1, u1_0, u2_0, t0, t):
     u1 = u1_0 * np.exp(-1j * ((ep + ts_mag) * (t - t0) + f1_int) / HBAR)
     u2 = u2_0 * np.exp(-1j * ((ep - ts_mag) * (t - t0) + f1_int) / HBAR)
     return u1, u2
-
-
-def greens_response(ep, ts_mag, f1, t0, t, *, u1_0=1.0, u2_0=1.0):
-    """Propagator response G(1,2,t) = u1(t) * conj(u2(t)), from the exact
-    phases of ``u1u2_evolve``.
-
-    Defaults start from the excited eigenmode (c_e=1, c_g=0), i.e.
-    u1(t0) = u2(t0) = 1, for which G is the pure phase
-    e^{-2i|ts|(t-t0)/hbar}.
-    """
-    u1, u2 = u1u2_evolve(ep, ts_mag, f1, u1_0, u2_0, t0, t)
-    return u1 * np.conj(u2)
-

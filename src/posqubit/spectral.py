@@ -411,12 +411,6 @@ def mode_energy(q, basis_a, basis_b, w):
     return np.array(energies).reshape(q.shape[:-2]) if q.ndim > 2 else energies[0]
 
 
-def reconstruct_wavefunction(q, basis_a, basis_b):
-    """Two-particle field psi(x1, x2) = sum q_{n,m} psi_n(x1) psi_m(x2)."""
-    q = np.asarray(q, dtype=complex)
-    return basis_a.functions.T @ q @ basis_b.functions
-
-
 def entanglement_entropy(q):
     """Von Neumann entropy (natural log) of the Schmidt weights of q.
 

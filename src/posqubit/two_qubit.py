@@ -195,7 +195,7 @@ def evolve4(h, state, t0, t):
     """Evolve a 4-component state under a constant matrix ``h`` from ``t0``
     to ``t`` with the exact matrix exponential."""
     out = matexp_unitary(h, t - t0) @ as_amplitudes(state)
-    return StateVector(out, getattr(state, "basis", "position"))
+    return StateVector(out)
 
 
 def swap_occupancies(state):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import posqubit.measurement as ms
-from posqubit.errors import InvalidDensityError, ZeroMarginalError, ZeroProbabilityError
+from posqubit.errors import InvalidDensityError, ZeroProbabilityError
 from posqubit.qcore import StateVector, as_amplitudes, body_populations, build_hn
 from posqubit.two_qubit import swap_occupancies
 
@@ -47,51 +47,6 @@ def test_project_position_zero_outcome_raises():
     amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     with pytest.raises(ZeroProbabilityError):
         ms.project_position(amps, ms.SUBSYSTEM_U, ms.LEFT)
-
-
-def test_extract_one_body_product_state():
-    a = np.array([0.6, 0.8j])
-    b = np.array([1.0, 2.0]) / np.sqrt(5.0)
-    # BasisOrder4 composite: index 2*iU + iL with 0 = right node
-    full = np.kron(a, b)
-    got = ms.extract_one_body(full, ms.SUBSYSTEM_U).amps
-    ratio = got / a
-    assert abs(ratio[0] - ratio[1]) < 1e-12  # equal up to a global phase
-    got_l = ms.extract_one_body(full, ms.SUBSYSTEM_L).amps
-    ratio = got_l / b
-    assert abs(ratio[0] - ratio[1]) < 1e-12
-
-
-def test_extract_one_body_zero_marginal():
-    # antisymmetric combination cancels both coherent sums exactly
-    amps = np.array([1.0, -1.0, -1.0, 1.0]) / 2.0
-    with pytest.raises(ZeroMarginalError):
-        ms.extract_one_body(amps, ms.SUBSYSTEM_U)
-
-
-def test_extract_one_body_is_the_state_left_when_the_other_body_is_in_its_symmetric_state():
-    """The coherent one-body state is the other body projected on its
-    symmetric node state |+> = (|0> + |1>) / sqrt(2), normalized; it is
-    refused exactly when that projection's norm is below 1e-14."""
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    projections = {ms.SUBSYSTEM_U: np.kron(np.eye(2), plus), ms.SUBSYSTEM_L: np.kron(plus, np.eye(2))}
-    for _ in range(50):
-        amps = random_state4()
-        for sub, onto_plus in projections.items():
-            left = onto_plus @ amps
-            assert np.max(np.abs(ms.extract_one_body(amps, sub).amps - left / np.linalg.norm(left))) < 1e-15
-    one_body = np.array([0.6, 0.8j])
-    for weight, refused in ((0.8e-14, True), (1.2e-14, False)):
-        other = weight * plus + minus
-        for sub, amps in ((ms.SUBSYSTEM_U, np.kron(one_body, other)), (ms.SUBSYSTEM_L, np.kron(other, one_body))):
-            assert abs(np.linalg.norm(projections[sub] @ amps) - weight) < 1e-16
-            if refused:
-                with pytest.raises(ZeroMarginalError):
-                    ms.extract_one_body(amps, sub)
-            else:
-                # the |-> parts cancel to about 1e-17, a part in 1e3 of the projection
-                assert np.max(np.abs(ms.extract_one_body(amps, sub).amps - one_body)) < 1e-2
 
 
 def test_pure_density_and_validate():
@@ -167,18 +122,6 @@ def _former_measurement_probabilities(state, subsystem):
     return left, right
 
 
-def _former_extract_one_body(state, subsystem):
-    amps = as_amplitudes(state)
-    if subsystem == ms.SUBSYSTEM_U:
-        pair = np.array([amps[0] + amps[1], amps[2] + amps[3]]) / np.sqrt(2.0)
-    else:
-        pair = np.array([amps[0] + amps[2], amps[1] + amps[3]]) / np.sqrt(2.0)
-    norm = np.linalg.norm(pair)
-    if norm < 1e-14:
-        raise ZeroMarginalError(f"both coherent sums vanish for subsystem {subsystem}")
-    return StateVector(pair / norm)
-
-
 def _former_partial_trace(rho, keep):
     rho = ms.validate_density(rho, dim=4)
     out = np.zeros((2, 2), dtype=complex)
@@ -204,7 +147,7 @@ def _outcome(fn, *args):
     """fn's result, or the type and message of the error it raised."""
     try:
         return fn(*args)
-    except (ZeroProbabilityError, ZeroMarginalError) as exc:
+    except ZeroProbabilityError as exc:
         return type(exc), str(exc)
 
 
@@ -215,7 +158,7 @@ def _random_oracle_state(gen):
     amps[gen.random(4) < 0.25] = 0.0
     amps[gen.random(4) < 0.1] = complex(-0.0, -0.0)
     if gen.random() < 0.1:
-        amps = np.array([1.0, -1.0, -1.0, 1.0]) * amps[0]  # both coherent sums cancel
+        amps = np.array([1.0, -1.0, -1.0, 1.0]) * amps[0]  # every outcome at probability 1/2
     norm = np.linalg.norm(amps)
     amps = amps / norm if norm > 0 else amps
     kind = gen.integers(3)
@@ -226,16 +169,13 @@ def test_grid_layout_functions_match_their_former_bodies_bit_for_bit():
     """Guards the former index masks bit for bit: U on the high bit and the
     left node on level 1 (test_measurement_reads_the_body_bits_of_build_hn
     pins both by the layout), float probabilities, and the zero-outcome
-    thresholds and messages of project_position and extract_one_body."""
+    threshold and message of project_position."""
     gen = np.random.default_rng(2020)
     for _ in range(2000):
         state = _random_oracle_state(gen)
         for sub in (ms.SUBSYSTEM_U, ms.SUBSYSTEM_L):
             new, old = ms.measurement_probabilities(state, sub), _former_measurement_probabilities(state, sub)
             assert _same_bytes(new, old) and all(type(x) is float for x in new)
-            new, old = _outcome(ms.extract_one_body, state, sub), _outcome(_former_extract_one_body, state, sub)
-            assert type(new) is type(old)
-            assert new == old if isinstance(old, tuple) else _same_bytes(new.amps, old.amps)
             for side in (ms.LEFT, ms.RIGHT):
                 new = _outcome(ms.project_position, state, sub, side)
                 old = _outcome(_former_project_position, state, sub, side)

@@ -7,12 +7,10 @@ import pytest
 
 import posqubit.decoherence as dec
 from posqubit import qcore
-from posqubit.errors import BasisMismatchError, NonHermitianError
+from posqubit.errors import NonHermitianError
 from posqubit.qcore import (
-    ENERGY,
     GAUSS_NODES,
     HBAR,
-    POSITION,
     StateVector,
     _entries,
     _entry_product,
@@ -296,14 +294,7 @@ def test_build_hn_is_the_kronecker_sum_plus_the_pair_diagonal():
 
 def test_statevector_basics():
     s = StateVector(np.array([3.0, 4.0]))
-    assert s.basis == POSITION
-    assert s.dim == 2
-    assert abs(s.norm() - 5.0) < 1e-15
-    assert abs(s.normalized().norm() - 1.0) < 1e-15
-    with pytest.raises(BasisMismatchError):
-        s.require_basis(ENERGY)
-    with pytest.raises(BasisMismatchError):
-        StateVector(np.array([1.0]), basis="momentum")
+    assert s.amps.dtype == complex and s.amps.tolist() == [3.0, 4.0]
     with pytest.raises(ValueError):
         StateVector(np.zeros((2, 2)))
 

@@ -6,12 +6,8 @@ import pytest
 
 import posqubit.single_qubit as sq
 from posqubit import signals
-from posqubit.errors import (
-    DegenerateSpectrumError,
-    NonHermitianDriveError,
-    SingularExtractionError,
-)
-from posqubit.qcore import ENERGY, HBAR, StateVector, eig_hermitian, evolve_rk4, propagate
+from posqubit.errors import DegenerateSpectrumError
+from posqubit.qcore import HBAR, eig_hermitian, evolve_rk4, propagate
 
 rng = np.random.default_rng(202)
 
@@ -79,21 +75,6 @@ def test_eigencoeffs_degenerate_raises():
         sq.eigencoeffs(sq.QubitParams(ep1=1.0, ep2=1.0, ts_mag=0.0), 0.0)
 
 
-def test_evolve_adiabatic_preserves_populations():
-    p = sq.QubitParams(ep1=signals.sinusoid(0.5, 2.0), ep2=1.0, ts_mag=0.7)
-    s0 = StateVector(np.array([0.6, 0.8]), ENERGY)
-    s1 = sq.evolve_adiabatic(p, s0, 0.0, 3.0)
-    assert np.allclose(np.abs(s1.amps), np.abs(s0.amps), atol=1e-12)
-
-
-def test_evolve_adiabatic_constant_phases():
-    p = sq.QubitParams(ep1=0.0, ep2=0.0, ts_mag=1.0)
-    s0 = StateVector(np.array([1.0, 1.0]) / np.sqrt(2), ENERGY)
-    s1 = sq.evolve_adiabatic(p, s0, 0.0, 2.0)
-    expected = s0.amps * np.array([np.exp(2j), np.exp(-2j)])
-    assert np.max(np.abs(s1.amps - expected)) < 1e-12
-
-
 def test_analytic_c1c2_no_drive_matches_rk4():
     ep, ts = 0.3, 0.8
     p = sq.QubitParams(ep1=ep, ep2=ep, ts_mag=ts)
@@ -143,6 +124,19 @@ def test_rabi_matrix_diagonal_limit():
     assert np.max(np.abs(u - matexp_unitary(np.array([[0.7, e12], [np.conj(e12), 0.7]]), 2.0))) < 1e-12
     # the off-diagonal to relative precision: -i E12 t e^{-i E t} at first order
     assert abs(u[0, 1] / (-2j * e12 * np.exp(-1.4j)) - 1.0) < 1e-12
+    # a sinusoidal E1 with E12 = 0: diagonal, populations kept, and each
+    # phase e^{-i integral of E_k / hbar} with the integral by scipy quad
+    from scipy.integrate import quad
+
+    e1, e2 = signals.sinusoid(0.5, 2.0, 0.3, 1.0), -0.8
+    psi0 = np.array([0.6, 0.8j])
+    for t0, t in ((0.0, 3.0), (0.5, 4.3), (-1.0, 2.05)):
+        u = sq.rabi_evolution_matrix(e1, e2, 0.0, t0, t)
+        assert u[0, 1] == 0.0 and u[1, 0] == 0.0
+        assert np.max(np.abs(np.abs(u @ psi0) ** 2 - np.abs(psi0) ** 2)) < 1e-12
+        i1 = quad(lambda x: 1.0 + 0.5 * np.sin(2.0 * x + 0.3), t0, t, epsabs=1e-13, epsrel=1e-13)[0]
+        expected = np.exp(-1j * np.array([i1, e2 * (t - t0)]) / HBAR)
+        assert np.max(np.abs(np.diag(u) - expected)) < 1e-12
 
 
 def test_rabi_matrix_complex_table_channel():
@@ -159,63 +153,6 @@ def test_rabi_full_population_transfer_on_resonance():
     u = sq.rabi_evolution_matrix(0.0, 0.0, 1.0, 0.0, t)
     psi = u @ np.array([1.0, 0.0])
     assert abs(abs(psi[1]) ** 2 - 1.0) < 1e-12
-
-
-def test_effective_hamiltonian_hermitian_pair():
-    p = sq.QubitParams(ep1=0.2, ep2=-0.4, ts_mag=0.9, alpha=0.6)
-    co = sq.eigencoeffs(p, 0.0)
-    terms = sq.effective_hamiltonian(co, co.e1, co.e2, 0.3 + 0.2j, 0.7)
-    assert abs(terms.ts12_eff - np.conj(terms.ts21_eff)) < 1e-14
-    assert abs(np.imag(terms.ep1_eff)) < 1e-14
-    assert abs(np.imag(terms.ep2_eff)) < 1e-14
-
-
-def test_effective_hamiltonian_no_channel_recovers_h():
-    # with E12 = 0 the effective terms rebuild the original Hamiltonian
-    p = sq.QubitParams(ep1=0.2, ep2=-0.4, ts_mag=0.9, alpha=0.6)
-    co = sq.eigencoeffs(p, 0.0)
-    terms = sq.effective_hamiltonian(co, co.e1, co.e2, 0.0, 0.0)
-    h = sq.build_h2(p, 0.0)
-    assert abs(terms.ep1_eff - h[0, 0].real) < 1e-12
-    assert abs(terms.ep2_eff - h[1, 1].real) < 1e-12
-    assert abs(terms.ts21_eff - h[0, 1]) < 1e-12
-    assert abs(terms.ts12_eff - h[1, 0]) < 1e-12
-
-
-def test_extract_e12_round_trip():
-    for _ in range(100):
-        p = random_params()
-        co = sq.eigencoeffs(p, 0.0)
-        if abs(np.real(co.a) * np.imag(co.a)) < 1e-10 or abs(co.d) < 1e-10:
-            continue
-        e12 = rng.normal() + 1j * rng.normal()
-        terms = sq.effective_hamiltonian(co, co.e1, co.e2, e12, 0.0)
-        got = sq.extract_e12(terms.ts12_eff, terms.ts21_eff, co, co.e1, co.e2)
-        assert abs(got - e12) < 1e-10
-
-
-def test_extract_e12_singular_guard():
-    co = sq.eigencoeffs(sq.QubitParams(ep1=0.0, ep2=0.0, ts_mag=1.0, alpha=0.0), 0.0)
-    with pytest.raises(SingularExtractionError):
-        sq.extract_e12(0.0, 0.0, co, co.e1, co.e2)
-
-
-def test_microwave_h2_values_and_reality_guard():
-    h = sq.microwave_h2(1.0, 0.5, 0.2, -0.1, 0.0)
-    assert abs(h[0, 0] - 1.05) < 1e-15
-    assert abs(h[1, 1] - 0.95) < 1e-15
-    assert abs(h[0, 1] - (0.5 - 0.15)) < 1e-15
-    with pytest.raises(NonHermitianDriveError):
-        sq.microwave_h2(1.0, 0.5, lambda t: 1j, 0.0, 0.0)
-
-
-def test_microwave_eigenvalues_exact_vs_approx():
-    me = sq.microwave_eigenvalues(0.0, 1.0, 0.3, -0.3)
-    h = sq.microwave_h2(0.0, 1.0, 0.3, -0.3, 0.0)
-    evals = np.linalg.eigvalsh(h)
-    assert np.max(np.abs(me.exact - evals)) < 1e-12
-    # the quoted closed form drops a (f1-f2)^2/4 term under the root
-    assert me.discrepancy > 1e-3
 
 
 def test_u1u2_pure_phases_and_conservation():
@@ -257,43 +194,49 @@ def test_u1u2_and_greens_match_quad_phase_oracle():
             o1, o2 = _phase_oracle(0.6, 0.9, plain, t0, t, points)
             u1, u2 = sq.u1u2_evolve(0.6, 0.9, f1, u1_0, u2_0, t0, t)
             assert max(abs(u1 - u1_0 * o1), abs(u2 - u2_0 * o2)) < 1e-12
-            g = sq.greens_response(0.6, 0.9, f1, t0, t, u1_0=u1_0, u2_0=u2_0)
+            g = u1 * np.conj(u2)
             assert abs(g - u1_0 * o1 * np.conj(u2_0 * o2)) < 1e-12
     # a stale positional step size is rejected, not read as an initial amplitude
-    with pytest.raises(TypeError):
-        sq.greens_response(0.6, 0.9, 0.0, 0.0, 1.0, 1e-3)
     with pytest.raises(TypeError):
         sq.u1u2_evolve(0.6, 0.9, 0.0, 1.0, 1.0, 0.0, 1.0, 1e-3)
 
 
 def test_greens_response_pure_phase():
-    g = sq.greens_response(1.3, 0.6, 0.0, 0.0, 2.5)
+    """G = u1 conj(u2) from the excited eigenmode, u1(t0) = u2(t0) = 1, is
+    the pure phase e^{-2i|ts|(t-t0)/hbar}."""
+    u1, u2 = sq.u1u2_evolve(1.3, 0.6, 0.0, 1.0, 1.0, 0.0, 2.5)
+    g = u1 * np.conj(u2)
     assert abs(g - np.exp(-2j * 0.6 * 2.5)) < 1e-10
     # a real drive cancels out of G entirely
-    g_driven = sq.greens_response(1.3, 0.6, signals.sinusoid(1.0, 2.0), 0.0, 2.5)
+    u1, u2 = sq.u1u2_evolve(1.3, 0.6, signals.sinusoid(1.0, 2.0), 1.0, 1.0, 0.0, 2.5)
+    g_driven = u1 * np.conj(u2)
     assert abs(g_driven - g) < 1e-9
     # to rounding: the integral of f1 cancels out of G and is exact in u1
     amp, omega, phase, offset = 0.7, 3.0, 0.4, 0.1
     f1 = signals.sinusoid(amp, omega, phase, offset)
     for t0, t in ((0.0, 6.0), (0.5, 4.3), (2.0, 2.05)):
-        g = sq.greens_response(1.3, 0.6, f1, t0, t)
+        u1, u2 = sq.u1u2_evolve(1.3, 0.6, f1, 1.0, 1.0, t0, t)
+        g = u1 * np.conj(u2)
         assert abs(g - np.exp(-2j * 0.6 * (t - t0) / HBAR)) <= 1e-12
         integral = offset * (t - t0) - amp / omega * (np.cos(omega * t + phase) - np.cos(omega * t0 + phase))
-        u1, _ = sq.u1u2_evolve(1.3, 0.6, f1, 1.0, 1.0, t0, t)
         assert abs(u1 - np.exp(-1j * ((1.3 + 0.6) * (t - t0) + integral) / HBAR)) <= 1e-12
 
 
 def _greens_operator_residual(ep, ts_mag, f1, t0, t, fd_step=1e-3):
     """Finite-difference check of the propagator's governing relation.
 
-    Applies O = i hbar d/dt - Ep - f1(t) to G by the fourth-order central
+    Applies O = i hbar d/dt - Ep - f1(t) to G = u1 conj(u2), both from
+    u1(t0) = u2(t0) = 1, by the fourth-order central
     difference (-g(t+2h) + 8g(t+h) - 8g(t-h) + g(t-2h)) / 12h and compares
     against the closed-form action (2|ts| - Ep - f1(t)) G that follows from
     the two branch solutions; returns the absolute residual, near rounding
     (about 1e-12) at the default h = 1e-3.
     """
     f1 = signals.as_signal(f1)
-    g_m2, g_m1, g_0, g_p1, g_p2 = (sq.greens_response(ep, ts_mag, f1, t0, t + k * fd_step) for k in (-2, -1, 0, 1, 2))
+    g_m2, g_m1, g_0, g_p1, g_p2 = (
+        u1 * np.conj(u2)
+        for u1, u2 in (sq.u1u2_evolve(ep, ts_mag, f1, 1.0, 1.0, t0, t + k * fd_step) for k in (-2, -1, 0, 1, 2))
+    )
     dg = (8.0 * (g_p1 - g_m1) - (g_p2 - g_m2)) / (12.0 * fd_step)
     applied = 1j * HBAR * dg - (ep + f1(t)) * g_0
     expected = (2.0 * ts_mag - ep - f1(t)) * g_0

@@ -492,16 +492,6 @@ def test_mode_energy_of_a_stack_matches_each_state_from_one_h(monkeypatch):
     assert np.array(single).tobytes() == sp.mode_energy(series, basis, basis, w).tobytes()
 
 
-def test_reconstruct_wavefunction_norm():
-    basis = sp.harmonic_basis(2)
-    q = np.array([[1.0, 0.5], [0.25, 0.0]], dtype=complex)
-    q /= np.linalg.norm(q)
-    psi = sp.reconstruct_wavefunction(q, basis, basis)
-    w = sp._simpson_weights(basis.grid.size, basis.dx)
-    norm = np.real(np.einsum("g,h,gh->", w, w, np.abs(psi) ** 2))
-    assert abs(norm - 1.0) < 1e-8
-
-
 def test_entanglement_entropy_limits():
     q = np.zeros((2, 2), dtype=complex)
     q[0, 0] = 1.0

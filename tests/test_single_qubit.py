@@ -75,6 +75,32 @@ def test_eigencoeffs_degenerate_raises():
         sq.eigencoeffs(sq.QubitParams(ep1=1.0, ep2=1.0, ts_mag=0.0), 0.0)
 
 
+def _adiabatic_matrix(params, t0, t):
+    """Diagonal adiabatic evolution of energy-basis amplitudes: each picks up
+    exp(-(i/hbar) * integral of E_k), E_k from ``eigencoeffs``, here formed
+    as ``rabi_evolution_matrix`` with no resonant channel."""
+
+    def energy(which):
+        return lambda tp: getattr(sq.eigencoeffs(params, tp), which)
+
+    return sq.rabi_evolution_matrix(energy("e1"), energy("e2"), 0.0, t0, t)
+
+
+def test_evolve_adiabatic_preserves_populations():
+    p = sq.QubitParams(ep1=signals.sinusoid(0.5, 2.0), ep2=1.0, ts_mag=0.7)
+    s0 = np.array([0.6, 0.8])
+    s1 = _adiabatic_matrix(p, 0.0, 3.0) @ s0
+    assert np.allclose(np.abs(s1), np.abs(s0), atol=1e-12)
+
+
+def test_evolve_adiabatic_constant_phases():
+    p = sq.QubitParams(ep1=0.0, ep2=0.0, ts_mag=1.0)
+    s0 = np.array([1.0, 1.0]) / np.sqrt(2)
+    s1 = _adiabatic_matrix(p, 0.0, 2.0) @ s0
+    expected = s0 * np.array([np.exp(2j), np.exp(-2j)])
+    assert np.max(np.abs(s1 - expected)) < 1e-12
+
+
 def test_analytic_c1c2_no_drive_matches_rk4():
     ep, ts = 0.3, 0.8
     p = sq.QubitParams(ep1=ep, ep2=ep, ts_mag=ts)

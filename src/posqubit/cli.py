@@ -45,7 +45,7 @@ from . import single_qubit as sq
 from . import spectral as sp
 from . import two_qubit as tq
 from .errors import ConfigError, PosQubitError
-from .qcore import GAUSS_NODES, StateVector, eig_hermitian, evolve_steps, magnus4_step_operators
+from .qcore import GAUSS_NODES, eig_hermitian, evolve_steps, magnus4_step_operators
 
 CSV_HEADER = "# posqubit csv v1"
 SCHEMA_VERSION = 1
@@ -374,13 +374,12 @@ def _symmetric_eigensystem(params):
 def _run_swap(time, initial, **coupled):
     params = _swap_params(**coupled)
     _, dt, _, steps = time
-    psi0 = StateVector(initial)
     h4 = tq.build_h4(params)
     amps = np.empty((steps.size, 4), dtype=complex)
     ent = np.empty(steps.size)
     for i, span in enumerate((dt * steps).tolist()):
-        psi = tq.evolve4(h4, psi0, 0.0, span) if span > 0 else psi0
-        amps[i] = psi.amps
+        psi = tq.evolve4(h4, initial, 0.0, span) if span > 0 else initial
+        amps[i] = psi
         ent[i] = tq.is_factorizable(psi)[1]
     pops = np.abs(amps) ** 2
     columns = {
@@ -406,8 +405,8 @@ def _run_swap(time, initial, **coupled):
 def _run_cnot(time, geometry, vs2, t2, initial_control, initial_target, **hopping):
     params = _swap_params(geometry=geometry, **hopping)
     _, dt, n_steps, steps = time
-    # no cnot Hamiltonian depends on t; counting from 0 keeps n_steps exact for any t0
-    run = tq.cnot_coupled_run(params, initial_control, vs2, t2, initial_target, geometry, 0.0, dt * n_steps, dt)
+    # no cnot Hamiltonian depends on t, so t0 drops out: the run counts steps from 0
+    run = tq.cnot_coupled_run(params, initial_control, vs2, t2, initial_target, geometry, dt, n_steps)
     columns = {
         "p_control_0": np.abs(run.control[steps, 0]) ** 2,
         "p_control_3": np.abs(run.control[steps, 3]) ** 2,

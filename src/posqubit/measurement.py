@@ -10,12 +10,11 @@ axis and renormalizes by the square root of the outcome probability
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidDensityError, NonHermitianError, ZeroProbabilityError
-from .qcore import StateVector, as_amplitudes, body_populations, require_hermitian
+from .qcore import body_populations, require_hermitian
 
 SUBSYSTEM_U = "U"
 SUBSYSTEM_L = "L"
@@ -28,13 +27,13 @@ _GRID = {SUBSYSTEM_U: 0, SUBSYSTEM_L: 1, LEFT: 1, RIGHT: 0}
 
 def _grid(state):
     """A BasisOrder4 state as its (2, 2) grid of amplitudes [U level, L level]."""
-    return as_amplitudes(state).reshape(2, 2)
+    return np.asarray(state, dtype=complex).reshape(2, 2)
 
 
 @dataclass
 class MeasurementOutcome:
     probability: float
-    post_state: Optional[StateVector]
+    post_state: np.ndarray
 
 
 def project_position(state, subsystem, side):
@@ -51,7 +50,7 @@ def project_position(state, subsystem, side):
         raise ZeroProbabilityError(
             f"outcome ({subsystem}, {side}) has probability {prob:.3e}"
         )
-    return MeasurementOutcome(prob, StateVector(kept / np.sqrt(prob)))
+    return MeasurementOutcome(prob, kept / np.sqrt(prob))
 
 
 def measurement_probabilities(state, subsystem):
@@ -62,7 +61,7 @@ def measurement_probabilities(state, subsystem):
 
 def pure_density(state):
     """Rank-1 density matrix |psi><psi| of a normalized pure state."""
-    amps = as_amplitudes(state)
+    amps = np.asarray(state, dtype=complex)
     return np.outer(amps, amps.conj())
 
 

@@ -23,7 +23,6 @@ times carry the inverse of that unit.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,7 +226,7 @@ def body_populations(amps, n_bodies):
     [body, level], of a stack (..., 2**n_bodies) of amplitudes in
     ``build_hn``'s layout.  The gathered |amps|^2 are added, not multiplied
     by a 0/1 table, so a population that overflows stays inf, not NaN."""
-    pops = np.abs(as_amplitudes(amps)) ** 2
+    pops = np.abs(np.asarray(amps, dtype=complex)) ** 2
     if pops.shape[-1:] != (2**n_bodies,):
         raise ValueError(f"expected amplitudes (..., {2**n_bodies}), got shape {pops.shape}")
     rows = _levels(n_bodies)
@@ -365,19 +364,3 @@ def evolve_rk4(h_of_t, psi0, t0, t1, dt):
         t += step
     return y
 
-
-@dataclass
-class StateVector:
-    """Complex amplitude vector of one state."""
-
-    amps: np.ndarray
-
-    def __post_init__(self):
-        self.amps = np.asarray(self.amps, dtype=complex)
-        if self.amps.ndim != 1:
-            raise ValueError("state amplitudes must be a 1-D vector")
-
-
-def as_amplitudes(state):
-    """The amplitudes of a StateVector, or an array-like as a complex array."""
-    return state.amps if isinstance(state, StateVector) else np.asarray(state, dtype=complex)

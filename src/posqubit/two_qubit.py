@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import OccupancyNotNormalizedError
 from .qcore import (
-    StateVector,
-    as_amplitudes,
     body_populations,
     build_hn,
     evolve_steps,
@@ -186,7 +184,7 @@ def is_factorizable(state):
     Returns (flag, 2 tau); 2 tau plays the role of a concurrence-style
     entanglement measure (1 for the maximally entangled vectors).
     """
-    amps = as_amplitudes(state)
+    amps = np.asarray(state, dtype=complex)
     tau = abs(amps[0] * amps[3] - amps[1] * amps[2])
     return tau <= 1e-10, 2.0 * tau
 
@@ -194,8 +192,7 @@ def is_factorizable(state):
 def evolve4(h, state, t0, t):
     """Evolve a 4-component state under a constant matrix ``h`` from ``t0``
     to ``t`` with the exact matrix exponential."""
-    out = matexp_unitary(h, t - t0) @ as_amplitudes(state)
-    return StateVector(out)
+    return matexp_unitary(h, t - t0) @ state
 
 
 def swap_occupancies(state):
@@ -238,30 +235,29 @@ def cnot_meanfield_h2(geom, occupancies, vs2, t2):
 
 @dataclass
 class CnotRun:
-    """Paired time series of the coupled control/target evolution."""
+    """Paired time series of the coupled control/target evolution at dt * k, k = 0..n_steps."""
 
-    t: np.ndarray
-    control: np.ndarray  # (n, 4) two-body amplitudes
-    target: np.ndarray  # (n, 2) target amplitudes
-    occupancies: np.ndarray  # (n, 4) control node occupancies
+    control: np.ndarray  # (n_steps + 1, 4) two-body amplitudes
+    target: np.ndarray  # (n_steps + 1, 2) target amplitudes
+    occupancies: np.ndarray  # (n_steps + 1, 4) control node occupancies
 
 
-def cnot_coupled_run(swap_params, control0, vs2, t2, target0, geom, t0, t, dt):
-    """One-way coupled run: the control pair evolves under its own constant
-    Hamiltonian; at each step its node occupancies parameterize the
-    target's mean-field Hamiltonian, which is applied for one step.
+def cnot_coupled_run(swap_params, control0, vs2, t2, target0, geom, dt, n_steps):
+    """One-way coupled run over ``n_steps`` steps of ``dt``: the control
+    pair evolves under its own constant Hamiltonian; at each step its node
+    occupancies parameterize the target's mean-field Hamiltonian, which is
+    applied for one step.
 
     The control is propagated exactly at every step time in one call; the
     target steps are closed-form SU(2) exponentials of the frozen mean-field
     Hamiltonians, chained by ``evolve_steps``.  Both norms are conserved to
     rounding.
     """
-    steps = np.arange(int(round((t - t0) / dt)) + 1)
-    control = propagate(build_h4(swap_params), as_amplitudes(control0), dt, steps)
+    control = propagate(build_h4(swap_params), control0, dt, np.arange(n_steps + 1))
     occ = swap_occupancies(control)
     target = evolve_steps(
         lambda lo, hi: su2_step_operators(cnot_meanfield_h2(geom, occ[lo:hi], vs2, t2), dt),
-        len(steps) - 1,
-        as_amplitudes(target0),
+        n_steps,
+        target0,
     )
-    return CnotRun(t=t0 + dt * steps, control=control, target=target, occupancies=occ)
+    return CnotRun(control=control, target=target, occupancies=occ)

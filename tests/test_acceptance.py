@@ -145,7 +145,7 @@ def test_criterion_05_projector_completeness():
                 worst = max(worst, abs(again.probability - 1.0))
                 worst = max(
                     worst,
-                    float(np.max(np.abs(again.post_state.amps - out.post_state.amps))),
+                    float(np.max(np.abs(again.post_state - out.post_state))),
                 )
     report(5, "measurement projectors", worst < 1e-10, f"max deviation {worst:.3e}")
 

@@ -6,7 +6,7 @@ import posqubit.measurement as ms
 import posqubit.single_qubit as sq
 from posqubit import signals
 from posqubit.errors import NonHermitianError
-from posqubit.qcore import eig_hermitian, evolve_rk4, matexp_unitary
+from posqubit.qcore import evolve_rk4, matexp_unitary
 
 rng = np.random.default_rng(505)
 

@@ -3,7 +3,7 @@ import pytest
 
 import posqubit.measurement as ms
 from posqubit.errors import InvalidDensityError, ZeroProbabilityError
-from posqubit.qcore import StateVector, as_amplitudes, body_populations, build_hn
+from posqubit.qcore import body_populations, build_hn
 from posqubit.two_qubit import swap_occupancies
 
 rng = np.random.default_rng(404)
@@ -27,7 +27,7 @@ def test_project_position_born_rule():
     out = ms.project_position(amps, ms.SUBSYSTEM_U, ms.LEFT)
     left, _ = ms.measurement_probabilities(amps, ms.SUBSYSTEM_U)
     assert abs(out.probability - left) < 1e-12
-    post = out.post_state.amps
+    post = out.post_state
     assert abs(np.linalg.norm(post) - 1.0) < 1e-12
     # the post state is supported only where U sits on its left node
     assert post[0] == 0.0 and post[1] == 0.0
@@ -40,7 +40,7 @@ def test_project_position_idempotent():
     first = ms.project_position(amps, ms.SUBSYSTEM_L, ms.RIGHT)
     second = ms.project_position(first.post_state, ms.SUBSYSTEM_L, ms.RIGHT)
     assert abs(second.probability - 1.0) < 1e-12
-    assert np.max(np.abs(second.post_state.amps - first.post_state.amps)) < 1e-12
+    assert np.max(np.abs(second.post_state - first.post_state)) < 1e-12
 
 
 def test_project_position_zero_outcome_raises():
@@ -104,18 +104,18 @@ _MASKS = {
 
 
 def _former_project_position(state, subsystem, side):
-    amps = as_amplitudes(state)
+    amps = np.asarray(state, dtype=complex)
     idx = _MASKS[(subsystem, side)]
     masked = np.zeros(4, dtype=complex)
     masked[list(idx)] = amps[list(idx)]
     prob = float(np.sum(np.abs(masked) ** 2))
     if prob < 1e-14:
         raise ZeroProbabilityError(f"outcome ({subsystem}, {side}) has probability {prob:.3e}")
-    return ms.MeasurementOutcome(prob, StateVector(masked / np.sqrt(prob)))
+    return ms.MeasurementOutcome(prob, masked / np.sqrt(prob))
 
 
 def _former_measurement_probabilities(state, subsystem):
-    amps = as_amplitudes(state)
+    amps = np.asarray(state, dtype=complex)
     pr = np.abs(amps) ** 2
     left = float(sum(pr[i] for i in _MASKS[(subsystem, ms.LEFT)]))
     right = float(sum(pr[i] for i in _MASKS[(subsystem, ms.RIGHT)]))
@@ -153,7 +153,7 @@ def _outcome(fn, *args):
 
 def _random_oracle_state(gen):
     """Random amplitudes with some entries zeroed (of either sign), as an array,
-    a list or a StateVector."""
+    a list or a tuple."""
     amps = gen.normal(size=4) + 1j * gen.normal(size=4)
     amps[gen.random(4) < 0.25] = 0.0
     amps[gen.random(4) < 0.1] = complex(-0.0, -0.0)
@@ -162,7 +162,7 @@ def _random_oracle_state(gen):
     norm = np.linalg.norm(amps)
     amps = amps / norm if norm > 0 else amps
     kind = gen.integers(3)
-    return amps if kind == 0 else list(amps) if kind == 1 else StateVector(amps)
+    return amps if kind == 0 else list(amps) if kind == 1 else tuple(amps)
 
 
 def test_grid_layout_functions_match_their_former_bodies_bit_for_bit():
@@ -184,7 +184,7 @@ def test_grid_layout_functions_match_their_former_bodies_bit_for_bit():
                     assert new == old
                 else:
                     assert type(new.probability) is float and new.probability == old.probability
-                    assert _same_bytes(new.post_state.amps, old.post_state.amps)
+                    assert _same_bytes(new.post_state, old.post_state)
 
 
 def test_measurement_probabilities_keep_overflowing_populations_as_their_former_body():

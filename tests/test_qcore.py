@@ -11,7 +11,6 @@ from posqubit.errors import NonHermitianError
 from posqubit.qcore import (
     GAUSS_NODES,
     HBAR,
-    StateVector,
     _entries,
     _entry_product,
     body_populations,
@@ -290,13 +289,6 @@ def test_build_hn_is_the_kronecker_sum_plus_the_pair_diagonal():
         # off the diagonal every entry is copied, not summed
         off = ~np.eye(2**n, dtype=bool)
         assert np.array_equal(h[off], expected[off])
-
-
-def test_statevector_basics():
-    s = StateVector(np.array([3.0, 4.0]))
-    assert s.amps.dtype == complex and s.amps.tolist() == [3.0, 4.0]
-    with pytest.raises(ValueError):
-        StateVector(np.zeros((2, 2)))
 
 
 def _symmetric_decoherence_hamiltonian():
@@ -780,7 +772,7 @@ def test_body_populations_of_a_stack():
             others = tuple(2 + j for j in range(n) if j != k)
             assert np.max(np.abs(pops[..., k, :] - grid.sum(axis=others))) < 1e-15
     amps = np.array([0.6, 0.8j])
-    assert body_populations(StateVector(amps), 1).tolist() == [(np.abs(amps) ** 2).tolist()]
+    assert body_populations(amps, 1).tolist() == [(np.abs(amps) ** 2).tolist()]
     for bad in (np.ones(3), np.ones((2, 8))):
         with pytest.raises(ValueError):
             body_populations(bad, 2)

@@ -9,6 +9,9 @@ module, ``cli`` and ``_g17`` aside, must be referenced in one of:
 A reference is a name or an attribute of that spelling in the parsed
 source; an import alone is not one.  Code that no scenario kind, seed
 acceptance test or oracle reaches is deleted, not kept.
+
+Every name an import binds, in the package and in the tests, is read in
+its module, so a deletion leaves no import behind.
 """
 
 import ast
@@ -72,3 +75,25 @@ def test_every_oracle_is_a_public_definition_that_a_test_uses():
     others = [path for path in TESTS.glob("test_*.py") if path.name != pathlib.Path(__file__).name]
     used = set().union(*(_references(ast.parse(path.read_text())) for path in others))
     assert sorted(set(ORACLES) - (defined & used)) == []
+
+
+def _unread_imports(path):
+    """``file:line name`` of each name an import binds in ``path`` that no
+    ``ast.Name`` reads; an import marked ``# noqa: F401`` is kept on purpose."""
+    text = path.read_text()
+    lines, tree = text.splitlines(), ast.parse(text)
+    bound = {
+        alias.asname or alias.name.split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "noqa: F401" not in lines[node.lineno - 1]
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
+def test_every_imported_name_is_read_where_it_is_imported():
+    # the package's __init__ re-exports its modules and test_spectral imports
+    # numpy.fft before it traces memory: both imports are marked noqa: F401
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert [line for path in paths for line in _unread_imports(path)] == []

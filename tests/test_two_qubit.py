@@ -6,7 +6,7 @@ import pytest
 import posqubit.qcore as qcore
 import posqubit.two_qubit as tq
 from posqubit.errors import OccupancyNotNormalizedError
-from posqubit.qcore import StateVector, body_populations, build_hn, eig_hermitian, evolve_rk4, propagate
+from posqubit.qcore import body_populations, build_hn, eig_hermitian, evolve_rk4, propagate
 
 rng = np.random.default_rng(303)
 
@@ -250,11 +250,11 @@ def test_evolve4_constant_matches_rk4():
     cc = tq.CoulombCouplings(ec11=1.0, ec22=1.0, ec12=0.3, ec21=0.3)
     p = tq.SwapParams(vs=0.2, t_u=0.5, t_l=0.5, couplings=cc)
     h = tq.build_h4(p)
-    psi0 = StateVector(np.array([0.0, 1.0, 0.0, 0.0], dtype=complex))
+    psi0 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
     exact = tq.evolve4(h, psi0, 0.0, 3.0)
-    stepped = evolve_rk4(lambda t: h, psi0.amps, 0.0, 3.0, 1e-3)
-    assert np.max(np.abs(exact.amps - stepped)) < 1e-9
-    assert abs(np.linalg.norm(exact.amps) - 1.0) < 1e-12
+    stepped = evolve_rk4(lambda t: h, psi0, 0.0, 3.0, 1e-3)
+    assert np.max(np.abs(exact - stepped)) < 1e-9
+    assert abs(np.linalg.norm(exact) - 1.0) < 1e-12
 
 
 def test_swap_exchange_dynamics():
@@ -262,14 +262,14 @@ def test_swap_exchange_dynamics():
     cc = tq.CoulombCouplings(ec11=1.0, ec22=1.0, ec12=1.0, ec21=1.0)
     p = tq.SwapParams(vs=0.0, t_u=0.4, t_l=0.4, couplings=cc)
     h = tq.build_h4(p)
-    psi0 = StateVector(np.array([0.0, 1.0, 0.0, 0.0], dtype=complex))
+    psi0 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
     eig = tq.swap_eigensystem_symmetric(1.0, 1.0, 0.4, 0.0)
     # full transfer |0,1>|1,0> -> |1,0>|0,1> at t = pi / (2 ts), one
     # period of the E4-E3 splitting
     gap = eig.energies[3] - eig.energies[2]
     t_swap = 2.0 * np.pi / gap
     psi = tq.evolve4(h, psi0, 0.0, t_swap)
-    probs = np.abs(psi.amps) ** 2
+    probs = np.abs(psi) ** 2
     assert probs[2] > 0.999
     assert probs[1] < 1e-3
 
@@ -286,7 +286,7 @@ def test_swap_occupancies_sum_rules():
 def _former_swap_occupancies(state):
     """swap_occupancies as written before it read qcore.body_populations: a
     bit-for-bit test oracle."""
-    pr = np.abs(qcore.as_amplitudes(state)) ** 2
+    pr = np.abs(np.asarray(state, dtype=complex)) ** 2
     p0, p1, p2, p3 = np.moveaxis(pr, -1, 0)
     return np.stack([p2 + p3, p0 + p1, p1 + p3, p0 + p2], axis=-1)
 
@@ -294,7 +294,7 @@ def _former_swap_occupancies(state):
 def _random_occupancy_input(gen):
     """Amplitudes with zeroed entries of either sign, and sometimes entries
     whose |a|^2 or |a| overflows to inf, or a NaN; one state or a stack, as an
-    array, a list or a StateVector."""
+    array, a list or a tuple."""
     shape = ((), (5,), (2, 3))[gen.integers(3)] + (4,)
     amps = gen.normal(size=shape) + 1j * gen.normal(size=shape)
     amps[gen.random(shape) < 0.25] = 0.0
@@ -303,7 +303,7 @@ def _random_occupancy_input(gen):
         amps[gen.random(shape) < share] *= big
     amps[gen.random(shape) < 0.02] = complex(np.nan, 0.0)
     kind = gen.integers(3) if amps.ndim == 1 else gen.integers(2)
-    return amps if kind == 0 else amps.tolist() if kind == 1 else StateVector(amps)
+    return amps if kind == 0 else amps.tolist() if kind == 1 else tuple(amps)
 
 
 def test_swap_occupancies_match_their_former_body_bit_for_bit():
@@ -352,11 +352,10 @@ def test_cnot_coupled_run_norms_conserved():
         0.15,
         np.array([1.0, 0.0], dtype=complex),
         g,
-        0.0,
-        2.0,
         1e-2,
+        200,
     )
-    assert run.t.shape[0] == run.control.shape[0] == run.target.shape[0]
+    assert run.control.shape == (201, 4) and run.target.shape == (201, 2) and run.occupancies.shape == (201, 4)
     assert abs(np.linalg.norm(run.control[-1]) - 1.0) < 1e-12
     assert abs(np.linalg.norm(run.target[-1]) - 1.0) < 1e-12
     # occupancies stay normalized along the way
@@ -375,7 +374,7 @@ def test_cnot_control_state_conditions_target():
     for control0 in (np.array([0, 1, 0, 0]), np.array([0, 0, 1, 0])):
         runs.append(
             tq.cnot_coupled_run(
-                p, control0.astype(complex), 0.0, 0.0, target0, g, 0.0, 10.0, 1e-2
+                p, control0.astype(complex), 0.0, 0.0, target0, g, 1e-2, 1000
             )
         )
     phase_diff = np.angle(runs[0].target[-1][0] / runs[0].target[-1][1]) - np.angle(
@@ -414,7 +413,7 @@ def test_cnot_meanfield_h2_accepts_a_stack():
             tq.cnot_meanfield_h2(g, np.vstack([occ, bad]), 0.2, 0.15)
 
 
-def _cnot_run_and_loop_oracle(t_end):
+def _cnot_run_and_loop_oracle(n_steps):
     """A cnot run and the per-step loop it replaced: u4 = exp(-i h4 dt) applied
     once per step to the control, a 2x2 matexp_unitary per step to the target."""
     from posqubit.qcore import matexp_unitary
@@ -424,10 +423,10 @@ def _cnot_run_and_loop_oracle(t_end):
     control0 = np.array([0.5, 0.5 + 0.2j, 0.3, 0.6j]) / np.linalg.norm([0.5, 0.5 + 0.2j, 0.3, 0.6j])
     target0 = np.array([0.8, 0.6j])
     dt, vs2, t2 = 0.01, 0.1, 0.4
-    run = tq.cnot_coupled_run(p, control0, vs2, t2, target0, g, 0.0, t_end, dt)
+    run = tq.cnot_coupled_run(p, control0, vs2, t2, target0, g, dt, n_steps)
     u4 = matexp_unitary(tq.build_h4(p), dt)
     control, target, rows = control0, target0, []
-    for _ in run.t:
+    for _ in range(n_steps + 1):
         occ = tq.swap_occupancies(control)
         rows.append((control, target, occ))
         target = matexp_unitary(tq.cnot_meanfield_h2(g, occ, vs2, t2), dt) @ target
@@ -439,21 +438,21 @@ def _cnot_run_and_loop_oracle(t_end):
 def test_cnot_control_matches_expm():
     from scipy.linalg import expm
 
-    run, _, (p, *_) = _cnot_run_and_loop_oracle(20.0)
+    run, _, (p, *_, dt) = _cnot_run_and_loop_oracle(2000)
     h4 = tq.build_h4(p)
-    exact = np.array([expm(-1j * h4 * t) @ run.control[0] for t in run.t])
+    exact = np.array([expm(-1j * h4 * t) @ run.control[0] for t in dt * np.arange(2001)])
     assert np.max(np.abs(run.control - exact)) < 1e-12
 
 
 def test_cnot_target_matches_per_step_loop(monkeypatch):
     from scipy.linalg import expm
 
-    run, (control, target, occ), (p, g, vs2, t2, dt) = _cnot_run_and_loop_oracle(20.0)
+    run, (control, target, occ), (p, g, vs2, t2, dt) = _cnot_run_and_loop_oracle(2000)
     # the 1e-11 bound is the old loop's own error: over 2000 steps its powers
     # of u4 drift from the exact control (6.6e-13 here) and the target, driven
     # by those occupancies, ends 5.9e-12 from a per-step expm of the exact
     # mean field, which the new path follows to 1e-14
-    exact_occ = tq.swap_occupancies([expm(-1j * tq.build_h4(p) * t) @ control[0] for t in run.t])
+    exact_occ = tq.swap_occupancies([expm(-1j * tq.build_h4(p) * t) @ control[0] for t in dt * np.arange(2001)])
     q, oracle = target[0], [target[0]]
     for row in exact_occ[:-1]:
         q = expm(-1j * dt * tq.cnot_meanfield_h2(g, row, vs2, t2)) @ q
@@ -464,7 +463,7 @@ def test_cnot_target_matches_per_step_loop(monkeypatch):
     assert np.max(np.abs(run.occupancies - occ)) < 1e-11
     # the same run with its target steps built and chained in chunks of 7
     monkeypatch.setattr(qcore, "STEP_CHUNK", 7)
-    chunked = tq.cnot_coupled_run(p, control[0], vs2, t2, target[0], g, 0.0, 20.0, dt)
+    chunked = tq.cnot_coupled_run(p, control[0], vs2, t2, target[0], g, dt, 2000)
     assert np.max(np.abs(chunked.target - np.array(oracle))) < 1e-12
 
 
@@ -506,8 +505,8 @@ def test_cnot_meanfield_matches_the_exact_three_body_run_with_the_control_frozen
         target0 /= np.linalg.norm(target0)
         for node_state in range(4):
             control0 = np.eye(4, dtype=complex)[node_state]
-            run = tq.cnot_coupled_run(p, control0, vs2, t2, target0, g, 0.0, n_steps * dt, dt)
-            exact = propagate(h8, np.kron(control0, target0), 1.0, run.t).reshape(-1, 4, 2)
+            run = tq.cnot_coupled_run(p, control0, vs2, t2, target0, g, dt, n_steps)
+            exact = propagate(h8, np.kron(control0, target0), 1.0, dt * np.arange(n_steps + 1)).reshape(-1, 4, 2)
             # the target's density matrix: populations and coherence
             rho_exact = np.einsum("nci,ncj->nij", exact, exact.conj())
             rho_mf = run.target[:, :, None] * run.target[:, None, :].conj()

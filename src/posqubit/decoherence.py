@@ -177,10 +177,13 @@ def _evolve(y0, h0, hdec, dt, steps, paper_factorized):
     split of H = H0 + Hdec, where the diagonal phase D = e^{-i diag(H) t}
     acts first, as the per-sample start d o y0, and then H - diag(H), which
     keeps H0's resonant entries.  D o y0 is y0 propagated under diag(H),
-    whose eigenvectors are the identity, on the same phase tables."""
-    h = require_hermitian(h0) + require_hermitian(hdec)
+    whose eigenvectors are the identity, on the same phase tables.  H is
+    checked for Hermiticity as the sum, not term by term: by ``propagate``,
+    or with the split once up front, before its diagonal is read."""
+    h = np.asarray(h0) + np.asarray(hdec)
     if not paper_factorized:
         return propagate(h, y0, dt, steps)
+    h = require_hermitian(h)
     diagonal = np.real(np.diag(h))
     starts = propagate_eigen(diagonal, np.eye(len(diagonal)), y0, dt, steps)
     return propagate(h - np.diag(np.diag(h)), starts, dt, steps)

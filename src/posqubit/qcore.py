@@ -126,38 +126,49 @@ def propagate(h, y0, dt, steps):
     return propagate_eigen(*np.linalg.eigh(h), y0, dt, steps)
 
 
-def _grid_phases(energies, dt, steps):
-    """e^{-i E dt k / hbar} for every k in ``steps`` and every E, shape np.shape(steps) + (n,).
+def _grid_tables(energies, dt, steps):
+    """The phase tables (coarse, fine) of integer steps that are a runner's sample grid, else None.
 
-    Integer steps that are a runner's sample grid, k = g j for
-    j = 0, 1, 2, ..., are written, with b = isqrt(j_max) + 1, as
-    j = b q + r, 0 <= r < b, and their phases are the products of two
-    tables: the coarse e^{-iE dt g b q} and the fine e^{-iE dt g r}.  That
-    takes about 2 sqrt(j_max) exponentials per level, each of a time
-    rounded once as in the direct form, and one complex product per sample
-    and level, written in place as an outer product, so every phase is
-    within a few eps (1 + |E| t) of the exponential.  Steps of any other
-    dtype or layout, and grids too short for the tables to save
-    exponentials, take one exponential per sample and level at the times
-    dt * steps.
+    A grid k = g j for j = 0, 1, 2, ... is written, with b = isqrt(j_max) + 1,
+    as j = b q + r, 0 <= r < b, and the phase of sample j is the product of
+    the coarse e^{-iE dt g b q} and the fine e^{-iE dt g r}.  That takes
+    about 2 sqrt(j_max) exponentials per level, each of a time rounded once
+    as in the direct form.  Steps of any other dtype or layout, and grids
+    too short for the tables to save exponentials, give None.
     """
     steps = np.asarray(steps)
-    energies = np.asarray(energies)
     if steps.dtype.kind in "iu" and steps.size:
         m = steps.astype(np.int64).ravel()
         g = max(int(m[1]), 1) if m.size > 1 else 1  # the spacing, if m is a grid 0, g, 2g, ...
         b = math.isqrt(m.size - 1) + 1
         q = np.arange((m.size - 1) // b + 1)
         if b + q.size < m.size and np.array_equal(m, g * np.arange(m.size)):
-            coarse = _phases(energies, dt * (g * b * q))
-            fine = _phases(energies, dt * (g * np.arange(b)))
-            out = np.empty((m.size, energies.size), dtype=complex)
-            full, rest = divmod(m.size, b)
-            np.multiply(coarse[:full, None], fine, out=out[: full * b].reshape(full, b, -1))
-            if rest:
-                np.multiply(coarse[full], fine[:rest], out=out[full * b :])
-            return out.reshape(steps.shape + energies.shape)
-    return _phases(energies, dt * steps)
+            return _phases(energies, dt * (g * b * q)), _phases(energies, dt * (g * np.arange(b)))
+    return None
+
+
+def _grid_phases(energies, dt, steps, tables=None):
+    """e^{-i E dt k / hbar} for every k in ``steps`` and every E, shape np.shape(steps) + (n,).
+
+    On a grid with phase tables (``_grid_tables``; ``tables`` when the
+    caller has formed them) every phase is one complex product of a coarse
+    and a fine entry, written in place as an outer product, so it is within
+    a few eps (1 + |E| t) of the exponential.  Other steps take one
+    exponential per sample and level at the times dt * steps.
+    """
+    steps = np.asarray(steps)
+    energies = np.asarray(energies)
+    tables = tables or _grid_tables(energies, dt, steps)
+    if tables is None:
+        return _phases(energies, dt * steps)
+    coarse, fine = tables
+    b = len(fine)
+    out = np.empty((steps.size, energies.size), dtype=complex)
+    full, rest = divmod(steps.size, b)
+    np.multiply(coarse[:full, None], fine, out=out[: full * b].reshape(full, b, -1))
+    if rest:
+        np.multiply(coarse[full], fine[:rest], out=out[full * b :])
+    return out.reshape(steps.shape + energies.shape)
 
 
 def _phases(energies, times):
@@ -171,9 +182,23 @@ def propagate_eigen(energies, vectors, y0, dt, steps):
     ``vectors`` holds orthonormal eigenvectors in columns, in the order of
     ``energies``, which need not ascend; real vectors take real products.
     The arguments and the result are those of ``propagate``.
+
+    One start on a grid with phase tables (``_grid_tables``) and no more
+    levels n than coarse rows takes one GEMM over the levels: with
+    c = V^dag y0, sample j = b q + r is sum_k coarse[q, k] (fine[r, k] c_k V[:, k]),
+    so the stack is coarse @ rhs, with rhs the (n, b n) array of the b fine
+    rows.  It takes as many multiplies as the other path's ``coeffs @ V.T``
+    and never forms the (samples, n) phases; the level bound keeps rhs
+    (n^2 b entries) within the output.
     """
-    phases = _grid_phases(energies, dt, steps)
     y0 = np.asarray(y0, dtype=complex)
+    tables = _grid_tables(energies, dt, steps)
+    if tables is not None and y0.ndim == 1 and len(energies) <= len(tables[0]):
+        coarse, fine = tables
+        n = len(energies)
+        rhs = ((fine * (y0 @ vectors.conj())).T[:, :, None] * vectors.T[:, None, :]).reshape(n, -1)
+        return (coarse @ rhs).reshape(-1, n)[: np.size(steps)].reshape(np.shape(steps) + (n,))
+    phases = _grid_phases(energies, dt, steps, tables)
     vh = vectors.conj().T
     coeffs = phases * (y0 @ vh.T)
     if vectors.dtype.kind == "f":

@@ -105,6 +105,21 @@ def test_single_qubit_oscillation_frequency():
     assert np.max(np.abs(total - 1.0)) < 1e-8
 
 
+def test_single_qubit_final_norm_is_read_off_the_last_sample(monkeypatch):
+    """A stub scales the states from 1 at t0 down to 0.5 at t_max, so the
+    summary's norm reads 0.5, the norm of the last sample's populations."""
+    evolve = cli.evolve_steps
+
+    def shrinking(*args):
+        states = evolve(*args)
+        return states * np.linspace(1.0, 0.5, len(states))[:, None]
+
+    monkeypatch.setattr(cli, "evolve_steps", shrinking)
+    series, summary = cli.run_scenario(base_single_qubit())
+    last = series.columns["p_x1"][-1] + series.columns["p_x2"][-1]
+    assert abs(summary["final_norm"] - 0.5) < 1e-12 and abs(summary["final_norm"] - math.sqrt(last)) < 1e-12
+
+
 def driven_single_qubit():
     cfg = base_single_qubit()
     cfg["time"] = {"t0": 0.5, "t_max": 20.5, "dt": 0.01, "sample_stride": 3}
@@ -204,6 +219,23 @@ def test_rabi_columns_match_per_sample_oracle():
         assert max(abs(p1 - abs(psi[0]) ** 2), abs(p2 - abs(psi[1]) ** 2)) < 1e-12
         assert defect < 1e-14
     assert len(series.t) == 201 and summary["max_unitarity_defect"] < 1e-14
+
+
+def test_rabi_max_unitarity_defect_is_the_largest_of_its_column(monkeypatch):
+    """A stub scales the propagator of the middle sample by 1 + 1e-6, so its
+    defect reads about 2e-6 where every other reads rounding: the summary
+    is the largest value of the column, not the last sample's."""
+    evolution = sq.rabi_evolution_matrix
+
+    def skewed(*args):
+        u = evolution(*args)
+        u[len(u) // 2] *= 1 + 1e-6
+        return u
+
+    monkeypatch.setattr(sq, "rabi_evolution_matrix", skewed)
+    series, summary = cli.run_scenario(rabi_cfg())
+    defect = series.columns["unitarity_defect"]
+    assert summary["max_unitarity_defect"] == defect.max() > 1e-6 > 1e6 * defect[-1]
 
 
 def test_extract_frequency_known_signal():
@@ -600,6 +632,59 @@ def test_cnot_scenario():
     assert abs(summary["final_target_norm"] - 1.0) < 1e-10
 
 
+def test_cnot_columns_match_expm_and_per_step_oracles():
+    """Each of cnot's six columns against the quantity the README names: the
+    control's populations of levels 0 and 3 and its node occupancies from
+    expm(-i H4 t) psi0, and the target's populations from one expm of the
+    mean-field H2 per step, at the occupancies of the step's start.  The
+    control's levels 2 and 3 are apart, so a column read off the wrong
+    amplitude fails."""
+    from scipy.linalg import expm
+
+    cfg = cnot_cfg()
+    cfg["parameters"]["initial_control"] = [[0.5, 0.1], [0.3, -0.4], [-0.2, 0.6], [0.1, 0.2]]
+    cfg["parameters"]["initial_target"] = [[0.6, 0.0], [0.0, 0.8]]
+    series, _ = cli.run_scenario(cfg)
+    p = cfg["parameters"]
+    geom = tq.DotGeometry(**p["geometry"])
+    h4 = tq.build_h4(tq.SwapParams(vs=p["vs"], t_u=p["t_u"], t_l=p["t_l"], couplings=tq.coulomb_couplings(geom)))
+    control0 = np.array([complex(*pair) for pair in p["initial_control"]])
+    control0 /= np.linalg.norm(control0)
+    target = np.array([0.6, 0.8j])
+    dt, rows = 0.01, []
+    for k in range(101):
+        control = expm(-1j * h4 * dt * k) @ control0
+        occ = tq.swap_occupancies(control)
+        if k % 10 == 0:
+            rows.append([*np.abs(control[[0, 3]]) ** 2, *occ[:2], *np.abs(target) ** 2, abs(control[2]) ** 2])
+        target = expm(-1j * tq.cnot_meanfield_h2(geom, occ, p["vs2"], p["t2"]) * dt) @ target
+    expected = np.array(rows)
+    names = ["p_control_0", "p_control_3", "occ_p1", "occ_p2", "p_target_1", "p_target_2"]
+    assert list(series.columns) == names
+    for i, name in enumerate(names):
+        assert np.max(np.abs(series.columns[name] - expected[:, i])) < 1e-12, name
+    assert np.min(np.abs(expected[1:, 1] - expected[1:, 6])) > 1e-3
+
+
+def test_cnot_final_norms_are_read_off_the_last_sample(monkeypatch):
+    """A stub scales the control from 1 down to 0.25 and the target from 1
+    down to 0.5 over the run, so the summary's norms read 0.25 and 0.5."""
+    coupled = tq.cnot_coupled_run
+
+    def shrinking(*args):
+        run = coupled(*args)
+        control = run.control * np.linspace(1.0, 0.25, len(run.control))[:, None]
+        target = run.target * np.linspace(1.0, 0.5, len(run.target))[:, None]
+        return tq.CnotRun(control=control, target=target, occupancies=run.occupancies)
+
+    monkeypatch.setattr(tq, "cnot_coupled_run", shrinking)
+    series, summary = cli.run_scenario(cnot_cfg())
+    assert abs(summary["final_control_norm"] - 0.25) < 1e-12
+    assert abs(summary["final_target_norm"] - 0.5) < 1e-12
+    last_target = series.columns["p_target_1"][-1] + series.columns["p_target_2"][-1]
+    assert abs(summary["final_target_norm"] - math.sqrt(last_target)) < 1e-12
+
+
 def decoherence_cfg():
     return {
         "schema_version": 1,
@@ -644,6 +729,20 @@ def test_spectral_scenario():
     _, summary = cli.run_scenario(spectral_cfg())
     assert abs(summary["final_norm"] - 1.0) < 1e-10
     assert summary["energy_drift"] < 1e-10
+
+
+def test_spectral_energy_drift_is_an_absolute_value(monkeypatch):
+    """A stub lowers the last sample's mode energy by 0.25, so the drift
+    reads |E_last - E_first|, 0.25 up to the physical drift, not -0.25."""
+    energy = sp.mode_energy
+
+    def lowered(*args):
+        first, last = energy(*args)
+        return first, last - 0.25
+
+    monkeypatch.setattr(sp, "mode_energy", lowered)
+    _, summary = cli.run_scenario(spectral_cfg())
+    assert abs(summary["energy_drift"] - 0.25) < 1e-10
 
 
 def test_spectral_sample_budget_exits_2_before_anything_large_is_allocated(tmp_path, capsys, monkeypatch):
@@ -1183,6 +1282,22 @@ def test_main_exit_codes(tmp_path, capsys):
     [row] = json.loads(out_path.read_text())["rows"]
     assert row["status"] == "failed" and row["error"].startswith("notes: unknown field")
     capsys.readouterr()
+
+
+def test_a_finite_grid_runs_whatever_dt_times_the_stride(tmp_path, capsys):
+    """No time is formed from dt * sample_stride, so its overflow is no
+    error: dt = t_max = 1e304 at stride 100000 samples [0, 1e304] and exits
+    0.  A last step time that overflows still exits 2: dt = max / 2 (1 + 5e-10)
+    divides t_max = max to 1e-9, but 2 dt is inf."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(replaced(swap_cfg(), "time", {"t_max": 1e304, "dt": 1e304, "sample_stride": 100000})))
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
+    times = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[-2:]]
+    assert times == ["0", "9.9999999999999994e+303"]
+    top = sys.float_info.max
+    cfg_path.write_text(json.dumps(replaced(swap_cfg(), "time", {"t_max": top, "dt": top / 2 * (1 + 5e-10)})))
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
+    assert "every step time up to t_max must be finite" in capsys.readouterr().err
 
 
 def test_main_eigens_and_sweep(tmp_path, capsys):

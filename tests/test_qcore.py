@@ -406,13 +406,17 @@ def _step_grids():
     }
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 48])
+# 45 and 46 levels fall on either side of the single-state GEMM's level
+# bound on the 2001-sample grid, whose tables have 45 coarse rows
+@pytest.mark.parametrize("n", [1, 2, 4, 45, 46, 48])
 @pytest.mark.parametrize("real", [False, True])
 def test_integer_steps_match_the_former_body_and_expm(n, real):
-    """Integer steps take the phase tables of ``_grid_phases``; the former
-    body at the float times dt * steps is their oracle, elementwise within
-    4 eps (1 + max|E| t_max), and so are the phases themselves against one
-    exponential per sample.  expm checks the first samples of each grid."""
+    """Integer steps take the phase tables of ``_grid_phases``, and one start
+    with no more levels than coarse rows the GEMM of ``propagate_eigen``; the
+    former body at the float times dt * steps is their oracle, elementwise
+    within 4 eps (1 + max|E| t_max), and so are the phases themselves
+    against one exponential per sample.  expm checks the first samples of
+    each grid."""
     import scipy.linalg as sla
 
     local = np.random.default_rng(130 + n)  # leaves the module's generator to the other tests
@@ -581,6 +585,32 @@ def test_density_propagation_peak_memory_is_bounded_by_its_output():
             tracemalloc.stop()
         assert out.shape == (2001, 4, 4)
         assert peak <= bound * out.nbytes
+
+
+# 4 levels, as decoherence and cnot run, and 45, the most the level bound
+# admits on 2001 samples, where rhs is as large as the output
+@pytest.mark.parametrize(("n", "bound"), [(4, 1.5), (45, 2.5)])
+def test_single_state_propagation_peak_memory_is_bounded_by_its_output(n, bound):
+    """One start on the 2001-sample grid takes the GEMM over the levels: the
+    tables, rhs and the 2025-row product it slices (read 1.16x of the output
+    at 4 levels, 2.07x at 45).  The product path's phase stack and
+    coefficients each add one output's size (read 3.06x and 3.07x)."""
+    import tracemalloc
+
+    local = np.random.default_rng(54)
+    m = local.normal(size=(n, n)) + 1j * local.normal(size=(n, n))
+    energies, vectors = np.linalg.eigh(0.5 * (m + m.conj().T))
+    y0 = local.normal(size=n) + 1j * local.normal(size=n)
+    steps = np.arange(2001)
+    qcore.propagate_eigen(energies, vectors, y0, 0.01, steps[:3])  # first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        out = qcore.propagate_eigen(energies, vectors, y0, 0.01, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2001, n)
+    assert peak <= bound * out.nbytes
 
 
 # The weights and nodes of the fourth-order commutator-free Magnus step,
